@@ -27,7 +27,7 @@ from scipy.sparse.linalg import splu
 from scipy.special import ndtr
 
 from .likelihoods import lavm_curvature_floor, loglik
-from .model import AssembledModel
+from .model import AssembledModel, NewtonSystem
 from .priors import TRANSFORMS
 
 __all__ = [
@@ -48,7 +48,7 @@ CURVATURE_MIN = 1e-12
 
 
 def _factor_spd(Q, C=None):
-    """LU factorization of a symmetric positive definite sparse matrix,
+    """LU factorization of a symmetric positive definite csc matrix,
     returning (factor, half log determinant, matrix used, QinvCt, S_chol).
 
     With constraints the Schur pieces Q^{-1}C' and chol(C Q^{-1} C') come
@@ -64,7 +64,6 @@ def _factor_spd(Q, C=None):
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
-    Q = sparse.csc_matrix(Q)
     constrained = C is not None and C.shape[0] > 0
     for ridged in (False, True) if constrained else (False,):
         if ridged:
@@ -121,8 +120,8 @@ class GaussianApprox:
     """Gaussian approximation of p(w | theta, y) at the constrained mode."""
 
     def __init__(self, model, theta, mode, Q_ridged, factor, det_half,
-                 loglik_sum, prior_quad, predictors, iterations,
-                 QinvCt=None, S_chol=None):
+                 loglik_sum, prior_quad, prior_log_gdet, predictors,
+                 iterations, QinvCt=None, S_chol=None):
         self.model = model
         self.theta = theta
         self.mode = mode
@@ -131,6 +130,7 @@ class GaussianApprox:
         self.det_half = det_half
         self.loglik_sum = loglik_sum
         self.prior_quad = prior_quad
+        self.prior_log_gdet = prior_log_gdet
         self.predictors = predictors
         self.iterations = iterations
         self._QinvCt = QinvCt
@@ -180,6 +180,11 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
     """Newton iteration for the conditional latent mode at natural hyper
     values theta, with step halving and kriging-corrected constraints.
 
+    Each step fills values into the model's fixed Newton-matrix pattern
+    (``AssembledModel.structure``).  The converged iterate's matrix, factor
+    and log-likelihood sum are the ones returned; they are recomputed only
+    when the final constraint projection moves the mode.
+
     Fails only by raising ``InferenceError`` with the last iterate as
     ``best``; ``optimize_theta``, ``explore_theta`` and ``hyper_marginals``
     catch exactly that, so any other exception escaping is a bug.  The
@@ -198,51 +203,52 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
     n = model.latent_dim
     C = model.constraints
     k = C.shape[0]
-    Q_p, _ = model.prior_precision(theta)
+    Q_p, prior_log_gdet = model.prior_precision(theta)
     designs = {
         name: model.block_matrix(name, theta) for name in model.blocks
     }
+    transposed = {name: A.T for name, A in designs.items()}
+    system = NewtonSystem(model.structure, Q_p, designs)
     hypers = {
         name: (theta[blk.hyper] if blk.hyper else None)
         for name, blk in model.blocks.items()
     }
 
-    def objective(w):
-        total = -0.5 * float(w @ (Q_p @ w))
+    def evaluate(w):
+        """Objective at w, plus per block what a Newton step from w needs:
+        predictor, loglik sum, d1 and floored curvature."""
+        f, parts = -0.5 * float(w @ (Q_p @ w)), {}
         for name, blk in model.blocks.items():
-            value, _, _ = loglik(
-                blk.family, blk.responses, designs[name] @ w, hypers[name]
-            )
-            total += float(np.sum(value))
-        return total
+            eta = designs[name] @ w
+            value, d1, c = _curvatures(blk, eta, hypers[name])
+            parts[name] = (eta, float(np.sum(value)), d1, c)
+            f += parts[name][1]
+        return f, parts
+
+    def assemble(w, parts):
+        grad = -(Q_p @ w)
+        for name, (_, _, d1, _) in parts.items():
+            grad = grad + transposed[name] @ d1
+        return grad, system.matrix({name: p[3] for name, p in parts.items()})
 
     w = np.zeros(n) if init_w is None else np.asarray(init_w, dtype=float).copy()
     if k and np.max(np.abs(C @ w)) > 1e-9:
         w = w - C.T @ np.linalg.solve(C @ C.T, C @ w)
 
-    def assemble(w):
-        grad = -(Q_p @ w)
-        curv = None
-        for name, blk in model.blocks.items():
-            A = designs[name]
-            _, d1, c = _curvatures(blk, A @ w, hypers[name])
-            grad = grad + A.T @ d1
-            part = A.T @ sparse.diags_array(c) @ A
-            curv = part if curv is None else curv + part
-        return grad, sparse.csc_array(Q_p + curv)
-
-    f_w = objective(w)
+    f_w, at_w = evaluate(w)
     iterations = 0
     dec_hist, f_hist = [], []
     for iterations in range(1, max_iter + 1):
-        grad, Q_star = assemble(w)
+        grad, Q_star = assemble(w, at_w)
+        factored = None
         g_proj = grad
         if k:
             g_proj = grad - C.T @ np.linalg.solve(C @ C.T, C @ grad)
         if np.max(np.abs(g_proj)) < tol:
             iterations -= 1
             break
-        factor, _, _, QinvCt, S_chol = _factor_spd(Q_star, C)
+        factored = _factor_spd(Q_star, C)
+        factor, _, _, QinvCt, S_chol = factored
 
         candidate = w + factor.solve(grad)
         if k:
@@ -275,7 +281,7 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
 
         t, improved = 1.0, False
         for _ in range(21):
-            f_new = objective(w + t * step)
+            f_new, at_new = evaluate(w + t * step)
             if np.isfinite(f_new) and f_new >= f_w - 1e-14:
                 improved = True
                 break
@@ -288,7 +294,7 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
             step = g_proj / max(float(np.max(Q_star.diagonal())), 1.0)
             t = 1.0
             for _ in range(21):
-                f_new = objective(w + t * step)
+                f_new, at_new = evaluate(w + t * step)
                 if np.isfinite(f_new) and f_new > f_w:
                     improved = True
                     break
@@ -300,7 +306,7 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
                     diagnostics={"iterations": iterations, "grad": g_proj},
                 )
         w = w + t * step
-        f_w = f_new
+        f_w, at_w = f_new, at_new
     else:
         raise InferenceError(
             "Newton did not converge within the iteration limit",
@@ -311,24 +317,24 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
     if k:
         # settle roundoff left by the kriging corrections; the move is far
         # below mode accuracy but keeps C @ mode at machine zero
-        w = w - C.T @ np.linalg.solve(C @ C.T, C @ w)
-
-    # final curvature, determinants and predictors at the converged mode
-    loglik_sum = 0.0
-    predictors = {}
-    for name, blk in model.blocks.items():
-        eta = designs[name] @ w
-        predictors[name] = eta
-        value, _, _ = loglik(blk.family, blk.responses, eta, hypers[name])
-        loglik_sum += float(np.sum(value))
-    _, Q_star = assemble(w)
-    factor, half_logdet, Q_used, QinvCt, S_chol = _factor_spd(Q_star, C)
+        settled = w - C.T @ np.linalg.solve(C @ C.T, C @ w)
+        if not np.array_equal(settled, w):
+            w = settled
+            _, at_w = evaluate(w)
+            _, Q_star = assemble(w, at_w)
+            factored = None
+    if factored is None:
+        factored = _factor_spd(Q_star, C)
+    factor, half_logdet, Q_used, QinvCt, S_chol = factored
     det_half = half_logdet
     if k:
         logdet_S = 2.0 * float(np.sum(np.log(np.diag(S_chol[0]))))
         logdet_CCt = float(np.linalg.slogdet(C @ C.T)[1])
         det_half = half_logdet + 0.5 * (logdet_S - logdet_CCt)
 
+    loglik_sum = 0.0
+    for _, block_sum, _, _ in at_w.values():
+        loglik_sum += block_sum
     return GaussianApprox(
         model=model,
         theta=theta,
@@ -338,7 +344,8 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
         det_half=det_half,
         loglik_sum=loglik_sum,
         prior_quad=-0.5 * float(w @ (Q_p @ w)),
-        predictors=predictors,
+        prior_log_gdet=prior_log_gdet,
+        predictors={name: p[0] for name, p in at_w.items()},
         iterations=iterations,
         QinvCt=QinvCt,
         S_chol=S_chol,
@@ -347,15 +354,16 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
 
 def log_posterior_theta(model, theta_internal, init_w=None, approx=None):
     """Unnormalized log posterior of the hyper vector (internal scale):
-    Laplace ratio of the joint to the Gaussian approximation at its mode."""
+    Laplace ratio of the joint to the Gaussian approximation at its mode.
+    The prior log-determinant comes from the approximation's own prior
+    build."""
     theta_internal = np.asarray(theta_internal, dtype=float)
     theta = model.theta_natural(theta_internal)
     if approx is None:
         approx = gaussian_approx(model, theta, init_w=init_w)
-    _, log_gdet_prior = model.prior_precision(theta)
     lp = (
         model.logprior_internal(theta_internal)
-        + 0.5 * log_gdet_prior
+        + 0.5 * approx.prior_log_gdet
         + approx.prior_quad
         + approx.loglik_sum
         - approx.det_half
@@ -475,18 +483,22 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
             bounds=bounds,
             options={"gtol": tol, "maxiter": 1000, "ftol": 1e-12},
         )
-        # the best point actually evaluated; the optimizer's final iterate
-        # can sit on a failed-evaluation wall after an aggressive line search
-        if state["best"][1] is not None:
-            u_mode = space.to_u(state["best"][1])
-        else:
-            u_mode = res.x
     except _EvalBudget:
         raise InferenceError(
             "hyper optimization exceeded its evaluation budget",
             best=state["best"][1],
             diagnostics={"evaluations": state["evals"]},
         )
+    if state["best"][1] is None:
+        # every evaluation hit the -1e10 wall, so the optimizer's answer
+        # is the start point and its curvature is flat
+        raise InferenceError(
+            "no successful Laplace evaluation during hyper optimization",
+            diagnostics={"evaluations": state["evals"]},
+        )
+    # the best point actually evaluated; the optimizer's final iterate
+    # can sit on a failed-evaluation wall after an aggressive line search
+    u_mode = space.to_u(state["best"][1])
 
     evals_opt = state["evals"]
     state["evals"] = -10**9  # Hessian evaluations are not budgeted

@@ -24,6 +24,7 @@ __all__ = [
     "build_ar2",
     "build_mv_iid",
     "scale_precision",
+    "scaled_log_gdet",
     "reference_marginal_sd",
 ]
 
@@ -194,16 +195,19 @@ def build_mv_iid(n: int, sigmas: np.ndarray, R: np.ndarray) -> SparsePrecision:
     return SparsePrecision(matrix=Q, log_gdet=log_gdet)
 
 
-def scale_precision(Q: SparsePrecision, tau: float) -> SparsePrecision:
-    """Entrywise tau * Q, keeping constraints and adjusting the generalized
-    determinant by (dimension - rank_deficiency) * log tau."""
+def scaled_log_gdet(Q: SparsePrecision, tau: float) -> float:
+    """Generalized log-determinant of tau * Q: the unit value plus
+    (dimension - rank_deficiency) * log tau."""
     if tau <= 0:
         raise ConfigurationError(f"precision scale must be positive, got {tau}")
-    return replace(
-        Q,
-        matrix=_as_csc(Q.matrix * tau),
-        log_gdet=Q.log_gdet + (Q.dimension - Q.rank_deficiency) * float(np.log(tau)),
-    )
+    return Q.log_gdet + (Q.dimension - Q.rank_deficiency) * float(np.log(tau))
+
+
+def scale_precision(Q: SparsePrecision, tau: float) -> SparsePrecision:
+    """Entrywise tau * Q, keeping constraints and adjusting the generalized
+    determinant as ``scaled_log_gdet`` does."""
+    log_gdet = scaled_log_gdet(Q, tau)
+    return replace(Q, matrix=_as_csc(Q.matrix * tau), log_gdet=log_gdet)
 
 
 def reference_marginal_sd(prec: SparsePrecision) -> float:

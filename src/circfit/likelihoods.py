@@ -10,14 +10,9 @@ respect to eta, which is all the Gaussian approximation needs.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, i0e
 
-from .circular import (
-    BOUNDARY_MARGIN,
-    lavm_approx_concentration,
-    lavm_deta_logpdf,
-    lavm_logpdf,
-)
+from .circular import BOUNDARY_MARGIN, TWO_PI, lavm_approx_concentration
 
 __all__ = [
     "FAMILY_HYPERS",
@@ -126,6 +121,13 @@ def _gamma(y, eta, rho):
 
 
 def _lavm(y, eta, kappa):
+    """Value, d1 and d2 from one pass over z = 2 arctan(tan(y/2) - eta).
+
+    The input checks and the arithmetic, term for term, are those of
+    ``lavm_logpdf`` and ``lavm_deta_logpdf``, so the results are
+    bit-identical to theirs; the boundary band is reported first, as an
+    ``ObservationError``.
+    """
     bad = np.abs(y) >= np.pi - BOUNDARY_MARGIN
     if np.any(bad):
         raise ObservationError(
@@ -133,8 +135,29 @@ def _lavm(y, eta, kappa):
             "consider pre-centering",
             np.nonzero(bad)[0],
         )
-    value = lavm_logpdf(y, eta, kappa)
-    d1, d2 = lavm_deta_logpdf(y, eta, kappa)
+    if kappa < 0:
+        raise ValueError(f"kappa must be >= 0, got {kappa}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("x must be finite, got a NaN or infinity")
+    if not np.all(np.isfinite(eta)):
+        raise ValueError("eta must be finite, got a NaN or infinity")
+    t_y = np.tan(0.5 * y)
+    z = 2.0 * np.arctan(t_y - eta)
+    t_z = np.tan(0.5 * z)
+    hp_z = 0.5 * (1.0 + t_z * t_z)  # h'(z), also Q(z)
+    cos_z = np.cos(z)
+    value = (
+        kappa * (cos_z - 1.0)
+        - np.log(TWO_PI)
+        - np.log(i0e(kappa))
+        + np.log(0.5 * (1.0 + t_y * t_y))
+        - np.log(hp_z)
+    )
+    ks = kappa * np.sin(z)
+    d1 = (ks + t_z) / hp_z
+    d2 = (t_z * (ks + t_z) - kappa * cos_z - hp_z) / (hp_z * hp_z)
+    if np.ndim(y) == 0 and np.ndim(eta) == 0:
+        return float(value), float(d1), float(d2)
     return value, d1, d2
 
 

@@ -27,6 +27,7 @@ from .latent import (
     build_rw2,
     reference_marginal_sd,
     scale_precision,
+    scaled_log_gdet,
 )
 from .likelihoods import FAMILY_HYPERS, LikelihoodFamily, ObservationBlock
 from .priors import (
@@ -250,6 +251,7 @@ class AssembledModel:
         self.constraints = constraints
         self._unit = unit_precisions
         self.components = {c.name: c for c in spec.components}
+        self._structure = None
 
     # -- hyper vector plumbing ------------------------------------------
 
@@ -287,12 +289,20 @@ class AssembledModel:
 
     # -- latent structure ------------------------------------------------
 
-    def component_precision(self, comp: ComponentSpec, theta: dict) -> SparsePrecision:
+    @property
+    def structure(self) -> "ModelStructure":
+        """The fixed sparsity structure, built on first use inside a fit."""
+        if self._structure is None:
+            self._structure = ModelStructure(self)
+        return self._structure
+
+    def _base_precision(self, comp: ComponentSpec, theta: dict) -> SparsePrecision:
+        """The component's precision before its precision hyper scales it."""
         if comp.kind == "ar2":
-            base = build_ar2(
+            return build_ar2(
                 comp.size, theta[comp.pacf_hypers[0]], theta[comp.pacf_hypers[1]]
             )
-        elif comp.kind == "mv_iid":
+        if comp.kind == "mv_iid":
             d = comp.block_dim
             sigmas = np.array([theta[h] ** -0.5 for h in comp.sigma_hypers])
             if d == 1:
@@ -305,47 +315,228 @@ class AssembledModel:
                     ]
                 )
                 R = partials_to_correlation(gam, d)
-            base = build_mv_iid(comp.size, sigmas, R)
-        else:
-            base = self._unit[comp.name]
+            return build_mv_iid(comp.size, sigmas, R)
+        return self._unit[comp.name]
+
+    def component_precision(self, comp: ComponentSpec, theta: dict) -> SparsePrecision:
+        base = self._base_precision(comp, theta)
         if comp.precision_hyper is not None:
             base = scale_precision(base, theta[comp.precision_hyper])
         return base
 
     def prior_precision(self, theta: dict):
         """Joint prior precision over the latent vector and its generalized
-        log-determinant, at natural hyper values theta."""
-        parts = [
-            self.component_precision(c, theta).matrix for c in self.spec.components
-        ]
-        log_gdet = sum(
-            self.component_precision(c, theta).log_gdet for c in self.spec.components
-        )
-        if self.effect_nodes:
-            prec = np.array(
-                [e.prior_sd**-2.0 for e in self.spec.fixed_effects]
-            )
-            parts.append(sparse.diags_array(prec, format="csc"))
-            log_gdet += float(np.sum(np.log(prec)))
-        Q = sparse.block_diag(parts, format="csc")
-        return sparse.csc_array(Q), float(log_gdet)
+        log-determinant, at natural hyper values theta.  The matrix keeps
+        the structural pattern whatever theta is."""
+        return self.structure.prior_precision(theta)
 
     # -- predictors -------------------------------------------------------
 
     def block_matrix(self, block_name: str, theta: dict) -> sparse.csr_array:
         """A_b(theta): observation-by-latent matrix with all scale hypers
-        multiplied in, so eta_b = A_b w."""
-        blk = self.blocks[block_name]
-        A = None
-        for M, hyper_chain in blk.terms:
-            factor = 1.0
-            for h in hyper_chain:
-                factor *= theta[h]
-            A = M * factor if A is None else A + M * factor
-        return sparse.csr_array(A)
+        multiplied in, so eta_b = A_b w.  The matrix keeps the union pattern
+        of the block's terms whatever theta is."""
+        return self.structure.blocks[block_name].matrix(theta)
 
     def predictor(self, block_name: str, w: np.ndarray, theta: dict) -> np.ndarray:
         return self.block_matrix(block_name, theta) @ w
+
+
+def _pattern(mats, shape, fmt):
+    """Union of the stored-entry patterns of mats in canonical (sorted,
+    duplicate-free) csr or csc form.  Stored zeros count, so the pattern
+    never depends on values."""
+    coos = [sparse.coo_array(M) for M in mats]
+    rows = np.concatenate([C.row for C in coos])
+    cols = np.concatenate([C.col for C in coos])
+    C = sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=shape)
+    P = C.tocsr() if fmt == "csr" else C.tocsc()
+    P.sum_duplicates()
+    # matrices built on this pattern share its index arrays
+    P.indices.flags.writeable = False
+    P.indptr.flags.writeable = False
+    return P
+
+
+def _keys(P):
+    """Sortable key per stored entry of a compressed matrix: major index
+    times the minor dimension plus the minor index."""
+    major = np.repeat(np.arange(P.indptr.size - 1, dtype=np.int64), np.diff(P.indptr))
+    minor_dim = P.shape[1] if P.format == "csr" else P.shape[0]
+    return major * minor_dim + P.indices
+
+
+def _positions(pattern_keys, P):
+    """Where P's stored entries sit in a canonical pattern with those keys."""
+    return np.searchsorted(pattern_keys, _keys(P))
+
+
+class _BlockPattern:
+    """Union CSR pattern of a block's terms and a (terms, nnz) coefficient
+    array, so A_b(theta) = sum_t coef[t] * (product of chain t's scales)."""
+
+    def __init__(self, block, latent_dim):
+        mats = [M for M, _ in block.terms]
+        union = _pattern(mats, (block.size, latent_dim), "csr")
+        keys = _keys(union)
+        self.coef = np.zeros((len(block.terms), union.nnz))
+        for t, M in enumerate(mats):
+            M = sparse.csr_array(M)
+            self.coef[t, _positions(keys, M)] = M.data
+        self.chains = [chain for _, chain in block.terms]
+        self.pattern = union
+
+    def matrix(self, theta):
+        data = None
+        for coef, chain in zip(self.coef, self.chains):
+            factor = 1.0
+            for h in chain:
+                factor *= theta[h]
+            data = coef * factor if data is None else data + coef * factor
+        P = self.pattern
+        return sparse.csr_array((data, P.indices, P.indptr), shape=P.shape)
+
+
+def _component_pattern(model, comp):
+    """Structural pattern of one component's precision: the unit matrix's
+    for theta-free kinds, the full band for ar2 and full d x d blocks for
+    mv_iid, so entries that vanish at special theta stay stored."""
+    if comp.kind == "ar2":
+        n = comp.size
+        M = sparse.diags_array(
+            [np.ones(n - abs(k)) for k in range(-2, 3)], offsets=range(-2, 3)
+        )
+    elif comp.kind == "mv_iid":
+        d = comp.block_dim
+        M = sparse.kron(sparse.eye_array(comp.size), np.ones((d, d)))
+    else:
+        M = model._unit[comp.name].matrix
+    return _pattern([M], M.shape, "csc")
+
+
+class ModelStructure:
+    """Sparsity patterns of an assembled model, fixed once it is built.
+
+    Holds each block's union pattern, the block-diagonal pattern of the
+    prior precision, the pattern of the Newton matrix
+    Q* = Q_p + sum_b A_b' diag(c_b) A_b, and per block the scatter map
+    (obs, nz_a, nz_b, pos): observation i adds c_i A[i, a] A[i, b] at
+    position pos of Q*'s data for every pair of stored entries a, b of
+    row i.  Per theta and per Newton step only values are computed.
+    """
+
+    def __init__(self, model):
+        n = model.latent_dim
+        self.model = model
+        self.blocks = {
+            name: _BlockPattern(blk, n) for name, blk in model.blocks.items()
+        }
+
+        # prior: components in latent order, then the fixed effects
+        self.prior_parts = []
+        patterns = []
+        for comp in model.spec.components:
+            P = _component_pattern(model, comp)
+            patterns.append(P)
+            keys, unit_data = _keys(P), None
+            if comp.name in model._unit:
+                unit = model._unit[comp.name].matrix
+                unit_data = np.zeros(P.nnz)
+                unit_data[_positions(keys, unit)] = unit.data
+            self.prior_parts.append((comp, keys, unit_data))
+        self.effect_prec = np.array(
+            [e.prior_sd**-2.0 for e in model.spec.fixed_effects]
+        )
+        self.effect_log_gdet = float(np.sum(np.log(self.effect_prec)))
+        if self.effect_prec.size:
+            patterns.append(sparse.eye_array(self.effect_prec.size, format="csc"))
+        prior = sparse.block_diag(patterns)
+        self.prior = _pattern([prior], prior.shape, "csc")
+
+        # Newton matrix: the prior pattern plus every block's A'A pattern
+        self.qstar = _pattern(
+            [self.prior]
+            + [pat.pattern.T @ pat.pattern for pat in self.blocks.values()],
+            (n, n),
+            "csc",
+        )
+        q_keys = _keys(self.qstar)
+        self.prior_in_qstar = _positions(q_keys, self.prior)
+        self.pairs = {}
+        for name, pat in self.blocks.items():
+            P = pat.pattern
+            lengths = np.diff(P.indptr)
+            obs_of = np.repeat(np.arange(P.shape[0]), lengths)
+            partners = lengths[obs_of]
+            nz_a = np.repeat(np.arange(P.nnz), partners)
+            first = np.cumsum(partners) - partners
+            nz_b = np.repeat(P.indptr[obs_of], partners) + (
+                np.arange(nz_a.size) - np.repeat(first, partners)
+            )
+            # Q* is csc: entry (row cols[nz_a], column cols[nz_b])
+            cols = P.indices.astype(np.int64)
+            pos = np.searchsorted(q_keys, cols[nz_b] * n + cols[nz_a])
+            self.pairs[name] = (obs_of[nz_a], nz_a, nz_b, pos)
+
+    def prior_precision(self, theta):
+        model = self.model
+        parts, log_gdet = [], 0
+        for comp, keys, unit_data in self.prior_parts:
+            tau = (
+                None if comp.precision_hyper is None
+                else theta[comp.precision_hyper]
+            )
+            if unit_data is None:
+                built = model._base_precision(comp, theta)
+                data = np.zeros(keys.size)
+                data[_positions(keys, built.matrix)] = built.matrix.data
+            else:
+                built, data = model._unit[comp.name], unit_data
+            if tau is None:
+                log_gdet += built.log_gdet
+            else:
+                log_gdet += scaled_log_gdet(built, tau)
+                data = data * tau
+            parts.append(data)
+        if self.effect_prec.size:
+            parts.append(self.effect_prec)
+            log_gdet += self.effect_log_gdet
+        P = self.prior
+        Q = sparse.csc_array(
+            (np.concatenate(parts), P.indices, P.indptr), shape=P.shape
+        )
+        return Q, float(log_gdet)
+
+
+class NewtonSystem:
+    """Q* = Q_p + sum_b A_b' diag(c_b) A_b at one theta: the prior values
+    sit at their Q* positions and each block's pair products
+    A[i, a] A[i, b] are formed once; ``matrix`` then only weighs them by
+    the curvatures of one Newton step."""
+
+    def __init__(self, structure, Q_p, designs):
+        self.structure = structure
+        self.base = np.zeros(structure.qstar.nnz)
+        self.base[structure.prior_in_qstar] = Q_p.data
+        self.products = {}
+        for name, (_, nz_a, nz_b, _) in structure.pairs.items():
+            data = designs[name].data
+            self.products[name] = data[nz_a] * data[nz_b]
+
+    def matrix(self, curvatures):
+        """Q* for per-block curvature vectors c_b, as a csc matrix ready
+        for the sparse LU."""
+        S = self.structure
+        data = self.base.copy()
+        for name, (obs, _, _, pos) in S.pairs.items():
+            data += np.bincount(
+                pos,
+                weights=curvatures[name][obs] * self.products[name],
+                minlength=data.size,
+            )
+        return sparse.csc_matrix(
+            (data, S.qstar.indices, S.qstar.indptr), shape=S.qstar.shape
+        )
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ solved by bracketing.
 
 import numpy as np
 import pytest
-from scipy.linalg import null_space
+from scipy.linalg import block_diag, null_space
 from scipy.optimize import minimize_scalar
 from scipy.stats import multivariate_normal, norm
 
@@ -25,6 +25,7 @@ from circfit.inference import (
     log_posterior_theta,
     optimize_theta,
 )
+from circfit.likelihoods import lavm_curvature_floor, loglik
 from circfit.model import (
     BlockSpec,
     ComponentSpec,
@@ -396,6 +397,89 @@ class TestScalarModes:
         assert err.value.diagnostics["iterations"] == 24
 
 
+def mixed_family_model(n=20, seed=23):
+    """lavm, gaussian and poisson blocks over an rw2 field (two constraints)
+    and an ar2 component, the gaussian block sharing the lavm predictor."""
+    rng = np.random.default_rng(seed)
+    x = lavm_sample(rng, 0.2 + 0.3 * np.sin(np.arange(n) / 3.0), 6.0)
+    spec = ModelSpec(
+        blocks=(
+            BlockSpec(
+                "x",
+                "lavm",
+                x,
+                (TermSpec("intercept", "a0"), TermSpec("component", "r", scale="ar")),
+                hyper="kappa",
+            ),
+            BlockSpec(
+                "y",
+                "gaussian",
+                rng.normal(0.5, 1.0, n),
+                (
+                    TermSpec("intercept", "b0"),
+                    TermSpec("component", "s"),
+                    TermSpec("shared", "x", scale="g"),
+                ),
+                hyper="tau",
+            ),
+            BlockSpec(
+                "c",
+                "poisson",
+                rng.poisson(3.0, n).astype(float),
+                (TermSpec("intercept", "c0"), TermSpec("component", "s")),
+            ),
+        ),
+        components=(
+            ComponentSpec("r", "rw2", n),
+            ComponentSpec("s", "ar2", n, pacf_hypers=("p1", "p2")),
+        ),
+        fixed_effects=(
+            FixedEffectSpec("a0", 1.0),
+            FixedEffectSpec("b0", 1.0),
+            FixedEffectSpec("c0", 1.0),
+        ),
+        hypers={
+            "kappa": PriorSpec("fixed", (6.0,)),
+            "tau": PriorSpec("fixed", (2.0,)),
+            "ar": PriorSpec("fixed", (0.6,)),
+            "g": PriorSpec("fixed", (0.8,)),
+            "p1": PriorSpec("fixed", (0.5,)),
+            "p2": PriorSpec("fixed", (-0.2,)),
+        },
+    )
+    return build_model(spec)
+
+
+class TestAssembly:
+    def test_newton_matrix_equals_dense_sum_at_the_mode(self):
+        m = mixed_family_model()
+        assert m.constraints.shape[0] == 2
+        theta = m.theta_natural(m.initial_internal())
+        approx = gaussian_approx(m, theta)
+        w = approx.mode
+        parts = [m.component_precision(c, theta).dense() for c in m.spec.components]
+        parts.append(np.eye(len(m.spec.fixed_effects)))
+        Q_ref = block_diag(*parts)
+        for name, blk in m.blocks.items():
+            A = np.zeros((blk.size, m.latent_dim))
+            for M, chain in blk.terms:
+                A += M.toarray() * np.prod([theta[h] for h in chain])
+            eta = A @ w
+            hyper = theta[blk.hyper] if blk.hyper else None
+            _, _, d2 = loglik(blk.family, blk.responses, eta, hyper)
+            c = -d2
+            floor = (
+                -lavm_curvature_floor(eta, hyper) if blk.family == "lavm"
+                else np.full_like(c, 1e-12)
+            )
+            c = np.where(c < 1e-12, floor, c)
+            Q_ref += A.T @ (c[:, None] * A)
+        np.testing.assert_allclose(
+            approx.Q.toarray(), Q_ref, rtol=1e-12, atol=1e-12 * np.abs(Q_ref).max()
+        )
+        assert approx.Q.format == "csc"
+
+
 class TestGaussianExactness:
     @pytest.mark.parametrize(
         "factory", [iid_fixed_model, rw2_fixed_model, ar2_fixed_model]
@@ -535,6 +619,19 @@ class TestOptimizeTheta:
         ]
         assert len(fixed_idx) == 1
         assert m.theta_natural(theta_mode)["tau_z"] == 2.8
+
+    def test_no_successful_evaluation_is_an_error(self, monkeypatch):
+        # every evaluation hitting the -1e10 wall must not hand the prior
+        # medians and a flat Hessian on to the exploration
+        def fail(*args, **kwargs):
+            raise InferenceError("forced failure")
+
+        monkeypatch.setattr("circfit.inference.gaussian_approx", fail)
+        with pytest.raises(
+            InferenceError,
+            match="no successful Laplace evaluation during hyper optimization",
+        ):
+            fit_model(tau_free_model())
 
     def test_hessian_is_symmetric_positive_definite(self):
         m = two_hyper_model()

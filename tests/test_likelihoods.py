@@ -135,6 +135,54 @@ class TestNormalization:
         assert mean == pytest.approx(np.exp(eta), rel=1e-9)
 
 
+class TestFusedLavm:
+    """The one-pass lavm loglik against the two public circular functions."""
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 12.0, 400.0])
+    def test_bit_identical_to_circular_functions(self, kappa):
+        from circfit.circular import lavm_deta_logpdf, lavm_logpdf
+
+        rng = np.random.default_rng(4)
+        y = rng.uniform(-3.1, 3.1, 200)
+        eta = rng.normal(0.0, 2.0, 200)
+        value, d1, d2 = loglik("lavm", y, eta, kappa)
+        np.testing.assert_array_equal(value, lavm_logpdf(y, eta, kappa))
+        ref_d1, ref_d2 = lavm_deta_logpdf(y, eta, kappa)
+        np.testing.assert_array_equal(d1, ref_d1)
+        np.testing.assert_array_equal(d2, ref_d2)
+
+    def test_two_dimensional_eta_as_cpo_passes_it(self):
+        from circfit.circular import lavm_deta_logpdf, lavm_logpdf
+
+        rng = np.random.default_rng(8)
+        y = rng.uniform(-2.5, 2.5, 30)
+        eta = rng.normal(0.0, 1.0, (7, 30))
+        value, d1, d2 = loglik("lavm", y, eta, 3.0)
+        assert value.shape == d1.shape == d2.shape == (7, 30)
+        np.testing.assert_array_equal(value, lavm_logpdf(y, eta, 3.0))
+        ref_d1, ref_d2 = lavm_deta_logpdf(y, eta, 3.0)
+        np.testing.assert_array_equal(d1, ref_d1)
+        np.testing.assert_array_equal(d2, ref_d2)
+
+    def test_scalar_inputs_give_floats(self):
+        out = loglik("lavm", 0.4, 0.2, 5.0)
+        assert all(type(v) is float for v in out)
+
+    @pytest.mark.parametrize(
+        "y,eta,kappa,error",
+        [
+            (np.array([0.1, np.nan]), np.zeros(2), 1.0, ValueError),
+            (np.array([0.1, -np.pi + 1e-7]), np.zeros(2), 1.0, ObservationError),
+            (np.array([0.1, 0.2]), np.array([0.0, np.inf]), 1.0, ValueError),
+            (np.array([0.1, 0.2]), np.array([np.nan, 0.0]), 1.0, ValueError),
+            (np.array([0.1, 0.2]), np.zeros(2), -0.5, ValueError),
+        ],
+    )
+    def test_rejects_bad_inputs(self, y, eta, kappa, error):
+        with pytest.raises(error):
+            loglik("lavm", y, eta, kappa)
+
+
 class TestDomainErrors:
     def test_poisson_rejects_negative_with_index(self):
         with pytest.raises(ObservationError) as err:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -365,6 +366,150 @@ class TestPriorPrecision:
         R = partials_to_correlation(np.array([0.5, 0.0, -0.3]), d)
         want = build_mv_iid(n, np.array([0.5, 1.0, 2.0]), R)
         np.testing.assert_allclose(got.dense(), want.dense(), atol=1e-12)
+
+
+def structure_spec(n=12, seed=19):
+    """Every component kind, a covariate with zero entries and a shared
+    predictor, so that special hyper values can zero out entries."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=n)
+    z[[2, 7]] = 0.0
+    return ModelSpec(
+        blocks=(
+            BlockSpec(
+                "y",
+                "gaussian",
+                rng.normal(size=n),
+                (
+                    TermSpec("intercept", "b0"),
+                    TermSpec("fixed", "b1", covariate="z"),
+                    TermSpec("component", "s"),
+                    TermSpec("component", "w", indices=tuple(range(0, 2 * n, 2))),
+                    TermSpec("component", "r", scale="a_r"),
+                ),
+                hyper="tau",
+            ),
+            BlockSpec(
+                "c",
+                "poisson",
+                rng.poisson(2.0, n).astype(float),
+                (
+                    TermSpec("component", "i"),
+                    TermSpec("shared", "y", scale="g"),
+                ),
+            ),
+        ),
+        components=(
+            ComponentSpec(
+                "s", "ar2", n, precision_hyper="lam_s", pacf_hypers=("p1", "p2")
+            ),
+            ComponentSpec(
+                "w",
+                "mv_iid",
+                n,
+                block_dim=2,
+                sigma_hypers=("t1", "t2"),
+                correlation_hyper="R",
+            ),
+            ComponentSpec("r", "rw2", n),
+            ComponentSpec("i", "iid", n, precision_hyper="lam_i"),
+        ),
+        fixed_effects=(FixedEffectSpec("b0", 2.0), FixedEffectSpec("b1", 0.5)),
+        hypers={
+            "tau": PriorSpec("pc_precision", (0.5, 0.5)),
+            "lam_s": PriorSpec("pc_precision", (0.5, 0.5)),
+            "p1": PriorSpec("pc_correlation", (0.5, 0.5)),
+            "p2": PriorSpec("pc_correlation", (0.5, 0.5)),
+            "t1": PriorSpec("pc_precision", (1.0, 0.5)),
+            "t2": PriorSpec("pc_precision", (1.0, 0.5)),
+            "R": PriorSpec("lkj", (5.0,)),
+            "a_r": PriorSpec("pc_scale", (0.5, 0.5)),
+            "lam_i": PriorSpec("pc_precision", (0.5, 0.5)),
+            "g": PriorSpec("gaussian", (0.0, 1.0)),
+        },
+        covariates={"z": z},
+    )
+
+
+GENERIC_THETA = {"tau": 2.0, "lam_s": 3.0, "p1": 0.6, "p2": -0.3, "t1": 4.0,
+                 "t2": 0.5, "R[0]": 0.4, "a_r": 0.7, "lam_i": 1.5, "g": -0.8}
+# pacf2 = 0 zeroes the ar2 band's outer diagonals, R[0] = 0 the mv_iid
+# off-diagonals, and g = 0 the whole shared predictor
+SPECIAL_THETA = dict(GENERIC_THETA, p2=0.0, **{"R[0]": 0.0}, g=0.0)
+
+
+def reference_prior(m, theta):
+    """Block diagonal of the component precisions and effect precisions."""
+    parts = [m.component_precision(c, theta).matrix for c in m.spec.components]
+    parts.append(
+        sparse.diags_array([e.prior_sd**-2.0 for e in m.spec.fixed_effects])
+    )
+    log_gdet = sum(m.component_precision(c, theta).log_gdet
+                   for c in m.spec.components)
+    log_gdet += float(np.sum(np.log([e.prior_sd**-2.0
+                                     for e in m.spec.fixed_effects])))
+    return sparse.block_diag(parts, format="csc"), log_gdet
+
+
+def reference_block(m, name, theta):
+    """Sum over the block's terms of M times its scale-chain product."""
+    A = None
+    for M, chain in m.blocks[name].terms:
+        factor = 1.0
+        for h in chain:
+            factor *= theta[h]
+        A = M * factor if A is None else A + M * factor
+    return sparse.csr_array(A)
+
+
+class TestFixedStructure:
+    def test_patterns_do_not_depend_on_theta(self):
+        m = build_model(structure_spec())
+        Qa, _ = m.prior_precision(GENERIC_THETA)
+        Qb, _ = m.prior_precision(SPECIAL_THETA)
+        np.testing.assert_array_equal(Qa.indices, Qb.indices)
+        np.testing.assert_array_equal(Qa.indptr, Qb.indptr)
+        for name in m.blocks:
+            Aa = m.block_matrix(name, GENERIC_THETA)
+            Ab = m.block_matrix(name, SPECIAL_THETA)
+            np.testing.assert_array_equal(Aa.indices, Ab.indices)
+            np.testing.assert_array_equal(Aa.indptr, Ab.indptr)
+
+    def test_special_theta_keeps_vanishing_entries_stored(self):
+        # a value-based pattern would shrink at these hyper values
+        m = build_model(structure_spec())
+        Q, _ = m.prior_precision(SPECIAL_THETA)
+        assert reference_prior(m, SPECIAL_THETA)[0].nnz < Q.nnz
+        A = m.block_matrix("c", SPECIAL_THETA)
+        assert reference_block(m, "c", SPECIAL_THETA).nnz < A.nnz
+        # observation 2 has a zero covariate and still stores all 5 terms
+        assert m.block_matrix("y", GENERIC_THETA)[[2], :].nnz == 5
+
+    @pytest.mark.parametrize("theta", [GENERIC_THETA, SPECIAL_THETA])
+    def test_values_equal_the_reference_loops(self, theta):
+        m = build_model(structure_spec())
+        Q, log_gdet = m.prior_precision(theta)
+        Q_ref, log_gdet_ref = reference_prior(m, theta)
+        np.testing.assert_array_equal(Q.toarray(), Q_ref.toarray())
+        assert log_gdet == log_gdet_ref
+        for name in m.blocks:
+            np.testing.assert_array_equal(
+                m.block_matrix(name, theta).toarray(),
+                reference_block(m, name, theta).toarray(),
+            )
+
+    def test_structure_is_built_once_on_first_use(self):
+        m = build_model(structure_spec())
+        assert m._structure is None
+        m.prior_precision(GENERIC_THETA)
+        built = m._structure
+        m.block_matrix("y", SPECIAL_THETA)
+        assert m.structure is built
+
+    def test_nonpositive_precision_hyper_still_rejected(self):
+        m = build_model(structure_spec())
+        with pytest.raises(ConfigurationError, match="positive"):
+            m.prior_precision(dict(GENERIC_THETA, lam_i=0.0))
 
 
 class TestValidation:
