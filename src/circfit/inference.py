@@ -395,7 +395,15 @@ class FitResult:
 class _HyperSpace:
     """Free-coordinate bookkeeping: fixed hypers are pinned, the rest are
     optimized on a rescaled internal axis (one unit is roughly one unit of
-    predictor spread for identity-scale coefficients)."""
+    predictor spread for identity-scale coefficients).
+
+    Internal coordinates beyond +-30 are numerically degenerate for every
+    transform in use (exp overflow, saturated correlations), so every stage
+    stays inside that box: the optimizer is bounded by it, and exploration
+    and scan points outside it are not evaluated.
+    """
+
+    BOX = 30.0
 
     def __init__(self, model):
         self.model = model
@@ -407,6 +415,8 @@ class _HyperSpace:
         self.scale = np.array(
             [model.hyper_coords[i].reference_scale for i in self.free]
         )
+        self.lower = -self.BOX * self.scale
+        self.upper = self.BOX * self.scale
 
     @property
     def dim(self):
@@ -419,6 +429,9 @@ class _HyperSpace:
 
     def to_u(self, theta_internal):
         return np.asarray(theta_internal, dtype=float)[self.free] * self.scale
+
+    def inside(self, u):
+        return bool(np.all((u >= self.lower) & (u <= self.upper)))
 
 
 def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
@@ -457,11 +470,7 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
         return th, np.zeros((0, 0)), {"evaluations": 0}
 
     u0 = space.to_u(model.initial_internal() if init is None else init)
-    # internal coordinates beyond +-30 are numerically degenerate for every
-    # transform in use (exp overflow, saturated correlations), so box the
-    # search rather than letting a line search wander there
-    bounds = [(-30.0 * s, 30.0 * s) for s in space.scale]
-    u0 = np.clip(u0, [b[0] for b in bounds], [b[1] for b in bounds])
+    u0 = np.clip(u0, space.lower, space.upper)
 
     def neg(u):
         return -lp_at(u)
@@ -480,7 +489,7 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
             u0,
             jac=neg_grad,
             method="L-BFGS-B",
-            bounds=bounds,
+            bounds=list(zip(space.lower, space.upper)),
             options={"gtol": tol, "maxiter": 1000, "ftol": 1e-12},
         )
     except _EvalBudget:
@@ -550,7 +559,8 @@ def explore_theta(model, theta_mode_internal, hessian, step=0.75, drop=5.0,
     (spacing `step` standard deviations, each axis extended until the log
     posterior falls `drop` below the mode).  Higher dimensions: a spherical
     central-composite design with axial (and, up to dimension 6, corner)
-    points at radius ccd_radius * sqrt(dim).
+    points at radius ccd_radius * sqrt(dim).  A point outside the hyper box
+    counts as a failed evaluation: it ends a grid axis, or leaves the CCD.
     """
     space = _HyperSpace(model)
     m = space.dim
@@ -559,6 +569,8 @@ def explore_theta(model, theta_mode_internal, hessian, step=0.75, drop=5.0,
 
     def evaluate(u):
         th = space.to_full(u)
+        if not space.inside(u):
+            return th, -np.inf, None
         try:
             lp, approx = log_posterior_theta(model, th, init_w=state["w"])
         except InferenceError:
@@ -739,7 +751,8 @@ def hyper_marginals(model, points, theta_mode_internal, hessian,
     One free hyper: the exploration grid itself.  Several: profile scans
     along each coordinate, the others following the conditional quadratic
     ridge, which matches the Gaussian-mixture marginal when the posterior is
-    close to Gaussian.  Fixed hypers yield degenerate one-point grids.
+    close to Gaussian.  Fixed hypers yield degenerate one-point grids.  A
+    scan step outside the hyper box counts as a failed evaluation.
     """
     space = _HyperSpace(model)
     out = {}
@@ -771,6 +784,8 @@ def hyper_marginals(model, points, theta_mode_internal, hessian,
         state = {"w": None}
 
         def eval_theta(u):
+            if not space.inside(u):
+                return -np.inf
             th = space.to_full(u)
             try:
                 lp, approx = log_posterior_theta(model, th, init_w=state["w"])

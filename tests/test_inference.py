@@ -7,6 +7,8 @@ checks use scalar models whose mode equations have closed forms or can be
 solved by bracketing.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag, null_space
@@ -696,6 +698,21 @@ class TestExploreTheta:
         dens /= np.trapezoid(dens, grid)
         mean_quad = float(np.trapezoid(dens * grid, grid))
         assert abs(mean_points - mean_quad) <= 0.01 * max(abs(mean_quad), sd)
+
+    def test_flat_direction_stays_inside_the_hyper_box(self):
+        # a near-flat curvature makes the first grid step 750 internal
+        # units long, where tanh rounds the partial autocorrelation to 1
+        base = ar2_fixed_model()
+        hypers = dict(base.spec.hypers)
+        hypers["p1"] = PriorSpec("pc_correlation", (0.5, 0.5))
+        m = build_model(replace(base.spec, hypers=hypers))
+        mode = m.initial_internal()
+        points = explore_theta(m, mode, np.array([[1e-6]]))
+        assert len(points) == 1
+        np.testing.assert_array_equal(points[0].theta_internal, mode)
+        for pt in points:
+            theta = m.theta_natural(pt.theta_internal)
+            assert -1.0 < theta["p1"] < 1.0 and -1.0 < theta["p2"] < 1.0
 
 
 class TestLatentMixture:

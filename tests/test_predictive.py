@@ -7,8 +7,8 @@ Gaussian algebra on small models.
 
 import numpy as np
 import pytest
-from scipy.special import i0, i1
-from scipy.stats import norm
+from scipy.special import i0, i1, logsumexp
+from scipy.stats import gaussian_kde, norm
 
 from circfit.inference import fit_model, gaussian_approx, latent_marginals
 from circfit.likelihoods import loglik
@@ -23,8 +23,10 @@ from circfit.model import (
 from circfit.predictive import (
     CpoResult,
     ForecastTask,
+    _density_summary,
     _extend_component,
     _harmonic_cpo,
+    _scott_bandwidth,
     cpo,
     forecast,
     posterior_predictive,
@@ -200,6 +202,66 @@ class TestSamplePosterior:
         theta = s.theta
         A = m.block_matrix("y", theta)
         np.testing.assert_allclose(s.predictors["y"], A @ s.latent)
+
+
+def kde_reference(pooled, grid, circular):
+    """scipy's gaussian_kde at the grid, over three shifted copies of the
+    draws for circular data so the density wraps at +-pi."""
+    if circular:
+        padded = np.concatenate(
+            [pooled - 2.0 * np.pi, pooled, pooled + 2.0 * np.pi]
+        )
+        kde = gaussian_kde(padded)
+        return 3.0 * kde(grid), kde
+    kde = gaussian_kde(pooled)
+    return kde(grid), kde
+
+
+def assert_harmonic_matches_reference(logu):
+    """_harmonic_cpo against the two-logsumexp form of the truncated
+    harmonic-mean CPO."""
+    S = logu.shape[0]
+    cap = np.quantile(logu, 0.999, axis=0)
+    lu = np.minimum(logu, cap[None, :])
+    lse = logsumexp(lu, axis=0)
+    log_cpo = np.log(S) - lse
+    ess = np.exp(2.0 * lse - logsumexp(2.0 * lu, axis=0))
+    block = _harmonic_cpo(logu)
+    np.testing.assert_allclose(block.log_cpo, log_cpo, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(block.ess, ess, rtol=1e-10, atol=0)
+    np.testing.assert_array_equal(block.flagged, ess < 10.0)
+
+
+class TestDensitySummary:
+    @pytest.mark.parametrize("kappa", [0.5, 2.0, 8.0, 50.0])
+    @pytest.mark.parametrize("mu", [np.pi - 0.05, -np.pi + 0.2])
+    def test_circular_density_matches_padded_kde(self, kappa, mu):
+        rng = np.random.default_rng(int(10 * kappa))
+        draws = np.angle(np.exp(1j * rng.vonmises(mu, kappa, (300, 20))))
+        out = _density_summary(draws, circular=True)
+        ref, kde = kde_reference(draws.ravel(), out["grid"], circular=True)
+        assert np.max(np.abs(out["density"] - ref)) <= 1e-5 * ref.max()
+        h = _scott_bandwidth(kde.dataset.ravel())
+        assert h**2 == pytest.approx(kde.covariance[0, 0], rel=1e-12)
+
+    @pytest.mark.parametrize("family", ["gaussian", "gamma", "poisson"])
+    def test_linear_density_matches_kde(self, family):
+        rng = np.random.default_rng(4)
+        draws = {
+            "gaussian": lambda: rng.normal(1.5, 2.0, (300, 20)),
+            "gamma": lambda: rng.gamma(1.5, 2.0, (300, 20)),
+            "poisson": lambda: rng.poisson(2.5, (300, 20)).astype(float),
+        }[family]()
+        out = _density_summary(draws, circular=False)
+        ref, kde = kde_reference(draws.ravel(), out["grid"], circular=False)
+        assert np.max(np.abs(out["density"] - ref)) <= 1e-5 * ref.max()
+        h = _scott_bandwidth(kde.dataset.ravel())
+        assert h**2 == pytest.approx(kde.covariance[0, 0], rel=1e-12)
+
+    @pytest.mark.parametrize("value", [0.7, 3.0])
+    def test_zero_spread_draws_raise(self, value):
+        with pytest.raises(np.linalg.LinAlgError):
+            _density_summary(np.full((30, 4), value), circular=False)
 
 
 class TestPosteriorPredictive:
@@ -679,3 +741,15 @@ class TestCpo:
         assert not block.flagged[0]
         assert block.flagged[1]
         assert block.ess[1] < 10.0
+
+    @pytest.mark.parametrize("spread", [0.1, 3.0, 30.0])
+    def test_one_pass_matches_logsumexp_form(self, spread):
+        rng = np.random.default_rng(int(spread * 10))
+        logu = rng.normal(2.0, spread, (4000, 50))
+        logu[:, :5] += rng.gamma(0.3, 20.0, (4000, 5))
+        assert_harmonic_matches_reference(logu)
+
+    def test_one_pass_flags_the_degenerate_weights_alike(self):
+        logu = np.zeros((200, 2))
+        logu[0, 1] = 60.0
+        assert_harmonic_matches_reference(logu)
