@@ -11,9 +11,9 @@ Gaussian mixtures over the exploration points.
 Constrained determinants: adding any multiple of C'C to the precision leaves
 log det(Q) + log det(C Q^{-1} C') unchanged (matrix determinant lemma), and
 that combination is exactly what the conditional Gaussian density needs, so
-the solver always factorizes the ridged matrix Q + c*C'C, which is positive
-definite even when the likelihood contributes no curvature along the
-constrained directions.
+when Q is not positive definite the solver factorizes the ridged matrix
+Q + c*C'C instead, which is positive definite even when the likelihood
+contributes no curvature along the constrained directions.
 """
 
 import time
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve, eigh, solve_triangular
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs
 from scipy.optimize import minimize
-from scipy.sparse.linalg import splu
 from scipy.special import ndtr
 
 from .likelihoods import lavm_curvature_floor, loglik
@@ -47,40 +47,113 @@ __all__ = [
 CURVATURE_MIN = 1e-12
 
 
-def _factor_spd(Q, C=None):
-    """LU factorization of a symmetric positive definite csc matrix,
-    returning (factor, half log determinant, matrix used, QinvCt, S_chol).
+class _BandArrowFactor:
+    """Cholesky factor of Q* (plus rho C'C when ``ridge`` is (rho, C)) in
+    the band + arrow layout of ``ModelStructure``: Q* = [[A, B], [B', D]] with A the
+    banded component block in band order, B the cross block and D the
+    fixed-effect arrow.  Holds the band factor of A, X = A^{-1} B and the
+    Cholesky factor of the Schur complement D - B'X."""
+
+    def __init__(self, structure, data, ridge, band, X, schur):
+        self.structure = structure
+        self.data = data
+        self.ridge = ridge
+        self.band = band
+        self.X = X
+        self.schur = schur
+
+    def solve(self, b):
+        """The factored matrix's inverse applied to a vector or to the
+        columns of a matrix."""
+        order = self.structure.order
+        n_body = order.size
+        b = np.asarray(b, dtype=float)
+        x = np.empty_like(b)
+        head = b[order]
+        y = dpbtrs(self.band, head, lower=1)[0] if n_body else head
+        if self.schur.shape[0]:
+            rhs = b[n_body:] - self.X.T @ head
+            tail = dpotrs(self.schur, rhs, lower=1)[0]
+            y = y - self.X @ tail
+            x[n_body:] = tail
+        x[order] = y
+        return x
+
+    def matrix(self):
+        """The factored matrix as a csc matrix."""
+        Q = self.structure.qstar_matrix(self.data)
+        if self.ridge is not None:
+            rho, C = self.ridge
+            Q = sparse.csc_matrix(Q + rho * sparse.csc_matrix(C.T @ C))
+        return Q
+
+
+def _cholesky(band, cross, arrow):
+    """Band + arrow Cholesky of pieces laid out by
+    ``ModelStructure.band_arrow``, overwriting band, as (band factor, X,
+    Schur factor, half log determinant); None when the matrix is not
+    numerically positive definite."""
+    X, half_logdet = cross, 0.0
+    if band.shape[1]:
+        band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info:
+            return None
+        half_logdet += float(np.sum(np.log(band[0])))
+        if arrow.shape[0]:
+            X = dpbtrs(band, cross, lower=1)[0]
+            arrow = arrow - cross.T @ X
+    if arrow.shape[0]:
+        arrow, info = dpotrf(arrow, lower=1, overwrite_a=1)
+        if info:
+            return None
+        half_logdet += float(np.sum(np.log(np.diag(arrow))))
+    if not np.isfinite(half_logdet):
+        return None
+    return band, X, arrow, half_logdet
+
+
+def _factor_spd(structure, data, C=None):
+    """Cholesky factorization of the symmetric positive definite Q* given
+    by its stored values on the model's fixed pattern (``structure`` is
+    ``AssembledModel.structure``), returning (factor, half log determinant,
+    QinvCt, S_chol).  ``factor.solve`` applies the inverse of the matrix
+    factored and ``factor.matrix()`` builds that matrix as csc.
+
+    The component block is a band in the structure's reverse Cuthill-McKee
+    order, factored by LAPACK's band Cholesky (dpbtrf); the fixed-effect
+    arrow is eliminated by a dense Cholesky (dpotrf) of its Schur
+    complement (Rue & Held 2005, ch. 2).  A non-positive pivot reported by
+    LAPACK or a non-finite log determinant means not positive definite.
 
     With constraints the Schur pieces Q^{-1}C' and chol(C Q^{-1} C') come
     back too, validated as part of the positive definiteness test.  If Q is
     only positive definite on the constraint complement (for example when a
     scale hyper passes through zero and an intrinsic component loses all
-    likelihood curvature), retry on Q + C'C: the determinant combination
-    used downstream is invariant to that change, and the conditional
-    distribution on the constraint set is untouched.
+    likelihood curvature), retry on Q + rho C'C with rho the mean diagonal
+    of Q (at least 1): the determinant combination used downstream is
+    invariant to that change, and the conditional distribution on the
+    constraint set is untouched.  C'C is dense over a constrained
+    component's nodes, so the retry runs the same band routine at the full
+    body bandwidth.
     """
-    kwargs = dict(
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
     constrained = C is not None and C.shape[0] > 0
     for ridged in (False, True) if constrained else (False,):
+        ridge = None
         if ridged:
-            rho = max(float(np.mean(Q.diagonal())), 1.0)
-            Qc = sparse.csc_matrix(Q + rho * sparse.csc_matrix(C.T @ C))
+            rho = max(float(np.mean(structure.diagonal(data))), 1.0)
+            ridge = (rho, C)
+            pieces = structure.band_arrow_dense(
+                structure.qstar_matrix(data).toarray() + rho * (C.T @ C)
+            )
         else:
-            Qc = Q
-        try:
-            factor = splu(Qc, **kwargs)
-        except RuntimeError:
+            pieces = structure.band_arrow(data)
+        factored = _cholesky(*pieces)
+        if factored is None:
             continue
-        diag = factor.U.diagonal()
-        if not (np.all(diag > 0.0) and np.all(np.isfinite(diag))):
-            continue
-        half_logdet = 0.5 * float(np.sum(np.log(diag)))
+        *kept, half_logdet = factored
+        factor = _BandArrowFactor(structure, data, ridge, *kept)
         if not constrained:
-            return factor, half_logdet, Qc, None, None
+            return factor, half_logdet, None, None
         QinvCt = factor.solve(np.asarray(C.T, dtype=float))
         if not np.all(np.isfinite(QinvCt)):
             continue
@@ -89,7 +162,7 @@ def _factor_spd(Q, C=None):
             S_chol = cho_factor(0.5 * (S + S.T))
         except (np.linalg.LinAlgError, ValueError):
             continue
-        return factor, half_logdet, Qc, QinvCt, S_chol
+        return factor, half_logdet, QinvCt, S_chol
     raise InferenceError("conditional precision is not positive definite")
 
 
@@ -119,14 +192,14 @@ def _curvatures(blk, eta, hyper):
 class GaussianApprox:
     """Gaussian approximation of p(w | theta, y) at the constrained mode."""
 
-    def __init__(self, model, theta, mode, Q_ridged, factor, det_half,
+    def __init__(self, model, theta, mode, factor, det_half,
                  loglik_sum, prior_quad, prior_log_gdet, predictors,
                  iterations, QinvCt=None, S_chol=None):
         self.model = model
         self.theta = theta
         self.mode = mode
-        self.Q = Q_ridged
         self._factor = factor
+        self._Q = None
         self.det_half = det_half
         self.loglik_sum = loglik_sum
         self.prior_quad = prior_quad
@@ -137,6 +210,15 @@ class GaussianApprox:
         self._S_chol = S_chol
         self._chol_lower = None
         self._marginal_sd = None
+
+    @property
+    def Q(self):
+        """The factored conditional precision at the mode (with the
+        constraint ridge when it was needed), a csc matrix built on first
+        use."""
+        if self._Q is None:
+            self._Q = self._factor.matrix()
+        return self._Q
 
     def solve(self, b):
         return self._factor.solve(b)
@@ -180,10 +262,15 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
     """Newton iteration for the conditional latent mode at natural hyper
     values theta, with step halving and kriging-corrected constraints.
 
-    Each step fills values into the model's fixed Newton-matrix pattern
-    (``AssembledModel.structure``).  The converged iterate's matrix, factor
-    and log-likelihood sum are the ones returned; they are recomputed only
-    when the final constraint projection moves the mode.
+    Each step works on value arrays over the model's fixed patterns
+    (``AssembledModel.structure``, through ``NewtonSystem``): predictors
+    and gradients are bincount matrix-vector products, Q*'s values are
+    filled into its fixed pattern, and ``_factor_spd`` factorizes them in
+    the band + arrow layout.  No sparse matrix is built in the loop; the
+    returned approximation builds its csc ``Q`` only when asked.  The
+    converged iterate's values, factor and log-likelihood sum are the ones
+    returned; they are recomputed only when the final constraint projection
+    moves the mode.
 
     Fails only by raising ``InferenceError`` with the last iterate as
     ``best``; ``optimize_theta``, ``explore_theta`` and ``hyper_marginals``
@@ -203,33 +290,35 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
     n = model.latent_dim
     C = model.constraints
     k = C.shape[0]
-    Q_p, prior_log_gdet = model.prior_precision(theta)
+    structure = model.structure
+    prior_data, prior_log_gdet = structure.prior_values(theta)
     designs = {
-        name: model.block_matrix(name, theta) for name in model.blocks
+        name: structure.blocks[name].values(theta) for name in model.blocks
     }
-    transposed = {name: A.T for name, A in designs.items()}
-    system = NewtonSystem(model.structure, Q_p, designs)
+    system = NewtonSystem(structure, prior_data, designs)
     hypers = {
         name: (theta[blk.hyper] if blk.hyper else None)
         for name, blk in model.blocks.items()
     }
 
     def evaluate(w):
-        """Objective at w, plus per block what a Newton step from w needs:
-        predictor, loglik sum, d1 and floored curvature."""
-        f, parts = -0.5 * float(w @ (Q_p @ w)), {}
+        """Objective at w, plus what a Newton step from w needs: Q_p w and
+        per block the predictor, loglik sum, d1 and floored curvature."""
+        qw, parts = system.prior_times(w), {}
+        f = -0.5 * float(w @ qw)
         for name, blk in model.blocks.items():
-            eta = designs[name] @ w
+            eta = system.predictor(name, w)
             value, d1, c = _curvatures(blk, eta, hypers[name])
             parts[name] = (eta, float(np.sum(value)), d1, c)
             f += parts[name][1]
-        return f, parts
+        return f, (qw, parts)
 
-    def assemble(w, parts):
-        grad = -(Q_p @ w)
+    def assemble(at):
+        qw, parts = at
+        grad = -qw
         for name, (_, _, d1, _) in parts.items():
-            grad = grad + transposed[name] @ d1
-        return grad, system.matrix({name: p[3] for name, p in parts.items()})
+            grad = grad + system.transpose_times(name, d1)
+        return grad, system.values({name: p[3] for name, p in parts.items()})
 
     w = np.zeros(n) if init_w is None else np.asarray(init_w, dtype=float).copy()
     if k and np.max(np.abs(C @ w)) > 1e-9:
@@ -239,7 +328,7 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
     iterations = 0
     dec_hist, f_hist = [], []
     for iterations in range(1, max_iter + 1):
-        grad, Q_star = assemble(w, at_w)
+        grad, q_data = assemble(at_w)
         factored = None
         g_proj = grad
         if k:
@@ -247,8 +336,8 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
         if np.max(np.abs(g_proj)) < tol:
             iterations -= 1
             break
-        factored = _factor_spd(Q_star, C)
-        factor, _, _, QinvCt, S_chol = factored
+        factored = _factor_spd(structure, q_data, C)
+        factor, _, QinvCt, S_chol = factored
 
         candidate = w + factor.solve(grad)
         if k:
@@ -291,7 +380,8 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
                 # predicted gain is below the objective's roundoff; done
                 break
             # quadratic model failed outright; fall back to one gradient step
-            step = g_proj / max(float(np.max(Q_star.diagonal())), 1.0)
+            diag_max = float(np.max(structure.diagonal(q_data)))
+            step = g_proj / max(diag_max, 1.0)
             t = 1.0
             for _ in range(21):
                 f_new, at_new = evaluate(w + t * step)
@@ -321,31 +411,31 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
         if not np.array_equal(settled, w):
             w = settled
             _, at_w = evaluate(w)
-            _, Q_star = assemble(w, at_w)
+            _, q_data = assemble(at_w)
             factored = None
     if factored is None:
-        factored = _factor_spd(Q_star, C)
-    factor, half_logdet, Q_used, QinvCt, S_chol = factored
+        factored = _factor_spd(structure, q_data, C)
+    factor, half_logdet, QinvCt, S_chol = factored
     det_half = half_logdet
     if k:
         logdet_S = 2.0 * float(np.sum(np.log(np.diag(S_chol[0]))))
         logdet_CCt = float(np.linalg.slogdet(C @ C.T)[1])
         det_half = half_logdet + 0.5 * (logdet_S - logdet_CCt)
 
+    qw, parts = at_w
     loglik_sum = 0.0
-    for _, block_sum, _, _ in at_w.values():
+    for _, block_sum, _, _ in parts.values():
         loglik_sum += block_sum
     return GaussianApprox(
         model=model,
         theta=theta,
         mode=w,
-        Q_ridged=Q_used,
         factor=factor,
         det_half=det_half,
         loglik_sum=loglik_sum,
-        prior_quad=-0.5 * float(w @ (Q_p @ w)),
+        prior_quad=-0.5 * float(w @ qw),
         prior_log_gdet=prior_log_gdet,
-        predictors={name: p[0] for name, p in at_w.items()},
+        predictors={name: p[0] for name, p in parts.items()},
         iterations=iterations,
         QinvCt=QinvCt,
         S_chol=S_chol,
@@ -394,8 +484,7 @@ class FitResult:
 
 class _HyperSpace:
     """Free-coordinate bookkeeping: fixed hypers are pinned, the rest are
-    optimized on a rescaled internal axis (one unit is roughly one unit of
-    predictor spread for identity-scale coefficients).
+    searched on their internal axes, u being the free coordinates.
 
     Internal coordinates beyond +-30 are numerically degenerate for every
     transform in use (exp overflow, saturated correlations), so every stage
@@ -412,11 +501,8 @@ class _HyperSpace:
             [i for i, c in enumerate(model.hyper_coords) if not c.is_fixed],
             dtype=int,
         )
-        self.scale = np.array(
-            [model.hyper_coords[i].reference_scale for i in self.free]
-        )
-        self.lower = -self.BOX * self.scale
-        self.upper = self.BOX * self.scale
+        self.lower = np.full(self.free.size, -self.BOX)
+        self.upper = np.full(self.free.size, self.BOX)
 
     @property
     def dim(self):
@@ -424,11 +510,11 @@ class _HyperSpace:
 
     def to_full(self, u):
         th = self.base.copy()
-        th[self.free] = np.asarray(u, dtype=float) / self.scale
+        th[self.free] = np.asarray(u, dtype=float)
         return th
 
     def to_u(self, theta_internal):
-        return np.asarray(theta_internal, dtype=float)[self.free] * self.scale
+        return np.asarray(theta_internal, dtype=float)[self.free]
 
     def inside(self, u):
         return bool(np.all((u >= self.lower) & (u <= self.upper)))
@@ -438,16 +524,18 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
                    max_evals=200, hessian_step=0.05):
     """Quasi-Newton search for the hyper posterior mode with central
     difference gradients; returns (theta_mode_internal, hessian_u, info).
-    The Hessian is in the rescaled free-coordinate basis."""
+    The Hessian is in the free-coordinate basis.  Only the search's
+    evaluations count against ``max_evals``, not the Hessian stencil's."""
     space = _HyperSpace(model)
     m = space.dim
-    state = {"w": None, "evals": 0, "best": (-np.inf, None)}
+    state = {"w": None, "evals": 0, "budgeted": True, "best": (-np.inf, None)}
 
     def lp_at(u):
         theta_internal = space.to_full(u)
-        state["evals"] += 1
-        if state["evals"] > max_evals:
-            raise _EvalBudget()
+        if state["budgeted"]:
+            state["evals"] += 1
+            if state["evals"] > max_evals:
+                raise _EvalBudget()
         try:
             lp, approx = log_posterior_theta(
                 model, theta_internal, init_w=state["w"]
@@ -509,8 +597,7 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
     # can sit on a failed-evaluation wall after an aggressive line search
     u_mode = space.to_u(state["best"][1])
 
-    evals_opt = state["evals"]
-    state["evals"] = -10**9  # Hessian evaluations are not budgeted
+    state["budgeted"] = False
 
     h = hessian_step
     H = np.zeros((m, m))
@@ -535,7 +622,10 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
                 fpp + fmm + 2.0 * f0 - fp[i] - fm[i] - fp[j] - fm[j]
             ) / (2.0 * h**2)
 
-    info = {"evaluations": evals_opt, "optimizer_message": str(res.message)}
+    info = {
+        "evaluations": state["evals"],
+        "optimizer_message": str(res.message),
+    }
     return space.to_full(u_mode), H, info
 
 
@@ -752,7 +842,8 @@ def hyper_marginals(model, points, theta_mode_internal, hessian,
     along each coordinate, the others following the conditional quadratic
     ridge, which matches the Gaussian-mixture marginal when the posterior is
     close to Gaussian.  Fixed hypers yield degenerate one-point grids.  A
-    scan step outside the hyper box counts as a failed evaluation.
+    scan step outside the hyper box counts as a failed evaluation; a free
+    coordinate whose scan keeps only the mode raises ``InferenceError``.
     """
     space = _HyperSpace(model)
     out = {}
@@ -838,9 +929,15 @@ def hyper_marginals(model, points, theta_mode_internal, hessian,
                     lp = eval_at(sign * kk * scan_step * sd_j)
                     if lp < lp0 - scan_drop:
                         break
-            grid_internal = np.array(us) / space.scale[j]
+            if len(us) == 1:
+                # a one-point grid has zero area: no density to normalize
+                raise InferenceError(
+                    f"profile scan of hyper {coord.name!r} kept only the "
+                    "mode: every scan step failed or left the hyper box",
+                    best=theta_mode_internal,
+                )
             out[coord.name] = _natural_grid_summary(
-                grid_internal, np.array(lps), coord
+                np.array(us), np.array(lps), coord
             )
     return out
 

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .latent import (
     SparsePrecision,
@@ -217,15 +218,11 @@ class ModelSpec:
 @dataclass(frozen=True)
 class HyperCoord:
     """One coordinate of the hyper vector: a named prior plus the role it
-    plays in the model.  ``reference_scale`` rescales the internal coordinate
-    during optimization so a unit step means roughly one unit of predictor
-    standard deviation (identity-scale coefficients that multiply large
-    intrinsic components need this)."""
+    plays in the model."""
 
     name: str
     spec: PriorSpec
     role: str
-    reference_scale: float = 1.0
 
     @property
     def transform(self) -> str:
@@ -373,7 +370,8 @@ def _positions(pattern_keys, P):
 
 class _BlockPattern:
     """Union CSR pattern of a block's terms and a (terms, nnz) coefficient
-    array, so A_b(theta) = sum_t coef[t] * (product of chain t's scales)."""
+    array, so A_b(theta) = sum_t coef[t] * (product of chain t's scales).
+    ``rows`` and ``cols`` give each stored entry's position."""
 
     def __init__(self, block, latent_dim):
         mats = [M for M, _ in block.terms]
@@ -385,16 +383,24 @@ class _BlockPattern:
             self.coef[t, _positions(keys, M)] = M.data
         self.chains = [chain for _, chain in block.terms]
         self.pattern = union
+        self.rows = np.repeat(np.arange(union.shape[0]), np.diff(union.indptr))
+        self.cols = union.indices
 
-    def matrix(self, theta):
+    def values(self, theta):
+        """A_b(theta)'s stored values in pattern order."""
         data = None
         for coef, chain in zip(self.coef, self.chains):
             factor = 1.0
             for h in chain:
                 factor *= theta[h]
             data = coef * factor if data is None else data + coef * factor
+        return data
+
+    def matrix(self, theta):
         P = self.pattern
-        return sparse.csr_array((data, P.indices, P.indptr), shape=P.shape)
+        return sparse.csr_array(
+            (self.values(theta), P.indices, P.indptr), shape=P.shape
+        )
 
 
 def _component_pattern(model, comp):
@@ -423,6 +429,15 @@ class ModelStructure:
     (obs, nz_a, nz_b, pos): observation i adds c_i A[i, a] A[i, b] at
     position pos of Q*'s data for every pair of stored entries a, b of
     row i.  Per theta and per Newton step only values are computed.
+
+    Q* is factorized in a band + arrow layout (Rue & Held 2005, ch. 2),
+    fixed here too.  The component nodes in reverse Cuthill-McKee order
+    (``order`` lists the node at each band position) form a band of
+    half-width ``bandwidth``; the trailing fixed effects form a dense
+    arrow, coupled to every band node they share an observation with.
+    Scatter maps take Q*'s values straight into LAPACK lower band storage
+    for the band, a dense (band, arrow) cross block and the dense arrow
+    block.
     """
 
     def __init__(self, model):
@@ -452,6 +467,8 @@ class ModelStructure:
             patterns.append(sparse.eye_array(self.effect_prec.size, format="csc"))
         prior = sparse.block_diag(patterns)
         self.prior = _pattern([prior], prior.shape, "csc")
+        self.prior_rows = self.prior.indices
+        self.prior_cols = np.repeat(np.arange(n), np.diff(self.prior.indptr))
 
         # Newton matrix: the prior pattern plus every block's A'A pattern
         self.qstar = _pattern(
@@ -478,7 +495,36 @@ class ModelStructure:
             pos = np.searchsorted(q_keys, cols[nz_b] * n + cols[nz_a])
             self.pairs[name] = (obs_of[nz_a], nz_a, nz_b, pos)
 
-    def prior_precision(self, theta):
+        # band + arrow layout of Q*; rank is a node's band or arrow index
+        Q = self.qstar
+        n_arrow = self.effect_prec.size
+        n_body = n - n_arrow
+        rows = Q.indices.astype(np.int64)
+        cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(Q.indptr))
+        self.diag_pos = np.flatnonzero(rows == cols)
+        self.order = np.zeros(0, dtype=np.int64)
+        if n_body:
+            self.order = reverse_cuthill_mckee(
+                sparse.csr_matrix(Q[:n_body, :n_body]), symmetric_mode=True
+            ).astype(np.int64)
+        rank = np.arange(n, dtype=np.int64) - n_body
+        rank[self.order] = np.arange(n_body)
+        r, c = rank[rows], rank[cols]
+        in_band = (rows < n_body) & (cols < n_body) & (r >= c)
+        self.bandwidth = int(np.max(r[in_band] - c[in_band])) if n_body else 0
+        cross = (rows < n_body) & (cols >= n_body)
+        arrow = (rows >= n_body) & (cols >= n_body)
+        # destinations in the column-major storage of each piece
+        self.band_map = (
+            np.flatnonzero(in_band),
+            c[in_band] * (self.bandwidth + 1) + (r - c)[in_band],
+        )
+        self.cross_map = (np.flatnonzero(cross), c[cross] * n_body + r[cross])
+        self.arrow_map = (np.flatnonzero(arrow), c[arrow] * n_arrow + r[arrow])
+
+    def prior_values(self, theta):
+        """Q_p(theta)'s stored values on the prior pattern, and its log
+        generalized determinant."""
         model = self.model
         parts, log_gdet = [], 0
         for comp, keys, unit_data in self.prior_parts:
@@ -501,31 +547,100 @@ class ModelStructure:
         if self.effect_prec.size:
             parts.append(self.effect_prec)
             log_gdet += self.effect_log_gdet
+        return np.concatenate(parts), float(log_gdet)
+
+    def prior_precision(self, theta):
+        data, log_gdet = self.prior_values(theta)
         P = self.prior
-        Q = sparse.csc_array(
-            (np.concatenate(parts), P.indices, P.indptr), shape=P.shape
+        Q = sparse.csc_array((data, P.indices, P.indptr), shape=P.shape)
+        return Q, log_gdet
+
+    def qstar_matrix(self, data):
+        """Q* as a csc matrix from its stored values."""
+        P = self.qstar
+        return sparse.csc_matrix((data, P.indices, P.indptr), shape=P.shape)
+
+    def diagonal(self, data):
+        """Q*'s diagonal from its stored values."""
+        return data[self.diag_pos]
+
+    def band_arrow(self, data):
+        """Q*'s values split into new column-major arrays (band, cross,
+        arrow): the band's lower half in LAPACK band storage, shape
+        (bandwidth + 1, n_body), the (n_body, n_arrow) cross block in band
+        order, and the (n_arrow, n_arrow) arrow block."""
+        n_body, n_arrow = self.order.size, self.effect_prec.size
+        pieces = []
+        for (src, dst), size in (
+            (self.band_map, (n_body, self.bandwidth + 1)),
+            (self.cross_map, (n_arrow, n_body)),
+            (self.arrow_map, (n_arrow, n_arrow)),
+        ):
+            flat = np.zeros(size[0] * size[1])
+            flat[dst] = data[src]
+            pieces.append(flat.reshape(size).T)
+        return tuple(pieces)
+
+    def band_arrow_dense(self, M):
+        """A dense symmetric n x n matrix split like ``band_arrow``, with
+        the band at the full body bandwidth n_body - 1."""
+        n_body = self.order.size
+        body = M[np.ix_(self.order, self.order)]
+        i, j = np.tril_indices(n_body)
+        band = np.zeros((n_body, n_body)).T
+        band[i - j, j] = body[i, j]
+        return (
+            band,
+            np.asfortranarray(M[self.order, n_body:]),
+            np.asfortranarray(M[n_body:, n_body:]),
         )
-        return Q, float(log_gdet)
 
 
 class NewtonSystem:
-    """Q* = Q_p + sum_b A_b' diag(c_b) A_b at one theta: the prior values
-    sit at their Q* positions and each block's pair products
-    A[i, a] A[i, b] are formed once; ``matrix`` then only weighs them by
-    the curvatures of one Newton step."""
+    """The Newton problem at one theta on value arrays: the prior's and
+    each block's stored values on their fixed patterns.  Matrix-vector
+    products are bincounts over those patterns, and each block's pair
+    products A[i, a] A[i, b] are formed once, so ``values`` only weighs
+    them by the curvatures of one Newton step.  No sparse matrix is
+    built."""
 
-    def __init__(self, structure, Q_p, designs):
+    def __init__(self, structure, prior_data, designs):
         self.structure = structure
+        self.prior_data = prior_data
+        self.designs = designs
         self.base = np.zeros(structure.qstar.nnz)
-        self.base[structure.prior_in_qstar] = Q_p.data
+        self.base[structure.prior_in_qstar] = prior_data
         self.products = {}
         for name, (_, nz_a, nz_b, _) in structure.pairs.items():
-            data = designs[name].data
+            data = designs[name]
             self.products[name] = data[nz_a] * data[nz_b]
 
-    def matrix(self, curvatures):
-        """Q* for per-block curvature vectors c_b, as a csc matrix ready
-        for the sparse LU."""
+    def prior_times(self, w):
+        """Q_p w."""
+        S = self.structure
+        return np.bincount(
+            S.prior_rows, weights=self.prior_data * w[S.prior_cols],
+            minlength=w.size,
+        )
+
+    def predictor(self, name, w):
+        """A_b w."""
+        P = self.structure.blocks[name]
+        return np.bincount(
+            P.rows, weights=self.designs[name] * w[P.cols],
+            minlength=P.pattern.shape[0],
+        )
+
+    def transpose_times(self, name, v):
+        """A_b' v."""
+        P = self.structure.blocks[name]
+        return np.bincount(
+            P.cols, weights=self.designs[name] * v[P.rows],
+            minlength=P.pattern.shape[1],
+        )
+
+    def values(self, curvatures):
+        """Q*'s stored values for per-block curvature vectors c_b."""
         S = self.structure
         data = self.base.copy()
         for name, (obs, _, _, pos) in S.pairs.items():
@@ -534,9 +649,7 @@ class NewtonSystem:
                 weights=curvatures[name][obs] * self.products[name],
                 minlength=data.size,
             )
-        return sparse.csc_matrix(
-            (data, S.qstar.indices, S.qstar.indptr), shape=S.qstar.shape
-        )
+        return data
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,20 @@ solved by bracketing.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag, null_space
+from scipy.sparse._compressed import _cs_matrix
 from scipy.optimize import minimize_scalar
 from scipy.stats import multivariate_normal, norm
 
+import circfit
 from circfit.circular import lavm_sample
 from circfit.inference import (
     InferenceError,
+    _factor_spd,
     _mixture_quantiles,
     explore_theta,
     fit_model,
@@ -33,10 +37,22 @@ from circfit.model import (
     ComponentSpec,
     FixedEffectSpec,
     ModelSpec,
+    NewtonSystem,
     TermSpec,
     build_model,
 )
 from circfit.priors import PriorSpec
+from circfit.studies import (
+    SIM1_TRUTH,
+    SIM2_TRUTH,
+    SIM3_TRUTH,
+    generate_sim1,
+    generate_sim2,
+    generate_sim3,
+    sim1_spec,
+    sim2_spec,
+    sim3_spec,
+)
 
 # roots of y - exp(w) - w = 0, the scalar posterior mode equation for a
 # Poisson count y observed through eta = w with a standard normal prior;
@@ -482,6 +498,168 @@ class TestAssembly:
         assert approx.Q.format == "csc"
 
 
+def iid_only_model(n=15, seed=29):
+    """An iid component observed alone: Q* is all band, no arrow."""
+    rng = np.random.default_rng(seed)
+    spec = ModelSpec(
+        blocks=(
+            BlockSpec(
+                "y",
+                "gaussian",
+                rng.normal(size=n),
+                (TermSpec("component", "u"),),
+                hyper="tau",
+            ),
+        ),
+        components=(ComponentSpec("u", "iid", n, precision_hyper="lam"),),
+        hypers={
+            "lam": PriorSpec("fixed", (2.0,)),
+            "tau": PriorSpec("fixed", (3.0,)),
+        },
+    )
+    return build_model(spec)
+
+
+def _study_model(generate, spec, truth, n):
+    return build_model(spec(generate(n, truth, np.random.default_rng(1))))
+
+
+LAYOUTS = {
+    "sim1": lambda: _study_model(generate_sim1, sim1_spec, SIM1_TRUTH, 50),
+    "iid_only": iid_only_model,
+    "mixed_family": mixed_family_model,
+    "sim2_n200": lambda: _study_model(generate_sim2, sim2_spec, SIM2_TRUTH, 200),
+    "sim3_n100": lambda: _study_model(generate_sim3, sim3_spec, SIM3_TRUTH, 100),
+}
+
+
+def _pattern_entries(structure):
+    """Row and column of each stored entry of Q*'s pattern."""
+    P = structure.qstar
+    cols = np.repeat(np.arange(P.shape[1]), np.diff(P.indptr))
+    return P.indices, cols
+
+
+def random_spd_values(structure, rng):
+    """Random symmetric values on Q*'s pattern, made positive definite by
+    strict diagonal dominance."""
+    rows, cols = _pattern_entries(structure)
+    M = structure.qstar_matrix(rng.uniform(-1.0, 1.0, rows.size)).toarray()
+    M = 0.5 * (M + M.T)
+    data = M[rows, cols]
+    diag = rows == cols
+    dominance = np.abs(M).sum(axis=1) - np.abs(np.diag(M))
+    data[diag] = dominance[rows[diag]] + rng.uniform(0.1, 2.0, diag.sum())
+    return data
+
+
+def _assert_close(got, want, rtol=1e-10):
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+class TestBandArrowFactor:
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_solve_and_log_determinant_match_dense(self, layout):
+        m = LAYOUTS[layout]()
+        S = m.structure
+        n = m.latent_dim
+        n_arrow = len(m.spec.fixed_effects)
+        assert S.order.size == n - n_arrow
+        assert np.array_equal(np.sort(S.order), np.arange(n - n_arrow))
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            data = random_spd_values(S, rng)
+            dense = S.qstar_matrix(data).toarray()
+            factor, half_logdet, QinvCt, S_chol = _factor_spd(S, data)
+            assert QinvCt is None and S_chol is None
+            sign, logdet = np.linalg.slogdet(dense)
+            assert sign == 1.0
+            assert half_logdet == pytest.approx(0.5 * logdet, rel=1e-10)
+            b = rng.normal(size=n)
+            _assert_close(factor.solve(b), np.linalg.solve(dense, b))
+            B = rng.normal(size=(n, 4))
+            _assert_close(factor.solve(B), np.linalg.solve(dense, B))
+            np.testing.assert_array_equal(factor.matrix().toarray(), dense)
+
+    def test_layouts_split_band_and_arrow(self):
+        sim1 = LAYOUTS["sim1"]().structure
+        assert sim1.order.size == 0 and sim1.effect_prec.size == 3
+        iid = iid_only_model().structure
+        assert iid.effect_prec.size == 0 and iid.bandwidth == 0
+        # rw2 has half-width 2 and ar2 half-width 2; the shared lavm
+        # predictor couples r and s node by node, so the band stays narrow
+        mixed = mixed_family_model().structure
+        assert 2 <= mixed.bandwidth < 10
+
+    def test_constraint_ridge_rescues_a_matrix_pd_on_the_complement(self):
+        m = rw2_fixed_model(n=10)
+        S = m.structure
+        C = m.constraints
+        theta = m.theta_natural(m.initial_internal())
+        data, _ = S.prior_values(theta)
+        # the rw2 block is singular along C; shifting its diagonal down by
+        # half its smallest nonzero eigenvalue leaves it positive definite
+        # only on the complement of C's row space
+        n_rw2 = m.components["w"].dimension
+        designs = {name: S.blocks[name].values(theta) for name in m.blocks}
+        q_data = NewtonSystem(S, data, designs).base
+        rw2 = S.qstar_matrix(q_data).toarray()[:n_rw2, :n_rw2]
+        shift = 0.5 * np.sort(np.linalg.eigvalsh(rw2))[2]
+        rows, cols = _pattern_entries(S)
+        q_data[(rows == cols) & (rows < n_rw2)] -= shift
+        with pytest.raises(InferenceError, match="not positive definite"):
+            _factor_spd(S, q_data)
+        factor, half_logdet, QinvCt, S_chol = _factor_spd(S, q_data, C)
+        # the retry runs at the full body bandwidth
+        assert factor.band.shape == (n_rw2, n_rw2)
+        dense = S.qstar_matrix(q_data).toarray()
+        rho = max(float(np.mean(np.diag(dense))), 1.0)
+        ridged = dense + rho * (C.T @ C)
+        np.testing.assert_array_equal(factor.matrix().toarray(), ridged)
+        assert half_logdet == pytest.approx(
+            0.5 * np.linalg.slogdet(ridged)[1], rel=1e-10
+        )
+        b = np.random.default_rng(4).normal(size=m.latent_dim)
+        _assert_close(factor.solve(b), np.linalg.solve(ridged, b))
+        _assert_close(QinvCt, np.linalg.solve(ridged, C.T))
+
+    def test_non_positive_definite_matrix_raises(self):
+        # negated values fail the ridge retry as well; a NaN passes LAPACK's
+        # pivot test and must be caught by the log-determinant check
+        m = mixed_family_model()
+        S = m.structure
+        data = random_spd_values(S, np.random.default_rng(5))
+        with pytest.raises(InferenceError, match="not positive definite"):
+            _factor_spd(S, -data, m.constraints)
+        data[S.diag_pos[0]] = np.nan
+        with pytest.raises(InferenceError, match="not positive definite"):
+            _factor_spd(S, data)
+
+    def test_one_fit_builds_the_newton_matrix_at_most_once(self, monkeypatch):
+        m = mixed_family_model()
+        m.structure  # built before counting
+        n = m.latent_dim
+        built = []
+        original = _cs_matrix.__init__
+
+        def counting(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            if self.format == "csc" and self.shape == (n, n):
+                built.append(self)
+
+        monkeypatch.setattr(_cs_matrix, "__init__", counting)
+        approx = gaussian_approx(m, m.theta_natural(m.initial_internal()))
+        assert approx.iterations >= 3
+        assert len(built) <= 1
+        Q = approx.Q
+        assert approx.Q is Q and len(built) <= 1
+
+    def test_no_sparse_lu_in_the_package(self):
+        src = Path(circfit.__file__).parent
+        for path in src.glob("*.py"):
+            assert "splu" not in path.read_text(), path.name
+
+
 class TestGaussianExactness:
     @pytest.mark.parametrize(
         "factory", [iid_fixed_model, rw2_fixed_model, ar2_fixed_model]
@@ -769,6 +947,21 @@ class TestHyperMarginals:
         assert g["fixed"] is True
         assert g["grid"].shape == (1,)
         assert g["mode"] == g["mean"] == g["q50"] == 2.8
+
+    def test_one_point_scan_grid_raises_and_names_the_hyper(self):
+        # a near-flat curvature sends p1's first scan step 500 internal
+        # units out of the hyper box in both directions, leaving only the
+        # mode, whose one-point grid has no area to normalize by
+        base = ar2_fixed_model()
+        hypers = dict(base.spec.hypers)
+        hypers["p1"] = PriorSpec("pc_correlation", (0.5, 0.5))
+        hypers["p2"] = PriorSpec("pc_correlation", (0.5, 0.5))
+        m = build_model(replace(base.spec, hypers=hypers))
+        mode = m.initial_internal()
+        hessian = np.diag([1e-6, 1.0])
+        points = explore_theta(m, mode, hessian)
+        with pytest.raises(InferenceError, match="'p1' kept only the mode"):
+            hyper_marginals(m, points, mode, hessian)
 
     def test_profile_scans_cover_every_free_hyper(self):
         m = two_hyper_model()
