@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_factor, cho_solve, eigh, solve_triangular
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs
+from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtbtrs, dtrtrs
 from scipy.optimize import minimize
 from scipy.special import ndtr
 
@@ -51,8 +51,9 @@ class _BandArrowFactor:
     """Cholesky factor of Q* (plus rho C'C when ``ridge`` is (rho, C)) in
     the band + arrow layout of ``ModelStructure``: Q* = [[A, B], [B', D]] with A the
     banded component block in band order, B the cross block and D the
-    fixed-effect arrow.  Holds the band factor of A, X = A^{-1} B and the
-    Cholesky factor of the Schur complement D - B'X."""
+    fixed-effect arrow.  Holds the band factor L_A of A, X = A^{-1} B and
+    the Cholesky factor L_S of the Schur complement D - B'X, so the factored
+    matrix is L L' with L = [[L_A, 0], [X' L_A, L_S]]."""
 
     def __init__(self, structure, data, ridge, band, X, schur):
         self.structure = structure
@@ -77,6 +78,27 @@ class _BandArrowFactor:
             y = y - self.X @ tail
             x[n_body:] = tail
         x[order] = y
+        return x
+
+    def solve_lt(self, z):
+        """L^{-T} z for the columns of z, returned in latent order.
+
+        U = solve_lt(I) satisfies U U' = the factored matrix's inverse, so
+        its row norms are the marginal variances and standard normal
+        columns map to draws with that covariance (Rue & Held 2005, ch. 2).
+        The tail solves L_S' t = z_tail; the head is L_A^{-T} z_head - X t.
+        """
+        order = self.structure.order
+        n_body = order.size
+        x = np.empty_like(z, dtype=float)
+        head = z[:n_body]
+        if n_body:
+            head = dtbtrs(self.band, head, uplo="L", trans="T")[0]
+        if self.schur.shape[0]:
+            tail = dtrtrs(self.schur, z[n_body:], lower=1, trans=1)[0]
+            head = head - self.X @ tail
+            x[n_body:] = tail
+        x[order] = head
         return x
 
     def matrix(self):
@@ -117,7 +139,9 @@ def _factor_spd(structure, data, C=None):
     by its stored values on the model's fixed pattern (``structure`` is
     ``AssembledModel.structure``), returning (factor, half log determinant,
     QinvCt, S_chol).  ``factor.solve`` applies the inverse of the matrix
-    factored and ``factor.matrix()`` builds that matrix as csc.
+    factored, ``factor.solve_lt`` the transposed inverse of its Cholesky
+    factor (marginal variances and sampling), and ``factor.matrix()``
+    builds that matrix as csc.
 
     The component block is a band in the structure's reverse Cuthill-McKee
     order, factored by LAPACK's band Cholesky (dpbtrf); the fixed-effect
@@ -134,7 +158,9 @@ def _factor_spd(structure, data, C=None):
     invariant to that change, and the conditional distribution on the
     constraint set is untouched.  C'C is dense over a constrained
     component's nodes, so the retry runs the same band routine at the full
-    body bandwidth.
+    body bandwidth (``ModelStructure.ridged_band_arrow``: Q*'s values are
+    scattered at that width and rho times C'C's stored split is added).  C
+    must be the model's constraint matrix, which that split was made from.
     """
     constrained = C is not None and C.shape[0] > 0
     for ridged in (False, True) if constrained else (False,):
@@ -142,9 +168,7 @@ def _factor_spd(structure, data, C=None):
         if ridged:
             rho = max(float(np.mean(structure.diagonal(data))), 1.0)
             ridge = (rho, C)
-            pieces = structure.band_arrow_dense(
-                structure.qstar_matrix(data).toarray() + rho * (C.T @ C)
-            )
+            pieces = structure.ridged_band_arrow(data, rho)
         else:
             pieces = structure.band_arrow(data)
         factored = _cholesky(*pieces)
@@ -190,7 +214,14 @@ def _curvatures(blk, eta, hyper):
 
 
 class GaussianApprox:
-    """Gaussian approximation of p(w | theta, y) at the constrained mode."""
+    """Gaussian approximation of p(w | theta, y) at the constrained mode.
+
+    Everything comes from the band + arrow factor of ``_factor_spd``: the
+    mode search and the log determinant, the marginal sds (row norms of
+    L^{-T} less the kriging term of the constraints) and the draws (L^{-T}
+    applied to standard normals, then conditioned on the constraints).
+    ``Q`` is built as csc only when asked.
+    """
 
     def __init__(self, model, theta, mode, factor, det_half,
                  loglik_sum, prior_quad, prior_log_gdet, predictors,
@@ -208,7 +239,6 @@ class GaussianApprox:
         self.iterations = iterations
         self._QinvCt = QinvCt
         self._S_chol = S_chol
-        self._chol_lower = None
         self._marginal_sd = None
 
     @property
@@ -231,18 +261,11 @@ class GaussianApprox:
         C = self.model.constraints
         return v - self._QinvCt @ cho_solve(self._S_chol, C @ v)
 
-    def _dense_chol(self):
-        if self._chol_lower is None:
-            dense = self.Q.toarray()
-            self._chol_lower = np.linalg.cholesky(dense)
-        return self._chol_lower
-
     def marginal_sd(self):
         """Standard deviations of the constrained conditional, node-wise."""
         if self._marginal_sd is None:
-            L = self._dense_chol()
-            Linv = solve_triangular(L, np.eye(L.shape[0]), lower=True)
-            var = np.einsum("ji,ji->i", Linv, Linv)
+            U = self._factor.solve_lt(np.eye(self.mode.size))
+            var = np.einsum("ij,ij->i", U, U)
             if self._QinvCt is not None:
                 corr = cho_solve(self._S_chol, self._QinvCt.T)
                 var = var - np.einsum("ij,ji->i", self._QinvCt, corr)
@@ -251,10 +274,8 @@ class GaussianApprox:
 
     def sample(self, rng, size):
         """Draws from the constrained Gaussian, one row per draw."""
-        L = self._dense_chol()
-        z = rng.standard_normal((L.shape[0], size))
-        u = solve_triangular(L, z, lower=True, trans="T")
-        u = self.constrain(u)
+        z = rng.standard_normal((self.mode.size, size))
+        u = self.constrain(self._factor.solve_lt(z))
         return (self.mode[:, None] + u).T
 
 
@@ -541,12 +562,16 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
                 model, theta_internal, init_w=state["w"]
             )
         except InferenceError:
+            # a cold start can rescue a failed warm start; a failed cold
+            # start is deterministic, so it is not repeated.  A point that
+            # fails is usually a wild line search excursion: report a
+            # steep wall instead of aborting
+            if state["w"] is None:
+                return -1e10
             state["w"] = None
             try:
                 lp, approx = log_posterior_theta(model, theta_internal)
             except InferenceError:
-                # a pathological trial point (usually a wild line search
-                # excursion); report a steep wall instead of aborting
                 return -1e10
         state["w"] = approx.mode
         if lp > state["best"][0]:
@@ -803,9 +828,11 @@ def _natural_grid_summary(theta_grid_internal, logpost, coord):
     dens = dens / area
     i = int(np.argmax(dens))
     if 0 < i < len(x) - 1:
-        # parabolic refinement of the mode through the top three points
+        # parabolic refinement of the mode through the top three points,
+        # on the log scale where they are finite even if their density
+        # underflows
         x0, x1, x2 = x[i - 1], x[i], x[i + 1]
-        d0, d1g, d2g = np.log(dens[i - 1 : i + 2])
+        d0, d1g, d2g = logd[i - 1 : i + 2]
         denom = (x1 - x0) * (d1g - d2g) - (x1 - x2) * (d1g - d0)
         if abs(denom) > 1e-300:
             mode = x1 - 0.5 * (

@@ -437,7 +437,9 @@ class ModelStructure:
     arrow, coupled to every band node they share an observation with.
     Scatter maps take Q*'s values straight into LAPACK lower band storage
     for the band, a dense (band, arrow) cross block and the dense arrow
-    block.
+    block.  The constraint ridge Q* + rho C'C needs the band at the full
+    body bandwidth: ``full_band_map`` scatters Q*'s values into that
+    storage, and ``constraint_gram`` holds C'C split the same way, once.
     """
 
     def __init__(self, model):
@@ -519,8 +521,16 @@ class ModelStructure:
             np.flatnonzero(in_band),
             c[in_band] * (self.bandwidth + 1) + (r - c)[in_band],
         )
+        self.full_band_map = (
+            np.flatnonzero(in_band), c[in_band] * n_body + (r - c)[in_band]
+        )
         self.cross_map = (np.flatnonzero(cross), c[cross] * n_body + r[cross])
         self.arrow_map = (np.flatnonzero(arrow), c[arrow] * n_arrow + r[arrow])
+        # C'C split at the full body bandwidth, for the constraint ridge
+        C = model.constraints
+        self.constraint_gram = (
+            self.band_arrow_dense(C.T @ C) if C.shape[0] else None
+        )
 
     def prior_values(self, theta):
         """Q_p(theta)'s stored values on the prior pattern, and its log
@@ -569,10 +579,23 @@ class ModelStructure:
         arrow): the band's lower half in LAPACK band storage, shape
         (bandwidth + 1, n_body), the (n_body, n_arrow) cross block in band
         order, and the (n_arrow, n_arrow) arrow block."""
+        return self._split(data, self.band_map, self.bandwidth + 1)
+
+    def ridged_band_arrow(self, data, rho):
+        """Q* + rho C'C, C the model's constraints, split like
+        ``band_arrow`` but with the band at the full body bandwidth
+        n_body - 1: Q*'s values scattered at that width plus rho times the
+        stored split of C'C."""
+        pieces = self._split(data, self.full_band_map, self.order.size)
+        for piece, gram in zip(pieces, self.constraint_gram):
+            piece += rho * gram
+        return pieces
+
+    def _split(self, data, band_map, band_rows):
         n_body, n_arrow = self.order.size, self.effect_prec.size
         pieces = []
         for (src, dst), size in (
-            (self.band_map, (n_body, self.bandwidth + 1)),
+            (band_map, (n_body, band_rows)),
             (self.cross_map, (n_arrow, n_body)),
             (self.arrow_map, (n_arrow, n_arrow)),
         ):

@@ -127,18 +127,17 @@ def sample_posterior(fit, n, rng):
     model = fit.model
     out = []
     for theta_internal, theta, latents in _point_batches(fit, n, rng):
-        designs = {
-            name: model.block_matrix(name, theta) for name in model.blocks
+        etas = {
+            name: latents @ model.block_matrix(name, theta).T
+            for name in model.blocks
         }
-        for w in latents:
+        for i, w in enumerate(latents):
             out.append(
                 PosteriorSample(
                     theta_internal=theta_internal,
                     theta=theta,
                     latent=w,
-                    predictors={
-                        name: designs[name] @ w for name in designs
-                    },
+                    predictors={name: eta[i] for name, eta in etas.items()},
                 )
             )
     return out

@@ -18,11 +18,13 @@ from scipy.optimize import minimize_scalar
 from scipy.stats import multivariate_normal, norm
 
 import circfit
+from circfit import inference
 from circfit.circular import lavm_sample
 from circfit.inference import (
     InferenceError,
     _factor_spd,
     _mixture_quantiles,
+    _natural_grid_summary,
     explore_theta,
     fit_model,
     gaussian_approx,
@@ -36,6 +38,7 @@ from circfit.model import (
     BlockSpec,
     ComponentSpec,
     FixedEffectSpec,
+    HyperCoord,
     ModelSpec,
     NewtonSystem,
     TermSpec,
@@ -580,6 +583,8 @@ class TestBandArrowFactor:
             B = rng.normal(size=(n, 4))
             _assert_close(factor.solve(B), np.linalg.solve(dense, B))
             np.testing.assert_array_equal(factor.matrix().toarray(), dense)
+            U = factor.solve_lt(np.eye(n))
+            _assert_close(U @ U.T, np.linalg.inv(dense))
 
     def test_layouts_split_band_and_arrow(self):
         sim1 = LAYOUTS["sim1"]().structure
@@ -616,6 +621,15 @@ class TestBandArrowFactor:
         rho = max(float(np.mean(np.diag(dense))), 1.0)
         ridged = dense + rho * (C.T @ C)
         np.testing.assert_array_equal(factor.matrix().toarray(), ridged)
+        # Q*'s full-width split plus rho times the stored C'C pieces is the
+        # split of the dense ridged matrix, bit for bit, in LAPACK's layout
+        for piece, want in zip(
+            S.ridged_band_arrow(q_data, rho), S.band_arrow_dense(ridged)
+        ):
+            np.testing.assert_array_equal(piece, want)
+            assert piece.flags.f_contiguous
+        U = factor.solve_lt(np.eye(m.latent_dim))
+        _assert_close(U @ U.T, np.linalg.inv(ridged))
         assert half_logdet == pytest.approx(
             0.5 * np.linalg.slogdet(ridged)[1], rel=1e-10
         )
@@ -651,8 +665,32 @@ class TestBandArrowFactor:
         approx = gaussian_approx(m, m.theta_natural(m.initial_internal()))
         assert approx.iterations >= 3
         assert len(built) <= 1
+        # the sds and the draws come from the band + arrow factor
+        approx.marginal_sd()
+        approx.sample(np.random.default_rng(0), 5)
+        assert built == []
         Q = approx.Q
         assert approx.Q is Q and len(built) <= 1
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_constrained_sds_and_draws_match_the_null_space_reference(self, n):
+        # on null(C) the constrained conditional is N (N'QN)^{-1} N'; the
+        # draws are a linear map of standard normals, so feeding the
+        # identity in their place exposes that map's covariance exactly
+        m = _study_model(generate_sim2, sim2_spec, SIM2_TRUTH, n)
+        approx = gaussian_approx(m, m.theta_natural(m.initial_internal()))
+        Q = approx.Q.toarray()
+        N = null_space(m.constraints)
+        cov = N @ np.linalg.solve(N.T @ Q @ N, N.T)
+        sd_ref = np.sqrt(np.diag(cov))
+        assert np.max(np.abs(approx.marginal_sd() - sd_ref) / sd_ref) < 1e-10
+
+        class Identity:
+            def standard_normal(self, shape):
+                return np.eye(*shape)
+
+        d = approx.sample(Identity(), m.latent_dim) - approx.mode
+        _assert_close(d.T @ d, cov)
 
     def test_no_sparse_lu_in_the_package(self):
         src = Path(circfit.__file__).parent
@@ -799,6 +837,22 @@ class TestOptimizeTheta:
         ]
         assert len(fixed_idx) == 1
         assert m.theta_natural(theta_mode)["tau_z"] == 2.8
+
+    def test_failed_cold_start_is_not_repeated(self, monkeypatch):
+        # a cold start is deterministic: only a failed warm start earns a
+        # cold retry, so a point with no warm start is solved once
+        m = _study_model(generate_sim1, sim1_spec, SIM1_TRUTH, 50)
+        calls = []
+
+        def fail(*args, **kwargs):
+            calls.append(kwargs.get("init_w"))
+            raise InferenceError("forced failure")
+
+        monkeypatch.setattr(inference, "log_posterior_theta", fail)
+        with pytest.raises(InferenceError, match="no successful") as err:
+            optimize_theta(m)
+        assert err.value.diagnostics["evaluations"] == 3
+        assert len(calls) == 3
 
     def test_no_successful_evaluation_is_an_error(self, monkeypatch):
         # every evaluation hitting the -1e10 wall must not hand the prior
@@ -962,6 +1016,16 @@ class TestHyperMarginals:
         points = explore_theta(m, mode, hessian)
         with pytest.raises(InferenceError, match="'p1' kept only the mode"):
             hyper_marginals(m, points, mode, hessian)
+
+    def test_mode_refinement_survives_an_underflowing_neighbour(self):
+        # exp(-800) underflows to a zero density; the parabola through the
+        # top three log densities -800, 0, -116 peaks at 171/916
+        coord = HyperCoord("a1", PriorSpec("gaussian", (0.0, 1.0)), "t")
+        g = _natural_grid_summary(
+            np.array([-0.5, 0.0, 0.5]), np.array([-800.0, 0.0, -116.0]), coord
+        )
+        assert g["density"][0] == 0.0
+        assert g["mode"] == pytest.approx(171 / 916, rel=1e-12)
 
     def test_profile_scans_cover_every_free_hyper(self):
         m = two_hyper_model()

@@ -198,10 +198,10 @@ class TestSamplePosterior:
     def test_samples_carry_predictors(self):
         m = diagonal_model()
         fit = fit_model(m)
-        s = sample_posterior(fit, 3, np.random.default_rng(0))[0]
-        theta = s.theta
-        A = m.block_matrix("y", theta)
-        np.testing.assert_allclose(s.predictors["y"], A @ s.latent)
+        samples = sample_posterior(fit, 3, np.random.default_rng(0))
+        for s in samples:
+            A = m.block_matrix("y", s.theta)
+            np.testing.assert_array_equal(s.predictors["y"], A @ s.latent)
 
 
 def kde_reference(pooled, grid, circular):
