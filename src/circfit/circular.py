@@ -188,14 +188,38 @@ def _check_open_interval(x, name: str = "x") -> np.ndarray:
     return arr
 
 
-def _lavm_parts(x, eta, link: LinkFunction):
-    """Common intermediates: u = h(x) - eta and z = g(u)."""
-    u = link.inverse(x) - eta
-    z = link.forward(u)
-    return u, z
+def _lavm_terms(x, eta, kappa):
+    """Value, d1 and d2 in eta of the LAvM log density, for checked inputs.
+
+    With u = h(x) - eta and z = g(u) the trig terms are rational in u:
+    tan(z/2) = u, h'(z) = Q(z) = (1 + u^2)/2, sin z = u/h'(z) and
+    cos z = 1 - u*sin z.  So
+
+        value = -kappa*u*sin z - log(2 pi I0(kappa)) + log h'(x) - log h'(z)
+        d1    = (kappa*sin z + u) / h'(z)
+        d2    = (u*(kappa*sin z + u) - kappa*cos z - h'(z)) / h'(z)^2,
+
+    the formulas of ``lavm_logpdf`` and ``lavm_deta_logpdf`` (dz/deta =
+    -1/h'(z)) without an arctan, cosine or sine.
+    """
+    t_x = np.tan(0.5 * x)
+    u = t_x - eta
+    hp = 0.5 * (1.0 + u * u)
+    sin_z = u / hp
+    ks = kappa * sin_z
+    value = (
+        np.log(0.5 * (1.0 + t_x * t_x))
+        - np.log(hp)
+        - u * ks
+        - (np.log(TWO_PI) + np.log(i0e(kappa)))
+    )
+    kp = ks + u
+    d1 = kp / hp
+    d2 = (u * kp - kappa * (1.0 - u * sin_z) - hp) / (hp * hp)
+    return value, d1, d2
 
 
-def lavm_logpdf(x, eta, kappa, link: LinkFunction = TANHALF_LINK):
+def lavm_logpdf(x, eta, kappa):
     """Log density of the link-adjusted von Mises distribution.
 
     Parameters
@@ -212,20 +236,13 @@ def lavm_logpdf(x, eta, kappa, link: LinkFunction = TANHALF_LINK):
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     xa = _check_open_interval(x, "x")
     ea = _as_finite_array(eta, "eta")
-    u, z = _lavm_parts(xa, ea, link)
-    out = (
-        kappa * (np.cos(z) - 1.0)
-        - np.log(TWO_PI)
-        - np.log(i0e(kappa))
-        + np.log(link.inverse_derivative(xa))
-        - np.log(link.inverse_derivative(z))
-    )
+    out = _lavm_terms(xa, ea, kappa)[0]
     if np.ndim(x) == 0 and np.ndim(eta) == 0:
         return float(out)
     return out
 
 
-def lavm_dx_logpdf(x, eta, kappa, link: LinkFunction = TANHALF_LINK):
+def lavm_dx_logpdf(x, eta, kappa):
     """First and second derivatives of the LAvM log density in x.
 
     Returns ``(d1, d2)``.  With z = g(h(x) - eta) and z'(x) = h'(x)/h'(z),
@@ -235,9 +252,10 @@ def lavm_dx_logpdf(x, eta, kappa, link: LinkFunction = TANHALF_LINK):
 
     where z''(x) = z'(x) * (S(x) - z'(x) * S(z)).
     """
+    link = TANHALF_LINK
     xa = _check_open_interval(x, "x")
     ea = _as_finite_array(eta, "eta")
-    u, z = _lavm_parts(xa, ea, link)
+    z = link.forward(link.inverse(xa) - ea)
     zp = link.inverse_derivative(xa) / link.inverse_derivative(z)
     s_x, s_z = link.log_slope_d1(xa), link.log_slope_d1(z)
     q_x, q_z = link.log_slope_d2(xa), link.log_slope_d2(z)
@@ -250,7 +268,7 @@ def lavm_dx_logpdf(x, eta, kappa, link: LinkFunction = TANHALF_LINK):
     return d1, d2
 
 
-def lavm_deta_logpdf(x, eta, kappa, link: LinkFunction = TANHALF_LINK):
+def lavm_deta_logpdf(x, eta, kappa):
     """First and second derivatives of the LAvM log density in eta.
 
     Returns ``(d1, d2)``.  Since dz/deta = -1/h'(z),
@@ -260,13 +278,7 @@ def lavm_deta_logpdf(x, eta, kappa, link: LinkFunction = TANHALF_LINK):
     """
     xa = _check_open_interval(x, "x")
     ea = _as_finite_array(eta, "eta")
-    u, z = _lavm_parts(xa, ea, link)
-    hp = link.inverse_derivative(z)
-    s_z = link.log_slope_d1(z)
-    q_z = link.log_slope_d2(z)
-    ks = kappa * np.sin(z)
-    d1 = (ks + s_z) / hp
-    d2 = (s_z * (ks + s_z) - kappa * np.cos(z) - q_z) / (hp * hp)
+    _, d1, d2 = _lavm_terms(xa, ea, kappa)
     if np.ndim(x) == 0 and np.ndim(eta) == 0:
         return float(d1), float(d2)
     return d1, d2

@@ -469,9 +469,16 @@ def log_posterior_theta(model, theta_internal, init_w=None, approx=None):
     The prior log-determinant comes from the approximation's own prior
     build."""
     theta_internal = np.asarray(theta_internal, dtype=float)
-    theta = model.theta_natural(theta_internal)
     if approx is None:
-        approx = gaussian_approx(model, theta, init_w=init_w)
+        approx = gaussian_approx(
+            model, model.theta_natural(theta_internal), init_w=init_w
+        )
+    return _laplace_ratio(model, theta_internal, approx), approx
+
+
+def _laplace_ratio(model, theta_internal, approx):
+    """``log_posterior_theta``'s value from an approximation already solved
+    at theta_internal: no Newton solve."""
     lp = (
         model.logprior_internal(theta_internal)
         + 0.5 * approx.prior_log_gdet
@@ -479,7 +486,7 @@ def log_posterior_theta(model, theta_internal, init_w=None, approx=None):
         + approx.loglik_sum
         - approx.det_half
     )
-    return float(lp), approx
+    return float(lp)
 
 
 @dataclass
@@ -545,11 +552,29 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
                    max_evals=200, hessian_step=0.05):
     """Quasi-Newton search for the hyper posterior mode with central
     difference gradients; returns (theta_mode_internal, hessian_u, info).
-    The Hessian is in the free-coordinate basis.  Only the search's
-    evaluations count against ``max_evals``, not the Hessian stencil's."""
+
+    L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) minimizes -lp/s with
+    s = max(1, |grad lp(u0)|_inf), the start point's gradient that the
+    search needs anyway (it is handed back as the first evaluation, so the
+    scaling costs none).  Its first step goes to the Cauchy point of a
+    unit-Hessian model, so scaling bounds that step to one internal unit
+    per coordinate instead of |grad lp(u0)|, which otherwise lands on the
+    +-30 box corner.  ``tol`` is divided by s, so the projected-gradient
+    test still reads |grad lp| <= tol.
+
+    The mode is the best point evaluated.  The Hessian, in the
+    free-coordinate basis, is a central-difference stencil around it: its
+    centre value is that evaluation's lp and its first point warm-starts
+    from that evaluation's latent mode, so the mode is not solved again.
+    ``info["mode_approx"]`` is that evaluation's ``GaussianApprox`` (None
+    when no hyper is free), for ``explore_theta``'s ``center``.  Only the
+    search's evaluations count against ``max_evals``, not the stencil's.
+    """
     space = _HyperSpace(model)
     m = space.dim
-    state = {"w": None, "evals": 0, "budgeted": True, "best": (-np.inf, None)}
+    state = {
+        "w": None, "evals": 0, "budgeted": True, "best": (-np.inf, None, None)
+    }
 
     def lp_at(u):
         theta_internal = space.to_full(u)
@@ -575,12 +600,12 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
                 return -1e10
         state["w"] = approx.mode
         if lp > state["best"][0]:
-            state["best"] = (lp, theta_internal)
+            state["best"] = (lp, theta_internal, approx)
         return lp
 
     if m == 0:
         th = space.to_full(np.zeros(0))
-        return th, np.zeros((0, 0)), {"evaluations": 0}
+        return th, np.zeros((0, 0)), {"evaluations": 0, "mode_approx": None}
 
     u0 = space.to_u(model.initial_internal() if init is None else init)
     u0 = np.clip(u0, space.lower, space.upper)
@@ -588,22 +613,34 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
     def neg(u):
         return -lp_at(u)
 
-    def neg_grad(u):
+    def neg_and_grad(u):
+        f = neg(u)
         g = np.zeros(m)
         for i in range(m):
             e = np.zeros(m)
             e[i] = grad_step
             g[i] = (neg(u + e) - neg(u - e)) / (2.0 * grad_step)
-        return g
+        return f, g
 
     try:
+        f_start, g_start = neg_and_grad(u0)
+        scale = max(1.0, float(np.max(np.abs(g_start))))
+
+        def scaled(u):
+            # L-BFGS-B evaluates the start point first: already paid for
+            if np.array_equal(u, u0):
+                f, g = f_start, g_start
+            else:
+                f, g = neg_and_grad(u)
+            return f / scale, g / scale
+
         res = minimize(
-            neg,
+            scaled,
             u0,
-            jac=neg_grad,
+            jac=True,
             method="L-BFGS-B",
             bounds=list(zip(space.lower, space.upper)),
-            options={"gtol": tol, "maxiter": 1000, "ftol": 1e-12},
+            options={"gtol": tol / scale, "maxiter": 1000, "ftol": 1e-12},
         )
     except _EvalBudget:
         raise InferenceError(
@@ -611,7 +648,8 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
             best=state["best"][1],
             diagnostics={"evaluations": state["evals"]},
         )
-    if state["best"][1] is None:
+    lp_mode, theta_mode, approx_mode = state["best"]
+    if theta_mode is None:
         # every evaluation hit the -1e10 wall, so the optimizer's answer
         # is the start point and its curvature is flat
         raise InferenceError(
@@ -620,13 +658,14 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
         )
     # the best point actually evaluated; the optimizer's final iterate
     # can sit on a failed-evaluation wall after an aggressive line search
-    u_mode = space.to_u(state["best"][1])
+    u_mode = space.to_u(theta_mode)
 
     state["budgeted"] = False
+    state["w"] = approx_mode.mode
 
     h = hessian_step
     H = np.zeros((m, m))
-    f0 = neg(u_mode)
+    f0 = -lp_mode
     fp = np.zeros(m)
     fm = np.zeros(m)
     for i in range(m):
@@ -650,8 +689,9 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
     info = {
         "evaluations": state["evals"],
         "optimizer_message": str(res.message),
+        "mode_approx": approx_mode,
     }
-    return space.to_full(u_mode), H, info
+    return theta_mode, H, info
 
 
 class _EvalBudget(Exception):
@@ -667,15 +707,24 @@ def _spd_directions(H, step):
 
 
 def explore_theta(model, theta_mode_internal, hessian, step=0.75, drop=5.0,
-                  ccd_radius=1.1, max_steps=10):
+                  ccd_radius=1.1, max_steps=10, center=None):
     """Weighted hyper-space point set around the mode.
 
     Free dimension up to 2: centered product grid in the Hessian eigenbasis
     (spacing `step` standard deviations, each axis extended until the log
-    posterior falls `drop` below the mode).  Higher dimensions: a spherical
-    central-composite design with axial (and, up to dimension 6, corner)
-    points at radius ccd_radius * sqrt(dim).  A point outside the hyper box
-    counts as a failed evaluation: it ends a grid axis, or leaves the CCD.
+    posterior falls `drop` below the mode).  The probes that set the
+    extents are kept by integer offset and reused as grid points, each
+    reused point's latent mode becoming the next warm start, so a grid point
+    is evaluated only when no probe reached it.  Higher dimensions: a
+    spherical central-composite design with axial (and, up to dimension 6,
+    corner) points at radius ccd_radius * sqrt(dim).  A point outside the
+    hyper box counts as a failed evaluation: it ends a grid axis, or leaves
+    the CCD.
+
+    ``center``, when given, is the ``GaussianApprox`` at the mode (as
+    ``optimize_theta`` returns it in ``info["mode_approx"]``); it is used
+    like ``log_posterior_theta``'s ``approx``, so the mode costs no Newton
+    solve.  The result always holds the mode as one of its points.
     """
     space = _HyperSpace(model)
     m = space.dim
@@ -696,7 +745,11 @@ def explore_theta(model, theta_mode_internal, hessian, step=0.75, drop=5.0,
         state["w"] = approx.mode
         return th, lp, approx
 
-    th0, lp0, approx0 = evaluate(u_mode)
+    if center is None:
+        th0, lp0, approx0 = evaluate(u_mode)
+    else:
+        th0, approx0 = space.to_full(u_mode), center
+        lp0 = _laplace_ratio(model, th0, center)
     if approx0 is None:
         raise InferenceError(
             "latent approximation failed at the hyper mode",
@@ -709,14 +762,18 @@ def explore_theta(model, theta_mode_internal, hessian, step=0.75, drop=5.0,
 
     points = []
     if m <= 2:
+        reached = {(0,) * m: (th0, lp0, approx0)}
         extents = []
         for i in range(m):
             ext = 0
-            for sign in (1.0, -1.0):
+            for sign in (1, -1):
                 state["w"] = approx0.mode
                 for kk in range(1, max_steps + 1):
-                    _, lp, _ = evaluate(u_mode + sign * kk * axes[:, i])
-                    if lp < lp0 - drop:
+                    z = np.zeros(m, dtype=int)
+                    z[i] = sign * kk
+                    probe = evaluate(u_mode + axes @ z)
+                    reached[tuple(z.tolist())] = probe
+                    if probe[1] < lp0 - drop:
                         break
                     ext = max(ext, kk)
             extents.append(ext)
@@ -725,8 +782,12 @@ def explore_theta(model, theta_mode_internal, hessian, step=0.75, drop=5.0,
         offsets = np.stack([g.ravel() for g in mesh], axis=-1)
         state["w"] = approx0.mode
         for z in offsets:
-            u = u_mode + axes @ z.astype(float)
-            th, lp, approx = evaluate(u)
+            key = tuple(z.tolist())
+            if key not in reached:
+                reached[key] = evaluate(u_mode + axes @ z)
+            elif reached[key][2] is not None:
+                state["w"] = reached[key][2].mode
+            th, lp, approx = reached[key]
             if approx is not None:
                 points.append([th, lp, 1.0, approx])
     else:
@@ -868,9 +929,13 @@ def hyper_marginals(model, points, theta_mode_internal, hessian,
     One free hyper: the exploration grid itself.  Several: profile scans
     along each coordinate, the others following the conditional quadratic
     ridge, which matches the Gaussian-mixture marginal when the posterior is
-    close to Gaussian.  Fixed hypers yield degenerate one-point grids.  A
-    scan step outside the hyper box counts as a failed evaluation; a free
-    coordinate whose scan keeps only the mode raises ``InferenceError``.
+    close to Gaussian.  The scans start from the entry of ``points`` at
+    ``theta_mode_internal`` (``explore_theta``'s result always holds it):
+    its lp is the scans' reference and its latent mode their warm start,
+    so the mode is not solved again.  Fixed hypers yield degenerate
+    one-point grids.  A scan step outside the hyper box counts as a failed
+    evaluation; a free coordinate whose scan keeps only the mode raises
+    ``InferenceError``.
     """
     space = _HyperSpace(model)
     out = {}
@@ -918,13 +983,17 @@ def hyper_marginals(model, points, theta_mode_internal, hessian,
             state["w"] = approx.mode
             return lp
 
-        lp0 = eval_theta(u_mode)
-        if not np.isfinite(lp0):
-            raise InferenceError(
-                "latent approximation failed at the hyper mode",
-                best=theta_mode_internal,
+        at_mode = [
+            pt for pt in points
+            if np.array_equal(space.to_u(pt.theta_internal), u_mode)
+        ]
+        if not at_mode:
+            raise ValueError(
+                "points hold no evaluation at theta_mode_internal; pass "
+                "explore_theta's result for that mode"
             )
-        w_mode = state["w"]
+        lp0 = at_mode[0].log_unnorm_posterior
+        w_mode = at_mode[0].approx.mode
 
         for j in range(space.dim):
             coord = model.hyper_coords[free_list[j]]
@@ -990,6 +1059,7 @@ def fit_model(model, *, grad_step=1e-4, opt_tol=1e-5, max_evals=200,
     points = explore_theta(
         model, theta_mode, hessian,
         step=explore_step, drop=explore_drop, ccd_radius=ccd_radius,
+        center=opt_info["mode_approx"],
     )
     timings["explore"] = time.perf_counter() - t0
 

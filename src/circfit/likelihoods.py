@@ -10,9 +10,9 @@ respect to eta, which is all the Gaussian approximation needs.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, i0e
+from scipy.special import gammaln
 
-from .circular import BOUNDARY_MARGIN, TWO_PI, lavm_approx_concentration
+from .circular import BOUNDARY_MARGIN, _lavm_terms, lavm_approx_concentration
 
 __all__ = [
     "FAMILY_HYPERS",
@@ -121,11 +121,10 @@ def _gamma(y, eta, rho):
 
 
 def _lavm(y, eta, kappa):
-    """Value, d1 and d2 from one pass over z = 2 arctan(tan(y/2) - eta).
-
-    The input checks and the arithmetic, term for term, are those of
-    ``lavm_logpdf`` and ``lavm_deta_logpdf``, so the results are
-    bit-identical to theirs; the boundary band is reported first, as an
+    """Value, d1 and d2 from the one LAvM kernel of ``circular``, which
+    ``lavm_logpdf`` and ``lavm_deta_logpdf`` share, so the results are
+    bit-identical to theirs.  The input checks are those functions' too,
+    except that the boundary band is reported first, as an
     ``ObservationError``.
     """
     bad = np.abs(y) >= np.pi - BOUNDARY_MARGIN
@@ -141,21 +140,7 @@ def _lavm(y, eta, kappa):
         raise ValueError("x must be finite, got a NaN or infinity")
     if not np.all(np.isfinite(eta)):
         raise ValueError("eta must be finite, got a NaN or infinity")
-    t_y = np.tan(0.5 * y)
-    z = 2.0 * np.arctan(t_y - eta)
-    t_z = np.tan(0.5 * z)
-    hp_z = 0.5 * (1.0 + t_z * t_z)  # h'(z), also Q(z)
-    cos_z = np.cos(z)
-    value = (
-        kappa * (cos_z - 1.0)
-        - np.log(TWO_PI)
-        - np.log(i0e(kappa))
-        + np.log(0.5 * (1.0 + t_y * t_y))
-        - np.log(hp_z)
-    )
-    ks = kappa * np.sin(z)
-    d1 = (ks + t_z) / hp_z
-    d2 = (t_z * (ks + t_z) - kappa * cos_z - hp_z) / (hp_z * hp_z)
+    value, d1, d2 = _lavm_terms(y, eta, kappa)
     if np.ndim(y) == 0 and np.ndim(eta) == 0:
         return float(value), float(d1), float(d2)
     return value, d1, d2

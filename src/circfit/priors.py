@@ -16,13 +16,14 @@ stated exceedance probability holds, e.g. P(sigma > U) = alpha.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import betaln, gammaln, i0e
+from scipy.special import betaln, gammaln, i0e, i1e
 
 from .circular import bessel_ratio
 
@@ -163,8 +164,8 @@ def pc_kappa_logprior(kappa, U: float, alpha: float):
     return out
 
 
-def _vm_kl_distance_from_log(v):
-    """(d, dd/dv) as functions of v = log kappa.
+def _vm_kl_distance_from_log(v: float):
+    """(d, dd/dv) as functions of the scalar v = log kappa.
 
     Below v = 6 this is the exact Bessel formula; above, the expansion
     2*KLD = v + log(2*pi) - 1 - 1/(2k) - 3/(8k^2) - 25/(48k^3) + O(k^-4).
@@ -173,37 +174,45 @@ def _vm_kl_distance_from_log(v):
     expansion truncates at O(k^-4); both sit near 1e-10 at k = e^6.  The
     expansion also keeps the prior evaluable for concentrations beyond
     floating range, where diffuse (U, alpha) settings still hold mass.
+
+    Only the branch returned is evaluated, with one Bessel ratio A = I1/I0;
+    the arithmetic is that of ``vm_kl_distance`` and
+    ``_vm_kl_distance_deriv``.  exp and log are numpy's, which can differ
+    from ``math``'s in the last bit, so the values equal the vectorized
+    formulas exactly.
     """
-    v = np.asarray(v, dtype=float)
-    exact = v <= 6.0
-    k = np.exp(np.where(exact, v, 0.0))
-    d_exact = vm_kl_distance(k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dd_exact = np.where(d_exact > 0, k * _vm_kl_distance_deriv(k), 0.0)
-    ev = np.exp(np.where(exact, 0.0, -v))
-    dsq = (
-        v
-        + np.log(2.0 * np.pi)
-        - 1.0
-        - ev * (0.5 + ev * (0.375 + ev * (25.0 / 48.0)))
-    )
-    d_asym = np.sqrt(np.where(exact, 1.0, dsq))
-    dd_asym = (1.0 + ev * (0.5 + ev * (0.75 + ev * (25.0 / 16.0)))) / (2.0 * d_asym)
-    return np.where(exact, d_exact, d_asym), np.where(exact, dd_exact, dd_asym)
+    v = float(v)
+    if v > 6.0:
+        ev = float(np.exp(-v))
+        dsq = (
+            v
+            + float(np.log(2.0 * np.pi))
+            - 1.0
+            - ev * (0.5 + ev * (0.375 + ev * (25.0 / 48.0)))
+        )
+        d = math.sqrt(dsq)
+        return d, (1.0 + ev * (0.5 + ev * (0.75 + ev * (25.0 / 16.0)))) / (2.0 * d)
+    k = float(np.exp(v))
+    if k < 1e-6:
+        d = k / math.sqrt(2.0)
+        return d, (k * (1.0 / math.sqrt(2.0)) if d > 0 else 0.0)
+    i0 = float(i0e(k))
+    A = float(i1e(k)) / i0
+    d = math.sqrt(2.0 * max(k * (A - 1.0) - float(np.log(i0)), 0.0))
+    if d == 0:
+        return d, 0.0
+    return d, k * (k * (1.0 - A * A - A / k) / d)
 
 
-def pc_kappa_logprior_internal(v, U: float, alpha: float):
-    """pc_kappa log density on the internal scale v = log kappa, Jacobian
-    included.  Unlike the natural-scale form this stays finite for any real
-    v, which matters for diffuse (U, alpha): the prior can hold appreciable
-    mass at concentrations exp(v) beyond floating range."""
+def pc_kappa_logprior_internal(v: float, U: float, alpha: float) -> float:
+    """pc_kappa log density at the scalar internal value v = log kappa,
+    Jacobian included.  Unlike the natural-scale form this stays finite for
+    any real v, which matters for diffuse (U, alpha): the prior can hold
+    appreciable mass at concentrations exp(v) beyond floating range."""
     lam = pc_kappa_rate(U, alpha)
     d, dd = _vm_kl_distance_from_log(v)
-    with np.errstate(divide="ignore"):
-        out = np.log(lam) - lam * d + np.log(dd)
-    if np.ndim(v) == 0:
-        return float(out)
-    return out
+    log_dd = float(np.log(dd)) if dd > 0 else -math.inf
+    return float(np.log(lam)) - lam * d + log_dd
 
 
 # ---------------------------------------------------------------------------

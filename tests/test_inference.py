@@ -523,8 +523,8 @@ def iid_only_model(n=15, seed=29):
     return build_model(spec)
 
 
-def _study_model(generate, spec, truth, n):
-    return build_model(spec(generate(n, truth, np.random.default_rng(1))))
+def _study_model(generate, spec, truth, n, seed=1):
+    return build_model(spec(generate(n, truth, np.random.default_rng(seed))))
 
 
 LAYOUTS = {
@@ -873,6 +873,38 @@ class TestOptimizeTheta:
         assert np.array_equal(hessian, hessian.T)
         assert np.all(np.linalg.eigvalsh(hessian) > 0.0)
 
+    def test_first_step_moves_at_most_one_unit(self, monkeypatch):
+        # |grad lp(u0)| is in the hundreds here; an unscaled first L-BFGS-B
+        # step went to the +-30 box corner, where evaluations fail or sit
+        # below the failure wall
+        m = _study_model(generate_sim2, sim2_spec, SIM2_TRUTH, 100, seed=1000)
+        free = [i for i, c in enumerate(m.hyper_coords) if not c.is_fixed]
+        u0 = m.initial_internal()[free]
+        evaluated, iterates = [], []
+        real_lpt, real_minimize = inference.log_posterior_theta, inference.minimize
+
+        def recording(model, theta_internal, *args, **kwargs):
+            evaluated.append(np.asarray(theta_internal, dtype=float)[free])
+            return real_lpt(model, theta_internal, *args, **kwargs)
+
+        def minimize(*args, **kwargs):
+            def callback(xk):
+                iterates.append(np.array(xk))
+            return real_minimize(*args, callback=callback, **kwargs)
+
+        monkeypatch.setattr(inference, "log_posterior_theta", recording)
+        monkeypatch.setattr(inference, "minimize", minimize)
+        grad_step = 1e-4
+        optimize_theta(m, grad_step=grad_step)
+        u = np.array(evaluated)
+        assert np.max(np.abs(u)) < 30.0
+        first = next(
+            k for k, uk in enumerate(u) if np.array_equal(uk, iterates[0])
+        )
+        # the first iterate and its gradient stencil included
+        head = u[: first + 1 + 2 * len(free)]
+        assert np.max(np.abs(head - u0)) <= 1.0 + grad_step
+
 
 class TestExploreTheta:
     def test_single_hyper_grid_is_odd_symmetric_unimodal(self):
@@ -930,6 +962,44 @@ class TestExploreTheta:
         dens /= np.trapezoid(dens, grid)
         mean_quad = float(np.trapezoid(dens * grid, grid))
         assert abs(mean_points - mean_quad) <= 0.01 * max(abs(mean_quad), sd)
+
+    @pytest.mark.parametrize("factory", [kappa_free_model, two_hyper_model])
+    def test_no_hyper_point_is_evaluated_twice(self, factory, monkeypatch):
+        m = factory()
+        theta_mode, hessian, info = optimize_theta(m)
+        evaluated, solved = [], []
+        real_lpt, real_ga = inference.log_posterior_theta, inference.gaussian_approx
+
+        def recording_lpt(model, theta_internal, *args, **kwargs):
+            evaluated.append(tuple(np.asarray(theta_internal).tolist()))
+            return real_lpt(model, theta_internal, *args, **kwargs)
+
+        def recording_ga(model, theta, *args, **kwargs):
+            solved.append(dict(theta))
+            return real_ga(model, theta, *args, **kwargs)
+
+        monkeypatch.setattr(inference, "log_posterior_theta", recording_lpt)
+        monkeypatch.setattr(inference, "gaussian_approx", recording_ga)
+        points = explore_theta(m, theta_mode, hessian)
+        assert len(evaluated) == len(set(evaluated))
+        assert {tuple(pt.theta_internal.tolist()) for pt in points} <= set(evaluated)
+
+        evaluated.clear()
+        solved.clear()
+        centered = explore_theta(
+            m, theta_mode, hessian, center=info["mode_approx"]
+        )
+        assert len(evaluated) == len(set(evaluated))
+        assert m.theta_natural(theta_mode) not in solved
+        assert tuple(theta_mode.tolist()) not in evaluated
+        assert [pt.theta_internal.tolist() for pt in centered] == [
+            pt.theta_internal.tolist() for pt in points
+        ]
+        np.testing.assert_allclose(
+            [pt.log_unnorm_posterior for pt in centered],
+            [pt.log_unnorm_posterior for pt in points],
+            rtol=1e-9,
+        )
 
     def test_flat_direction_stays_inside_the_hyper_box(self):
         # a near-flat curvature makes the first grid step 750 internal
@@ -1027,6 +1097,32 @@ class TestHyperMarginals:
         assert g["density"][0] == 0.0
         assert g["mode"] == pytest.approx(171 / 916, rel=1e-12)
 
+    def test_scans_start_warm_from_the_mode_point(self, monkeypatch):
+        m = two_hyper_model()
+        theta_mode, hessian, info = optimize_theta(m)
+        points = explore_theta(
+            m, theta_mode, hessian, center=info["mode_approx"]
+        )
+        cold = []
+        real = inference.gaussian_approx
+
+        def recording(model, theta, init_w=None, **kwargs):
+            cold.append(init_w is None)
+            return real(model, theta, init_w=init_w, **kwargs)
+
+        monkeypatch.setattr(inference, "gaussian_approx", recording)
+        hyper_marginals(m, points, theta_mode, hessian)
+        assert cold and not any(cold)
+
+    def test_points_without_the_mode_are_rejected(self):
+        m = two_hyper_model()
+        theta_mode, hessian, info = optimize_theta(m)
+        points = explore_theta(m, theta_mode, hessian)
+        away = [pt for pt in points
+                if not np.array_equal(pt.theta_internal, theta_mode)]
+        with pytest.raises(ValueError, match="no evaluation at theta_mode"):
+            hyper_marginals(m, away, theta_mode, hessian)
+
     def test_profile_scans_cover_every_free_hyper(self):
         m = two_hyper_model()
         fit = fit_model(m)
@@ -1066,6 +1162,22 @@ class TestFitModel:
             coarse.latent_summary["mean"] - fine.latent_summary["mean"]
         )
         assert np.all(d_mean <= 1e-3 * np.maximum(coarse.latent_summary["sd"], 1e-6))
+
+    def test_sim1_fit_pays_each_laplace_evaluation_once(self, monkeypatch):
+        # the parent design made 56 calls on this fit: a wild first step,
+        # a re-solved mode in the Hessian stencil and in the exploration,
+        # and exploration probes evaluated again as grid points
+        m = _study_model(generate_sim1, sim1_spec, SIM1_TRUTH, 1000, seed=1000)
+        calls = []
+        real = inference.log_posterior_theta
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "log_posterior_theta", counting)
+        fit_model(m)
+        assert len(calls) < 45
 
     def test_diagnostics_report_work_done(self):
         fit = fit_model(tau_free_model())

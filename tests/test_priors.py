@@ -12,6 +12,8 @@ from circfit.priors import (
     ConfigurationError,
     PriorSpec,
     TRANSFORMS,
+    _vm_kl_distance_deriv,
+    _vm_kl_distance_from_log,
     correlation_distance,
     eval_logprior,
     gaussian_logprior,
@@ -188,6 +190,42 @@ class TestPcKappa:
     def test_rejects_negative_kappa(self):
         with pytest.raises(ConfigurationError):
             pc_kappa_logprior(-1.0, 0.5, 0.5)
+
+    def test_scalar_internal_form_equals_the_array_formula(self):
+        # the scalar form evaluates one branch with one Bessel ratio; the
+        # array formula below evaluates both branches on whole arrays
+        v = np.concatenate([np.linspace(-20.0, 40.0, 2001), [6.0, 6.0 + 1e-9]])
+        d_ref, dd_ref = _array_distance_from_log(v)
+        for U, alpha in CAL_GRID:
+            lam = pc_kappa_rate(U, alpha)
+            with np.errstate(divide="ignore"):
+                ref = np.log(lam) - lam * d_ref + np.log(dd_ref)
+            got = np.array([pc_kappa_logprior_internal(x, U, alpha) for x in v])
+            np.testing.assert_array_equal(got, ref)
+        for x, d, dd in zip(v, d_ref, dd_ref):
+            assert _vm_kl_distance_from_log(x) == (d, dd)
+            assert type(pc_kappa_logprior_internal(x, 0.5, 0.5)) is float
+
+
+def _array_distance_from_log(v):
+    """Reference (d, dd/dv) on v = log kappa over whole arrays: the exact
+    Bessel formula up to v = 6, the large-kappa expansion above."""
+    v = np.asarray(v, dtype=float)
+    exact = v <= 6.0
+    k = np.exp(np.where(exact, v, 0.0))
+    d_exact = vm_kl_distance(k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dd_exact = np.where(d_exact > 0, k * _vm_kl_distance_deriv(k), 0.0)
+    ev = np.exp(np.where(exact, 0.0, -v))
+    dsq = (
+        v
+        + np.log(2.0 * np.pi)
+        - 1.0
+        - ev * (0.5 + ev * (0.375 + ev * (25.0 / 48.0)))
+    )
+    d_asym = np.sqrt(np.where(exact, 1.0, dsq))
+    dd_asym = (1.0 + ev * (0.5 + ev * (0.75 + ev * (25.0 / 16.0)))) / (2.0 * d_asym)
+    return np.where(exact, d_exact, d_asym), np.where(exact, dd_exact, dd_asym)
 
 
 def _resultant_inverse(U):
