@@ -29,8 +29,6 @@ which for the inverse-tangent link satisfy S = h and Q = h'.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import i0e, i1e
@@ -122,61 +120,6 @@ def vm_logpdf(x, mu, kappa):
     return out
 
 
-# ---------------------------------------------------------------------------
-# the inverse tangent link
-
-
-def _tanhalf_forward(z):
-    return 2.0 * np.arctan(z)
-
-
-def _tanhalf_inverse(y):
-    return np.tan(0.5 * np.asarray(y, dtype=float))
-
-
-def _tanhalf_inverse_derivative(y):
-    t = np.tan(0.5 * np.asarray(y, dtype=float))
-    return 0.5 * (1.0 + t * t)
-
-
-def _tanhalf_log_slope_d1(y):
-    # S(y) = d/dy log h'(y)
-    return np.tan(0.5 * np.asarray(y, dtype=float))
-
-
-def _tanhalf_log_slope_d2(y):
-    # Q(y) = S'(y)
-    t = np.tan(0.5 * np.asarray(y, dtype=float))
-    return 0.5 * (1.0 + t * t)
-
-
-@dataclass(frozen=True)
-class LinkFunction:
-    """Bijection g from the real line onto the open circle (-pi, pi).
-
-    ``forward`` is g, ``inverse`` is h = g^{-1}, ``inverse_derivative`` is h'.
-    ``log_slope_d1``/``log_slope_d2`` are the first two derivatives of
-    log h', needed by the LAvM derivative formulas.
-    """
-
-    name: str
-    forward: Callable
-    inverse: Callable
-    inverse_derivative: Callable
-    log_slope_d1: Callable
-    log_slope_d2: Callable
-
-
-TANHALF_LINK = LinkFunction(
-    name="inverse_tangent",
-    forward=_tanhalf_forward,
-    inverse=_tanhalf_inverse,
-    inverse_derivative=_tanhalf_inverse_derivative,
-    log_slope_d1=_tanhalf_log_slope_d1,
-    log_slope_d2=_tanhalf_log_slope_d2,
-)
-
-
 def _check_open_interval(x, name: str = "x") -> np.ndarray:
     arr = _as_finite_array(x, name)
     if np.any(np.abs(arr) >= np.pi - BOUNDARY_MARGIN):
@@ -250,19 +193,22 @@ def lavm_dx_logpdf(x, eta, kappa):
         d1 = z'(x) * (-kappa*sin z - S(z)) + S(x)
         d2 = z''(x) * (-kappa*sin z - S(z)) - z'(x)^2 * (kappa*cos z + Q(z)) + Q(x)
 
-    where z''(x) = z'(x) * (S(x) - z'(x) * S(z)).
+    where z''(x) = z'(x) * (S(x) - z'(x) * S(z)).  As in ``_lavm_terms``
+    the z terms are rational in u = tan(x/2) - eta: S(z) = u,
+    Q(z) = h'(z) = (1 + u^2)/2, sin z = u/h'(z) and cos z = 1 - u*sin z.
     """
-    link = TANHALF_LINK
     xa = _check_open_interval(x, "x")
     ea = _as_finite_array(eta, "eta")
-    z = link.forward(link.inverse(xa) - ea)
-    zp = link.inverse_derivative(xa) / link.inverse_derivative(z)
-    s_x, s_z = link.log_slope_d1(xa), link.log_slope_d1(z)
-    q_x, q_z = link.log_slope_d2(xa), link.log_slope_d2(z)
-    core = -kappa * np.sin(z) - s_z
-    zpp = zp * (s_x - zp * s_z)
-    d1 = zp * core + s_x
-    d2 = zpp * core - zp * zp * (kappa * np.cos(z) + q_z) + q_x
+    t_x = np.tan(0.5 * xa)
+    u = t_x - ea
+    hp_x = 0.5 * (1.0 + t_x * t_x)
+    hp_z = 0.5 * (1.0 + u * u)
+    sin_z = u / hp_z
+    zp = hp_x / hp_z
+    core = -kappa * sin_z - u
+    zpp = zp * (t_x - zp * u)
+    d1 = zp * core + t_x
+    d2 = zpp * core - zp * zp * (kappa * (1.0 - u * sin_z) + hp_z) + hp_x
     if np.ndim(x) == 0 and np.ndim(eta) == 0:
         return float(d1), float(d2)
     return d1, d2
@@ -324,7 +270,7 @@ def lavm_sample(rng: np.random.Generator, eta, kappa, size=None):
     if size is None and np.ndim(eta) > 0:
         size = np.shape(ea)
     z = vm_sample(rng, 0.0, kappa, size=size)
-    x = TANHALF_LINK.forward(TANHALF_LINK.inverse(z) + ea)
+    x = 2.0 * np.arctan(np.tan(0.5 * z) + ea)
     if size is None and np.ndim(eta) == 0:
         return float(x)
     return x

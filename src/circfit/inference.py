@@ -548,6 +548,32 @@ class _HyperSpace:
         return bool(np.all((u >= self.lower) & (u <= self.upper)))
 
 
+class _WarmStarts:
+    """Laplace evaluations along a path of hyper points, the policy all
+    three hyper stages share.  Each evaluation warm-starts from ``w``, the
+    latent mode of the last success (callers may set it); a failed warm
+    start is retried cold once, and a failed cold start is deterministic,
+    so it is not repeated."""
+
+    def __init__(self, model):
+        self.model = model
+        self.w = None
+
+    def __call__(self, theta_internal):
+        """``log_posterior_theta``'s (lp, approx), or None on failure."""
+        try:
+            lp, approx = log_posterior_theta(
+                self.model, theta_internal, init_w=self.w
+            )
+        except InferenceError:
+            if self.w is None:
+                return None
+            self.w = None
+            return self(theta_internal)
+        self.w = approx.mode
+        return lp, approx
+
+
 def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
                    max_evals=200, hessian_step=0.05):
     """Quasi-Newton search for the hyper posterior mode with central
@@ -572,9 +598,8 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
     """
     space = _HyperSpace(model)
     m = space.dim
-    state = {
-        "w": None, "evals": 0, "budgeted": True, "best": (-np.inf, None, None)
-    }
+    solve = _WarmStarts(model)
+    state = {"evals": 0, "budgeted": True, "best": (-np.inf, None, None)}
 
     def lp_at(u):
         theta_internal = space.to_full(u)
@@ -582,23 +607,12 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
             state["evals"] += 1
             if state["evals"] > max_evals:
                 raise _EvalBudget()
-        try:
-            lp, approx = log_posterior_theta(
-                model, theta_internal, init_w=state["w"]
-            )
-        except InferenceError:
-            # a cold start can rescue a failed warm start; a failed cold
-            # start is deterministic, so it is not repeated.  A point that
-            # fails is usually a wild line search excursion: report a
-            # steep wall instead of aborting
-            if state["w"] is None:
-                return -1e10
-            state["w"] = None
-            try:
-                lp, approx = log_posterior_theta(model, theta_internal)
-            except InferenceError:
-                return -1e10
-        state["w"] = approx.mode
+        result = solve(theta_internal)
+        if result is None:
+            # usually a wild line search excursion: report a steep wall
+            # instead of aborting
+            return -1e10
+        lp, approx = result
         if lp > state["best"][0]:
             state["best"] = (lp, theta_internal, approx)
         return lp
@@ -661,7 +675,7 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
     u_mode = space.to_u(theta_mode)
 
     state["budgeted"] = False
-    state["w"] = approx_mode.mode
+    solve.w = approx_mode.mode
 
     h = hessian_step
     H = np.zeros((m, m))
@@ -729,21 +743,14 @@ def explore_theta(model, theta_mode_internal, hessian, step=0.75, drop=5.0,
     space = _HyperSpace(model)
     m = space.dim
     u_mode = space.to_u(theta_mode_internal)
-    state = {"w": None}
+    solve = _WarmStarts(model)
 
     def evaluate(u):
         th = space.to_full(u)
-        if not space.inside(u):
+        result = solve(th) if space.inside(u) else None
+        if result is None:
             return th, -np.inf, None
-        try:
-            lp, approx = log_posterior_theta(model, th, init_w=state["w"])
-        except InferenceError:
-            if state["w"] is not None:
-                state["w"] = None
-                return evaluate(u)
-            return th, -np.inf, None
-        state["w"] = approx.mode
-        return th, lp, approx
+        return (th,) + result
 
     if center is None:
         th0, lp0, approx0 = evaluate(u_mode)
@@ -767,7 +774,7 @@ def explore_theta(model, theta_mode_internal, hessian, step=0.75, drop=5.0,
         for i in range(m):
             ext = 0
             for sign in (1, -1):
-                state["w"] = approx0.mode
+                solve.w = approx0.mode
                 for kk in range(1, max_steps + 1):
                     z = np.zeros(m, dtype=int)
                     z[i] = sign * kk
@@ -780,13 +787,13 @@ def explore_theta(model, theta_mode_internal, hessian, step=0.75, drop=5.0,
         grids = [np.arange(-extents[i], extents[i] + 1) for i in range(m)]
         mesh = np.meshgrid(*grids, indexing="ij")
         offsets = np.stack([g.ravel() for g in mesh], axis=-1)
-        state["w"] = approx0.mode
+        solve.w = approx0.mode
         for z in offsets:
             key = tuple(z.tolist())
             if key not in reached:
                 reached[key] = evaluate(u_mode + axes @ z)
             elif reached[key][2] is not None:
-                state["w"] = reached[key][2].mode
+                solve.w = reached[key][2].mode
             th, lp, approx = reached[key]
             if approx is not None:
                 points.append([th, lp, 1.0, approx])
@@ -964,24 +971,11 @@ def hyper_marginals(model, points, theta_mode_internal, hessian,
     if space.dim >= 2:
         Hinv = np.linalg.inv(hessian)
         u_mode = space.to_u(theta_mode_internal)
-        state = {"w": None}
+        solve = _WarmStarts(model)
 
         def eval_theta(u):
-            if not space.inside(u):
-                return -np.inf
-            th = space.to_full(u)
-            try:
-                lp, approx = log_posterior_theta(model, th, init_w=state["w"])
-            except InferenceError:
-                if state["w"] is None:
-                    return -np.inf
-                state["w"] = None
-                try:
-                    lp, approx = log_posterior_theta(model, th)
-                except InferenceError:
-                    return -np.inf
-            state["w"] = approx.mode
-            return lp
+            result = solve(space.to_full(u)) if space.inside(u) else None
+            return -np.inf if result is None else result[0]
 
         at_mode = [
             pt for pt in points
@@ -1020,7 +1014,7 @@ def hyper_marginals(model, points, theta_mode_internal, hessian,
                 return lp
 
             for sign in (1.0, -1.0):
-                state["w"] = w_mode
+                solve.w = w_mode
                 for kk in range(1, max_steps + 1):
                     lp = eval_at(sign * kk * scan_step * sd_j)
                     if lp < lp0 - scan_drop:

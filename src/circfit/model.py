@@ -8,7 +8,9 @@ in the latent field and the model stays a latent Gaussian model.
 
 Assembly expands shared predictors symbolically: a term like
 b1 * (predictor of block x) becomes the inner block's terms with b1 joined
-onto each term's chain of scale hyperparameters.
+onto each term's chain of scale hyperparameters.  Each expanded term is kept
+once, as a ``PredictorTerm`` on its assembled block; ``term_design`` maps it
+to latent nodes and coefficients for the fitted inputs and for new ones.
 """
 
 import warnings
@@ -49,7 +51,9 @@ __all__ = [
     "ModelSpec",
     "HyperCoord",
     "AssembledModel",
+    "PredictorTerm",
     "build_model",
+    "term_design",
     "predictor_values",
     "classical_sincos_spec",
 ]
@@ -234,14 +238,15 @@ class HyperCoord:
 
 
 class AssembledModel:
-    """The flattened model: latent layout, hyper layout, per-block terms."""
+    """The flattened model: latent layout, hyper layout, per-block terms.
+    ``build_model`` fills ``blocks`` once the latent layout exists."""
 
-    def __init__(self, spec, hyper_coords, blocks, comp_offsets, effect_nodes,
+    def __init__(self, spec, hyper_coords, comp_offsets, effect_nodes,
                  latent_dim, constraints, unit_precisions):
         self.spec = spec
         self.hyper_coords = hyper_coords
         self.hyper_index = {c.name: i for i, c in enumerate(hyper_coords)}
-        self.blocks = blocks
+        self.blocks = {}
         self.comp_offsets = comp_offsets
         self.effect_nodes = effect_nodes
         self.latent_dim = latent_dim
@@ -374,14 +379,13 @@ class _BlockPattern:
     ``rows`` and ``cols`` give each stored entry's position."""
 
     def __init__(self, block, latent_dim):
-        mats = [M for M, _ in block.terms]
+        mats = [t.matrix for t in block.terms]
         union = _pattern(mats, (block.size, latent_dim), "csr")
         keys = _keys(union)
         self.coef = np.zeros((len(block.terms), union.nnz))
         for t, M in enumerate(mats):
-            M = sparse.csr_array(M)
             self.coef[t, _positions(keys, M)] = M.data
-        self.chains = [chain for _, chain in block.terms]
+        self.terms = block.terms
         self.pattern = union
         self.rows = np.repeat(np.arange(union.shape[0]), np.diff(union.indptr))
         self.cols = union.indices
@@ -389,10 +393,8 @@ class _BlockPattern:
     def values(self, theta):
         """A_b(theta)'s stored values in pattern order."""
         data = None
-        for coef, chain in zip(self.coef, self.chains):
-            factor = 1.0
-            for h in chain:
-                factor *= theta[h]
+        for coef, term in zip(self.coef, self.terms):
+            factor = term.factor(theta)
             data = coef * factor if data is None else data + coef * factor
         return data
 
@@ -676,12 +678,35 @@ class NewtonSystem:
 
 
 @dataclass(frozen=True)
+class PredictorTerm:
+    """One expanded term of a block predictor.
+
+    ``spec`` is the ``TermSpec`` as declared (never a shared term: those are
+    expanded into the referenced block's terms), ``chain`` the names of
+    every scale hyper that multiplies it, the shared-predictor scales first
+    and its own scale last, and ``matrix`` its observation-by-latent csr
+    matrix at the fitted inputs, without scales.
+    """
+
+    spec: TermSpec
+    chain: tuple
+    matrix: sparse.csr_array
+
+    def factor(self, theta):
+        """The product of the chain's natural hyper values."""
+        factor = 1.0
+        for h in self.chain:
+            factor *= theta[h]
+        return factor
+
+
+@dataclass(frozen=True)
 class AssembledBlock:
     name: str
     family: str
     responses: np.ndarray
     hyper: Optional[str]
-    terms: tuple  # of (csr matrix, tuple of scale-hyper names)
+    terms: tuple  # of PredictorTerm
 
     @property
     def size(self) -> int:
@@ -694,8 +719,9 @@ class AssembledBlock:
         )
 
 
-def _expand_terms(spec, block, block_by_name, seen):
-    """Flatten shared-predictor references into (term, scale-chain) pairs."""
+def _expand_terms(block, block_by_name, seen):
+    """Flatten shared-predictor references into (term, full scale chain)
+    pairs, shared scales first."""
     if block.name in seen:
         chain = " -> ".join(list(seen) + [block.name])
         raise ConfigurationError(f"shared predictors form a cycle: {chain}")
@@ -714,69 +740,77 @@ def _expand_terms(spec, block, block_by_name, seen):
                     f"needs matching sizes ({block.size} vs {inner.size})"
                 )
             for t, chain in _expand_terms(
-                spec, inner, block_by_name, seen + [block.name]
+                inner, block_by_name, seen + [block.name]
             ):
                 out.append((t, (term.scale,) + chain))
         else:
-            out.append((term, ()))
+            out.append((term, (term.scale,) if term.scale else ()))
     return out
 
 
-def _term_matrix(spec, block, term, comp_offsets, effect_nodes, latent_dim):
-    n = block.size
-    rows = np.arange(n)
+def term_design(model, block, term, m, covariates, indices):
+    """Latent node and coefficient of each of m observations of block
+    ``block`` under one expanded term, as two length-m arrays.
+
+    ``covariates`` maps names to length-m columns, read by a fixed term.
+    ``indices`` maps component names to length-m node maps, read by a
+    component term; None stands for the fitted inputs, where a component
+    term uses its own ``indices`` or else the identity.  A cyclic_rw2
+    component without a map takes position modulo its period.  Raises
+    ConfigurationError for an unknown fixed effect, component or covariate,
+    a missing node map, an input whose length is not m, or a node outside
+    the component.
+    """
     if term.kind in ("intercept", "fixed"):
-        node = effect_nodes.get(term.ref)
+        node = model.effect_nodes.get(term.ref)
         if node is None:
             raise ConfigurationError(
-                f"block {block.name!r}: term references unknown fixed effect "
+                f"block {block!r}: term references unknown fixed effect "
                 f"{term.ref!r}"
             )
-        if term.kind == "intercept":
-            vals = np.ones(n)
-        else:
-            z = spec.covariates.get(term.covariate)
+        coef = np.ones(m)
+        if term.kind == "fixed":
+            z = covariates.get(term.covariate)
             if z is None:
                 raise ConfigurationError(
-                    f"block {block.name!r}: unknown covariate {term.covariate!r}"
+                    f"block {block!r}: covariate {term.covariate!r} is not given"
                 )
-            if z.size != n:
+            coef = np.asarray(z, dtype=float)
+            if coef.size != m:
                 raise ConfigurationError(
-                    f"block {block.name!r}: covariate {term.covariate!r} has "
-                    f"length {z.size}, expected {n}"
+                    f"block {block!r}: covariate {term.covariate!r} has "
+                    f"length {coef.size}, expected {m}"
                 )
-            vals = z
-        cols = np.full(n, node)
-    else:  # component
-        comp = next(
-            (c for c in spec.components if c.name == term.ref), None
+        return np.full(m, node), coef
+    comp = model.components.get(term.ref)
+    if comp is None:
+        raise ConfigurationError(
+            f"block {block!r}: term references unknown component {term.ref!r}"
         )
-        if comp is None:
-            raise ConfigurationError(
-                f"block {block.name!r}: term references unknown component "
-                f"{term.ref!r}"
-            )
-        if term.indices is not None:
-            idx = np.asarray(term.indices, dtype=int)
-            if idx.size != n:
-                raise ConfigurationError(
-                    f"block {block.name!r}: component term index map has "
-                    f"length {idx.size}, expected {n}"
-                )
-        elif comp.kind == "cyclic_rw2":
-            idx = rows % comp.period
+    idx = term.indices if indices is None else indices.get(term.ref)
+    if idx is None:
+        if comp.kind == "cyclic_rw2":
+            idx = np.arange(m) % comp.period
+        elif indices is None:
+            idx = np.arange(m)
         else:
-            idx = rows
-        if idx.min() < 0 or idx.max() >= comp.dimension:
             raise ConfigurationError(
-                f"block {block.name!r}: component term indices exceed "
-                f"{term.ref!r} (dimension {comp.dimension})"
+                f"block {block!r}: new inputs need node indices for "
+                f"component {term.ref!r}"
             )
-        vals = np.ones(n)
-        cols = comp_offsets[comp.name] + idx
-    return sparse.csr_array(
-        sparse.coo_array((vals, (rows, cols)), shape=(n, latent_dim))
-    )
+    idx = np.asarray(idx, dtype=int)
+    if idx.size != m:
+        raise ConfigurationError(
+            f"block {block!r}: index map for component {term.ref!r} has "
+            f"length {idx.size}, expected {m}"
+        )
+    if idx.min() < 0 or idx.max() >= comp.dimension:
+        raise ConfigurationError(
+            f"block {block!r}: component term indices exceed {term.ref!r} "
+            f"(dimension {comp.dimension}); future positions need a "
+            f"forecast task"
+        )
+    return model.comp_offsets[comp.name] + idx, np.ones(m)
 
 
 def _layout_hypers(spec):
@@ -903,22 +937,6 @@ def build_model(spec: ModelSpec) -> AssembledModel:
             f"declared hyperparameters never bound: {sorted(unbound)}"
         )
 
-    # expand predictors into (matrix, scale-chain) pairs
-    block_by_name = {b.name: b for b in spec.blocks}
-    assembled_blocks = {}
-    for block in spec.blocks:
-        terms = []
-        for term, chain in _expand_terms(spec, block, block_by_name, []):
-            full_chain = chain + ((term.scale,) if term.scale else ())
-            M = _term_matrix(spec, block, term, comp_offsets, effect_nodes, dim)
-            terms.append((M, full_chain))
-        assembled_blocks[block.name] = AssembledBlock(
-            block.name, block.family, block.responses, block.hyper, tuple(terms)
-        )
-
-    if dim == 0:
-        raise ConfigurationError("model has no latent nodes")
-
     # global constraint rows, padded to the latent dimension
     rows = []
     for comp in spec.components:
@@ -930,16 +948,36 @@ def build_model(spec: ModelSpec) -> AssembledModel:
                 rows.append(row)
     constraints = np.vstack(rows) if rows else np.empty((0, dim))
 
-    return AssembledModel(
+    model = AssembledModel(
         spec=spec,
         hyper_coords=coords,
-        blocks=assembled_blocks,
         comp_offsets=comp_offsets,
         effect_nodes=effect_nodes,
         latent_dim=dim,
         constraints=constraints,
         unit_precisions=unit,
     )
+
+    # expand each block's predictor into terms laid out on the latent field
+    block_by_name = {b.name: b for b in spec.blocks}
+    for block in spec.blocks:
+        n = block.size
+        terms = []
+        for term, chain in _expand_terms(block, block_by_name, []):
+            cols, vals = term_design(
+                model, block.name, term, n, spec.covariates, None
+            )
+            M = sparse.csr_array(
+                sparse.coo_array((vals, (np.arange(n), cols)), shape=(n, dim))
+            )
+            terms.append(PredictorTerm(term, chain, M))
+        model.blocks[block.name] = AssembledBlock(
+            block.name, block.family, block.responses, block.hyper, tuple(terms)
+        )
+
+    if dim == 0:
+        raise ConfigurationError("model has no latent nodes")
+    return model
 
 
 def predictor_values(model: AssembledModel, w: np.ndarray, theta: dict) -> dict:

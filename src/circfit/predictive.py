@@ -3,11 +3,15 @@ leave-one-out metrics.
 
 Everything here consumes a finished FitResult: hyper vectors are drawn from
 the exploration weights, latent vectors from the matching conditional
-Gaussians, and responses from the block families.  Forecasting extends the
-latent components past the fitted range (ar2 by its exact conditional given
-the last two states, cyclic components by indexing modulo their period, iid
-effects by fresh draws) and composes predictors from whatever future
-covariates the task declares as observed.
+Gaussians, and responses from the block families.  Predictors at new inputs
+and the fixed-effect part of a forecast come from the assembled terms through
+``model.term_design``, the map that built the fitted design.  Forecasting
+extends the latent components past the fitted range (ar2 by its exact
+conditional given the last two states, cyclic components by indexing modulo
+their period, iid effects by fresh draws) and composes predictors from
+whatever future covariates the task declares as observed.  A component term
+with an explicit index map cannot be forecast: the map says nothing about
+future positions.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +23,7 @@ from scipy.signal import fftconvolve
 from .circular import lavm_sample
 from .latent import pacf_to_ar2
 from .likelihoods import loglik
-from .model import _expand_terms
+from .model import term_design
 from .priors import ConfigurationError
 
 __all__ = [
@@ -155,78 +159,6 @@ def _draw_responses(rng, family, eta, hyper):
     raise ConfigurationError(f"unknown likelihood family {family!r}")
 
 
-def _chain_factor(theta, term, chain):
-    factor = 1.0
-    for h in chain:
-        factor *= theta[h]
-    if term.scale is not None:
-        factor *= theta[term.scale]
-    return factor
-
-
-def _expanded_terms(model):
-    spec = model.spec
-    block_by_name = {b.name: b for b in spec.blocks}
-    return {
-        b.name: _expand_terms(spec, b, block_by_name, []) for b in spec.blocks
-    }
-
-
-def _new_design_eta(model, block_name, theta, w_batch, covariates, indices, m):
-    """Predictors for m new observations of a block, one row per latent draw.
-
-    covariates: name -> length-m array for every fixed-effect term involved;
-    indices: component name -> length-m node index array (cyclic components
-    default to position modulo period).
-    """
-    covariates = covariates or {}
-    indices = indices or {}
-    expanded = _expanded_terms(model)
-    eta = np.zeros((w_batch.shape[0], m))
-    for term, chain in expanded[block_name]:
-        factor = _chain_factor(theta, term, chain)
-        if term.kind == "intercept":
-            eta += factor * w_batch[:, [model.effect_nodes[term.ref]]]
-        elif term.kind == "fixed":
-            z = covariates.get(term.covariate)
-            if z is None:
-                raise ConfigurationError(
-                    f"prediction for block {block_name!r} needs covariate "
-                    f"{term.covariate!r}"
-                )
-            z = np.asarray(z, dtype=float)
-            if z.size != m:
-                raise ConfigurationError(
-                    f"covariate {term.covariate!r} has length {z.size}, "
-                    f"expected {m}"
-                )
-            eta += factor * w_batch[:, [model.effect_nodes[term.ref]]] * z
-        else:
-            comp = model.components[term.ref]
-            idx = indices.get(term.ref)
-            if idx is None and comp.kind == "cyclic_rw2":
-                idx = np.arange(m) % comp.period
-            if idx is None:
-                raise ConfigurationError(
-                    f"prediction for block {block_name!r} needs node indices "
-                    f"for component {term.ref!r}"
-                )
-            idx = np.asarray(idx, dtype=int)
-            if idx.size != m:
-                raise ConfigurationError(
-                    f"index map for component {term.ref!r} has length "
-                    f"{idx.size}, expected {m}"
-                )
-            if idx.min() < 0 or idx.max() >= comp.dimension:
-                raise ConfigurationError(
-                    f"component {term.ref!r} has no node for the requested "
-                    f"index (dimension {comp.dimension}); future positions "
-                    f"need a forecast task"
-                )
-            eta += factor * w_batch[:, model.comp_offsets[term.ref] + idx]
-    return eta
-
-
 def _scott_bandwidth(data):
     """Scott's rule h = sd(ddof=1) * N^(-1/5), the bandwidth gaussian_kde
     uses."""
@@ -311,20 +243,23 @@ def posterior_predictive(fit, block, new_inputs=None, n=300, rng=None):
         rng = np.random.default_rng(0)
     model = fit.model
     blk = model.blocks[block]
+    if new_inputs is not None:
+        m = int(new_inputs["size"])
+        design = [
+            (t, *term_design(
+                model, block, t.spec, m, new_inputs.get("covariates") or {},
+                new_inputs.get("indices") or {},
+            ))
+            for t in blk.terms
+        ]
     out = []
     for _, theta, latents in _point_batches(fit, n, rng):
         if new_inputs is None:
             eta = latents @ model.block_matrix(block, theta).T
         else:
-            eta = _new_design_eta(
-                model,
-                block,
-                theta,
-                latents,
-                new_inputs.get("covariates"),
-                new_inputs.get("indices"),
-                int(new_inputs["size"]),
-            )
+            eta = np.zeros((latents.shape[0], m))
+            for t, nodes, coef in design:
+                eta += t.factor(theta) * latents[:, nodes] * coef
         hyper = theta[blk.hyper] if blk.hyper else None
         out.append(_draw_responses(rng, blk.family, eta, hyper))
     draws = np.vstack(out)
@@ -393,21 +328,22 @@ def forecast(fit, task, rng=None, n_draws=300):
     if rng is None:
         rng = np.random.default_rng(0)
     model = fit.model
-    expanded = _expanded_terms(model)
     origins = task.origins
     H = task.horizon
 
-    needed = set()
-    for name in model.blocks:
-        for term, _ in expanded[name]:
-            if term.kind == "component":
-                comp = model.components[term.ref]
-                if term.indices is not None and comp.kind != "cyclic_rw2":
-                    raise ConfigurationError(
-                        f"block {name!r} maps component {term.ref!r} through "
-                        "explicit indices; its future positions are undefined"
-                    )
-                needed.add(term.ref)
+    needed, covariates = set(), set()
+    for name, blk in model.blocks.items():
+        for t in blk.terms:
+            if t.spec.kind == "fixed":
+                covariates.add(t.spec.covariate)
+            if t.spec.kind != "component":
+                continue
+            if t.spec.indices is not None:
+                raise ConfigurationError(
+                    f"block {name!r} maps component {t.spec.ref!r} through "
+                    "explicit indices; its future positions are undefined"
+                )
+            needed.add(t.spec.ref)
 
     draws = {
         name: np.empty((n_draws, len(origins), H)) for name in model.blocks
@@ -423,21 +359,20 @@ def forecast(fit, task, rng=None, n_draws=300):
                 for cname in sorted(needed)
             }
             steps = t0 + 1 + np.arange(H)
+            future = {
+                c: _future_covariate(model, task, c, steps)
+                for c in sorted(covariates)
+            }
             for name, blk in model.blocks.items():
                 eta = np.zeros((S, H))
-                for term, chain in expanded[name]:
-                    factor = _chain_factor(theta, term, chain)
-                    if term.kind == "intercept":
-                        eta += factor * latents[:, [model.effect_nodes[term.ref]]]
-                    elif term.kind == "fixed":
-                        z = _future_covariate(model, task, term.covariate, steps)
-                        eta += (
-                            factor
-                            * latents[:, [model.effect_nodes[term.ref]]]
-                            * z[None, :]
-                        )
+                for t in blk.terms:
+                    if t.spec.kind == "component":
+                        eta += t.factor(theta) * ext[t.spec.ref]
                     else:
-                        eta += factor * ext[term.ref]
+                        nodes, coef = term_design(
+                            model, name, t.spec, H, future, {}
+                        )
+                        eta += t.factor(theta) * latents[:, nodes] * coef
                 hyper = theta[blk.hyper] if blk.hyper else None
                 draws[name][row : row + S, oi] = _draw_responses(
                     rng, blk.family, eta, hyper

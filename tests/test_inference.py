@@ -483,8 +483,8 @@ class TestAssembly:
         Q_ref = block_diag(*parts)
         for name, blk in m.blocks.items():
             A = np.zeros((blk.size, m.latent_dim))
-            for M, chain in blk.terms:
-                A += M.toarray() * np.prod([theta[h] for h in chain])
+            for t in blk.terms:
+                A += t.matrix.toarray() * np.prod([theta[h] for h in t.chain])
             eta = A @ w
             hyper = theta[blk.hyper] if blk.hyper else None
             _, _, d2 = loglik(blk.family, blk.responses, eta, hyper)

@@ -116,9 +116,9 @@ class TestLayout:
         assert [c.name for c in a.hyper_coords] == [c.name for c in b.hyper_coords]
         assert a.effect_nodes == b.effect_nodes
         for name in a.blocks:
-            for (Ma, ca), (Mb, cb) in zip(a.blocks[name].terms, b.blocks[name].terms):
-                assert ca == cb
-                assert (Ma != Mb).nnz == 0
+            for ta, tb in zip(a.blocks[name].terms, b.blocks[name].terms):
+                assert ta.chain == tb.chain
+                assert (ta.matrix != tb.matrix).nnz == 0
         np.testing.assert_array_equal(a.constraints, b.constraints)
 
     def test_constraints_padded_to_latent_dim(self):
@@ -454,11 +454,11 @@ def reference_prior(m, theta):
 def reference_block(m, name, theta):
     """Sum over the block's terms of M times its scale-chain product."""
     A = None
-    for M, chain in m.blocks[name].terms:
+    for t in m.blocks[name].terms:
         factor = 1.0
-        for h in chain:
+        for h in t.chain:
             factor *= theta[h]
-        A = M * factor if A is None else A + M * factor
+        A = t.matrix * factor if A is None else A + t.matrix * factor
     return sparse.csr_array(A)
 
 

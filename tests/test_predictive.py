@@ -363,6 +363,71 @@ class TestPosteriorPredictive:
         with pytest.raises(ConfigurationError, match="covariate"):
             posterior_predictive(fit, "y", new_inputs={"size": 3}, n=10)
 
+    def test_fitted_inputs_as_new_inputs_match_fitted_draws(self):
+        # intercept, fixed, component and shared terms: the new-input
+        # predictors at the fitted covariates and node maps must equal the
+        # fitted design's, at every exploration point
+        n = 30
+        rng = np.random.default_rng(7)
+        signal = np.sin(2.0 * np.pi * np.arange(n) / n)
+        z = rng.normal(size=n)
+        x = 2.0 * np.arctan(0.3 + 0.8 * signal) + rng.vonmises(0.0, 8.0, n)
+        y = 0.5 + 0.7 * z + 0.8 * signal + rng.normal(0.0, 0.3, n)
+        spec = ModelSpec(
+            blocks=(
+                BlockSpec(
+                    "x",
+                    "lavm",
+                    np.clip(x, -3.0, 3.0),
+                    (
+                        TermSpec("intercept", "a0"),
+                        TermSpec("component", "w", scale="a1"),
+                    ),
+                    hyper="kappa",
+                ),
+                BlockSpec(
+                    "y",
+                    "gaussian",
+                    y,
+                    (
+                        TermSpec("intercept", "b0"),
+                        TermSpec("fixed", "beta", covariate="z"),
+                        TermSpec("shared", "x", scale="b1"),
+                    ),
+                    hyper="tau",
+                ),
+            ),
+            components=(ComponentSpec("w", "iid", n),),
+            fixed_effects=(
+                FixedEffectSpec("a0"),
+                FixedEffectSpec("b0"),
+                FixedEffectSpec("beta"),
+            ),
+            hypers={
+                "kappa": PriorSpec("fixed", (8.0,)),
+                "tau": PriorSpec("fixed", (10.0,)),
+                "a1": PriorSpec("pc_scale", (0.5, 0.5)),
+                "b1": PriorSpec("gaussian", (0.0, 1.0)),
+            },
+            covariates={"z": z},
+        )
+        fit = fit_model(build_model(spec))
+        assert len(fit.points) > 1
+        inputs = {
+            "size": n,
+            "covariates": spec.covariates,
+            "indices": {"w": np.arange(n)},
+        }
+        for block in ("x", "y"):
+            fitted = posterior_predictive(
+                fit, block, n=200, rng=np.random.default_rng(3)
+            )["draws"]
+            new = posterior_predictive(
+                fit, block, new_inputs=inputs, n=200,
+                rng=np.random.default_rng(3),
+            )["draws"]
+            np.testing.assert_allclose(new, fitted, rtol=0.0, atol=1e-12)
+
 
 class TestForecast:
     def test_task_validation(self):
@@ -426,6 +491,39 @@ class TestForecast:
         fit = fit_model(m)
         task = ForecastTask(horizon=2, origins=(23,))
         with pytest.raises(ConfigurationError, match="extended"):
+            forecast(fit, task, rng=np.random.default_rng(0), n_draws=20)
+
+    def test_cyclic_component_with_index_map_is_not_forecast(self):
+        # the map shifts the phase by two; extending by time modulo the
+        # period would forecast the cycle out of phase
+        period, n = 6, 36
+        t = np.arange(n)
+        idx = (t + 2) % period
+        cycle = 2.0 * np.sin(2.0 * np.pi * np.arange(period) / period)
+        y = cycle[idx] + np.random.default_rng(0).normal(0.0, 0.05, n)
+        spec = ModelSpec(
+            blocks=(
+                BlockSpec(
+                    "y",
+                    "gaussian",
+                    y,
+                    (TermSpec("component", "s", indices=tuple(idx)),),
+                    hyper="tau",
+                ),
+            ),
+            components=(
+                ComponentSpec(
+                    "s", "cyclic_rw2", n, period=period, precision_hyper="lam"
+                ),
+            ),
+            hypers={
+                "tau": PriorSpec("fixed", (400.0,)),
+                "lam": PriorSpec("fixed", (1.0,)),
+            },
+        )
+        fit = fit_model(build_model(spec))
+        task = ForecastTask(horizon=6, origins=(n - 1,))
+        with pytest.raises(ConfigurationError, match="explicit indices"):
             forecast(fit, task, rng=np.random.default_rng(0), n_draws=20)
 
     def test_interval_width_grows_with_horizon(self):
