@@ -13,7 +13,8 @@ log det(Q) + log det(C Q^{-1} C') unchanged (matrix determinant lemma), and
 that combination is exactly what the conditional Gaussian density needs, so
 when Q is not positive definite the solver factorizes the ridged matrix
 Q + c*C'C instead, which is positive definite even when the likelihood
-contributes no curvature along the constrained directions.
+contributes no curvature along the constrained directions.  The factor
+``_factor_spd`` returns is the one place they are computed.
 """
 
 import time
@@ -48,20 +49,29 @@ CURVATURE_MIN = 1e-12
 
 
 class _BandArrowFactor:
-    """Cholesky factor of Q* (plus rho C'C when ``ridge`` is (rho, C)) in
-    the band + arrow layout of ``ModelStructure``: Q* = [[A, B], [B', D]] with A the
-    banded component block in band order, B the cross block and D the
-    fixed-effect arrow.  Holds the band factor L_A of A, X = A^{-1} B and
-    the Cholesky factor L_S of the Schur complement D - B'X, so the factored
-    matrix is L L' with L = [[L_A, 0], [X' L_A, L_S]]."""
+    """Cholesky factor of Q* (plus rho C'C after the constraint ridge) in
+    the band + arrow layout of ``ModelStructure``, conditioned on the
+    model's constraints C w = 0 by kriging (Rue & Held 2005, 2.3.3).
 
-    def __init__(self, structure, data, ridge, band, X, schur):
+    Q* = [[A, B], [B', D]] with A the banded component block in band order,
+    B the cross block and D the fixed-effect arrow.  Holds the band factor
+    L_A of A, X = A^{-1} B and the Cholesky factor L_S of the Schur
+    complement D - B'X, so the factored matrix is L L' with
+    L = [[L_A, 0], [X' L_A, L_S]] and ``half_logdet`` = log det L.  When C
+    has rows ``_factor_spd`` sets ``QinvCt`` = Q^{-1} C', ``S_chol`` =
+    chol(C Q^{-1} C') and the constrained half log determinant
+    ``det_half`` = half_logdet + (log det(C Q^{-1} C') - log det(C C'))/2."""
+
+    def __init__(self, structure, data, rho, band, X, schur, half_logdet):
         self.structure = structure
         self.data = data
-        self.ridge = ridge
+        self.rho = rho
         self.band = band
         self.X = X
         self.schur = schur
+        self.half_logdet = half_logdet
+        self.det_half = half_logdet
+        self.C = self.QinvCt = self.S_chol = None
 
     def solve(self, b):
         """The factored matrix's inverse applied to a vector or to the
@@ -101,12 +111,29 @@ class _BandArrowFactor:
         x[order] = head
         return x
 
+    def constrain(self, v):
+        """Condition a vector (or columns) on C v = 0 the way the
+        constrained conditional does: v - Q^{-1} C' (C Q^{-1} C')^{-1} C v."""
+        if self.C is None:
+            return v
+        return v - self.QinvCt @ cho_solve(self.S_chol, self.C @ v)
+
+    def marginal_sd(self):
+        """Standard deviations of the constrained conditional, node-wise:
+        the row norms of L^{-T} less the kriging term of the constraints."""
+        U = self.solve_lt(np.eye(self.structure.qstar.shape[0]))
+        var = np.einsum("ij,ij->i", U, U)
+        if self.C is not None:
+            corr = cho_solve(self.S_chol, self.QinvCt.T)
+            var = var - np.einsum("ij,ji->i", self.QinvCt, corr)
+        return np.sqrt(np.maximum(var, 0.0))
+
     def matrix(self):
         """The factored matrix as a csc matrix."""
         Q = self.structure.qstar_matrix(self.data)
-        if self.ridge is not None:
-            rho, C = self.ridge
-            Q = sparse.csc_matrix(Q + rho * sparse.csc_matrix(C.T @ C))
+        if self.rho is not None:
+            C = self.C
+            Q = sparse.csc_matrix(Q + self.rho * sparse.csc_matrix(C.T @ C))
         return Q
 
 
@@ -135,13 +162,9 @@ def _cholesky(band, cross, arrow):
 
 
 def _factor_spd(structure, data, C=None):
-    """Cholesky factorization of the symmetric positive definite Q* given
+    """The ``_BandArrowFactor`` of the symmetric positive definite Q* given
     by its stored values on the model's fixed pattern (``structure`` is
-    ``AssembledModel.structure``), returning (factor, half log determinant,
-    QinvCt, S_chol).  ``factor.solve`` applies the inverse of the matrix
-    factored, ``factor.solve_lt`` the transposed inverse of its Cholesky
-    factor (marginal variances and sampling), and ``factor.matrix()``
-    builds that matrix as csc.
+    ``AssembledModel.structure``), conditioned on C w = 0 when C has rows.
 
     The component block is a band in the structure's reverse Cuthill-McKee
     order, factored by LAPACK's band Cholesky (dpbtrf); the fixed-effect
@@ -149,35 +172,34 @@ def _factor_spd(structure, data, C=None):
     complement (Rue & Held 2005, ch. 2).  A non-positive pivot reported by
     LAPACK or a non-finite log determinant means not positive definite.
 
-    With constraints the Schur pieces Q^{-1}C' and chol(C Q^{-1} C') come
-    back too, validated as part of the positive definiteness test.  If Q is
-    only positive definite on the constraint complement (for example when a
+    With constraints the kriging pieces Q^{-1}C' and chol(C Q^{-1} C') are
+    validated as part of the positive definiteness test.  If Q is only
+    positive definite on the constraint complement (for example when a
     scale hyper passes through zero and an intrinsic component loses all
     likelihood curvature), retry on Q + rho C'C with rho the mean diagonal
-    of Q (at least 1): the determinant combination used downstream is
-    invariant to that change, and the conditional distribution on the
-    constraint set is untouched.  C'C is dense over a constrained
-    component's nodes, so the retry runs the same band routine at the full
-    body bandwidth (``ModelStructure.ridged_band_arrow``: Q*'s values are
-    scattered at that width and rho times C'C's stored split is added).  C
-    must be the model's constraint matrix, which that split was made from.
+    of Q (at least 1): the constrained determinant is invariant to that
+    change, and the conditional distribution on the constraint set is
+    untouched.  C'C is dense over a constrained component's nodes, so the
+    retry runs the same band routine at the full body bandwidth
+    (``ModelStructure.ridged_band_arrow``: Q*'s values are scattered at
+    that width and rho times C'C's stored split is added).  C must be the
+    model's constraint matrix, from which that split and the structure's
+    log det(C C') were made.
     """
     constrained = C is not None and C.shape[0] > 0
     for ridged in (False, True) if constrained else (False,):
-        ridge = None
+        rho = None
         if ridged:
             rho = max(float(np.mean(structure.diagonal(data))), 1.0)
-            ridge = (rho, C)
             pieces = structure.ridged_band_arrow(data, rho)
         else:
             pieces = structure.band_arrow(data)
         factored = _cholesky(*pieces)
         if factored is None:
             continue
-        *kept, half_logdet = factored
-        factor = _BandArrowFactor(structure, data, ridge, *kept)
+        factor = _BandArrowFactor(structure, data, rho, *factored)
         if not constrained:
-            return factor, half_logdet, None, None
+            return factor
         QinvCt = factor.solve(np.asarray(C.T, dtype=float))
         if not np.all(np.isfinite(QinvCt)):
             continue
@@ -186,7 +208,12 @@ def _factor_spd(structure, data, C=None):
             S_chol = cho_factor(0.5 * (S + S.T))
         except (np.linalg.LinAlgError, ValueError):
             continue
-        return factor, half_logdet, QinvCt, S_chol
+        factor.C, factor.QinvCt, factor.S_chol = C, QinvCt, S_chol
+        logdet_S = 2.0 * float(np.sum(np.log(np.diag(S_chol[0]))))
+        factor.det_half = factor.half_logdet + 0.5 * (
+            logdet_S - structure.constraint_cct_logdet
+        )
+        return factor
     raise InferenceError("conditional precision is not positive definite")
 
 
@@ -216,29 +243,23 @@ def _curvatures(blk, eta, hyper):
 class GaussianApprox:
     """Gaussian approximation of p(w | theta, y) at the constrained mode.
 
-    Everything comes from the band + arrow factor of ``_factor_spd``: the
-    mode search and the log determinant, the marginal sds (row norms of
-    L^{-T} less the kriging term of the constraints) and the draws (L^{-T}
-    applied to standard normals, then conditioned on the constraints).
-    ``Q`` is built as csc only when asked.
+    ``factor`` is ``_factor_spd``'s constrained factor of Q* at the mode:
+    ``det_half`` is its constrained half log determinant, which the Laplace
+    ratio reads with ``loglik_sum``, ``prior_quad`` and ``prior_log_gdet``;
+    the marginal sds and the draws are its too.  ``Q`` is built as csc only
+    when asked.
     """
 
-    def __init__(self, model, theta, mode, factor, det_half,
-                 loglik_sum, prior_quad, prior_log_gdet, predictors,
-                 iterations, QinvCt=None, S_chol=None):
-        self.model = model
-        self.theta = theta
+    def __init__(self, mode, factor, loglik_sum, prior_quad, prior_log_gdet,
+                 iterations):
         self.mode = mode
-        self._factor = factor
-        self._Q = None
-        self.det_half = det_half
+        self.factor = factor
+        self.det_half = factor.det_half
         self.loglik_sum = loglik_sum
         self.prior_quad = prior_quad
         self.prior_log_gdet = prior_log_gdet
-        self.predictors = predictors
         self.iterations = iterations
-        self._QinvCt = QinvCt
-        self._S_chol = S_chol
+        self._Q = None
         self._marginal_sd = None
 
     @property
@@ -247,35 +268,19 @@ class GaussianApprox:
         constraint ridge when it was needed), a csc matrix built on first
         use."""
         if self._Q is None:
-            self._Q = self._factor.matrix()
+            self._Q = self.factor.matrix()
         return self._Q
-
-    def solve(self, b):
-        return self._factor.solve(b)
-
-    def constrain(self, v):
-        """Project a vector (or columns) onto the constraint set the way the
-        conditional distribution does."""
-        if self._QinvCt is None:
-            return v
-        C = self.model.constraints
-        return v - self._QinvCt @ cho_solve(self._S_chol, C @ v)
 
     def marginal_sd(self):
         """Standard deviations of the constrained conditional, node-wise."""
         if self._marginal_sd is None:
-            U = self._factor.solve_lt(np.eye(self.mode.size))
-            var = np.einsum("ij,ij->i", U, U)
-            if self._QinvCt is not None:
-                corr = cho_solve(self._S_chol, self._QinvCt.T)
-                var = var - np.einsum("ij,ji->i", self._QinvCt, corr)
-            self._marginal_sd = np.sqrt(np.maximum(var, 0.0))
+            self._marginal_sd = self.factor.marginal_sd()
         return self._marginal_sd
 
     def sample(self, rng, size):
         """Draws from the constrained Gaussian, one row per draw."""
         z = rng.standard_normal((self.mode.size, size))
-        u = self.constrain(self._factor.solve_lt(z))
+        u = self.factor.constrain(self.factor.solve_lt(z))
         return (self.mode[:, None] + u).T
 
 
@@ -324,46 +329,43 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
 
     def evaluate(w):
         """Objective at w, plus what a Newton step from w needs: Q_p w and
-        per block the predictor, loglik sum, d1 and floored curvature."""
+        per block the loglik sum, d1 and floored curvature."""
         qw, parts = system.prior_times(w), {}
         f = -0.5 * float(w @ qw)
         for name, blk in model.blocks.items():
             eta = system.predictor(name, w)
             value, d1, c = _curvatures(blk, eta, hypers[name])
-            parts[name] = (eta, float(np.sum(value)), d1, c)
-            f += parts[name][1]
+            parts[name] = (float(np.sum(value)), d1, c)
+            f += parts[name][0]
         return f, (qw, parts)
 
     def assemble(at):
         qw, parts = at
         grad = -qw
-        for name, (_, _, d1, _) in parts.items():
+        for name, (_, d1, _) in parts.items():
             grad = grad + system.transpose_times(name, d1)
-        return grad, system.values({name: p[3] for name, p in parts.items()})
+        return grad, system.values({name: p[2] for name, p in parts.items()})
+
+    def project(v):
+        """v's Euclidean projection onto the constraint set C v = 0."""
+        return v - C.T @ np.linalg.solve(structure.constraint_cct, C @ v)
 
     w = np.zeros(n) if init_w is None else np.asarray(init_w, dtype=float).copy()
     if k and np.max(np.abs(C @ w)) > 1e-9:
-        w = w - C.T @ np.linalg.solve(C @ C.T, C @ w)
+        w = project(w)
 
     f_w, at_w = evaluate(w)
     iterations = 0
     dec_hist, f_hist = [], []
     for iterations in range(1, max_iter + 1):
         grad, q_data = assemble(at_w)
-        factored = None
-        g_proj = grad
-        if k:
-            g_proj = grad - C.T @ np.linalg.solve(C @ C.T, C @ grad)
+        factor = None
+        g_proj = project(grad) if k else grad
         if np.max(np.abs(g_proj)) < tol:
             iterations -= 1
             break
-        factored = _factor_spd(structure, q_data, C)
-        factor, _, QinvCt, S_chol = factored
-
-        candidate = w + factor.solve(grad)
-        if k:
-            candidate = candidate - QinvCt @ cho_solve(S_chol, C @ candidate)
-        step = candidate - w
+        factor = _factor_spd(structure, q_data, C)
+        step = factor.constrain(w + factor.solve(grad)) - w
 
         # the decrement g'H^{-1}g has objective units, so this catches the
         # point where |grad| is dominated by roundoff at large data scales
@@ -428,51 +430,38 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
     if k:
         # settle roundoff left by the kriging corrections; the move is far
         # below mode accuracy but keeps C @ mode at machine zero
-        settled = w - C.T @ np.linalg.solve(C @ C.T, C @ w)
+        settled = project(w)
         if not np.array_equal(settled, w):
             w = settled
             _, at_w = evaluate(w)
             _, q_data = assemble(at_w)
-            factored = None
-    if factored is None:
-        factored = _factor_spd(structure, q_data, C)
-    factor, half_logdet, QinvCt, S_chol = factored
-    det_half = half_logdet
-    if k:
-        logdet_S = 2.0 * float(np.sum(np.log(np.diag(S_chol[0]))))
-        logdet_CCt = float(np.linalg.slogdet(C @ C.T)[1])
-        det_half = half_logdet + 0.5 * (logdet_S - logdet_CCt)
+            factor = None
+    if factor is None:
+        factor = _factor_spd(structure, q_data, C)
 
     qw, parts = at_w
     loglik_sum = 0.0
-    for _, block_sum, _, _ in parts.values():
+    for block_sum, _, _ in parts.values():
         loglik_sum += block_sum
     return GaussianApprox(
-        model=model,
-        theta=theta,
         mode=w,
         factor=factor,
-        det_half=det_half,
         loglik_sum=loglik_sum,
         prior_quad=-0.5 * float(w @ qw),
         prior_log_gdet=prior_log_gdet,
-        predictors={name: p[0] for name, p in parts.items()},
         iterations=iterations,
-        QinvCt=QinvCt,
-        S_chol=S_chol,
     )
 
 
-def log_posterior_theta(model, theta_internal, init_w=None, approx=None):
+def log_posterior_theta(model, theta_internal, init_w=None):
     """Unnormalized log posterior of the hyper vector (internal scale):
     Laplace ratio of the joint to the Gaussian approximation at its mode.
     The prior log-determinant comes from the approximation's own prior
     build."""
     theta_internal = np.asarray(theta_internal, dtype=float)
-    if approx is None:
-        approx = gaussian_approx(
-            model, model.theta_natural(theta_internal), init_w=init_w
-        )
+    approx = gaussian_approx(
+        model, model.theta_natural(theta_internal), init_w=init_w
+    )
     return _laplace_ratio(model, theta_internal, approx), approx
 
 
@@ -592,6 +581,8 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
     free-coordinate basis, is a central-difference stencil around it: its
     centre value is that evaluation's lp and its first point warm-starts
     from that evaluation's latent mode, so the mode is not solved again.
+    A failed stencil evaluation raises ``InferenceError`` with the mode as
+    ``best``, since it has no value to enter the Hessian with.
     ``info["mode_approx"]`` is that evaluation's ``GaussianApprox`` (None
     when no hyper is free), for ``explore_theta``'s ``center``.  Only the
     search's evaluations count against ``max_evals``, not the stencil's.
@@ -599,14 +590,13 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
     space = _HyperSpace(model)
     m = space.dim
     solve = _WarmStarts(model)
-    state = {"evals": 0, "budgeted": True, "best": (-np.inf, None, None)}
+    state = {"evals": 0, "best": (-np.inf, None, None)}
 
     def lp_at(u):
         theta_internal = space.to_full(u)
-        if state["budgeted"]:
-            state["evals"] += 1
-            if state["evals"] > max_evals:
-                raise _EvalBudget()
+        state["evals"] += 1
+        if state["evals"] > max_evals:
+            raise _EvalBudget()
         result = solve(theta_internal)
         if result is None:
             # usually a wild line search excursion: report a steep wall
@@ -674,8 +664,19 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
     # can sit on a failed-evaluation wall after an aggressive line search
     u_mode = space.to_u(theta_mode)
 
-    state["budgeted"] = False
     solve.w = approx_mode.mode
+
+    def stencil_neg(u):
+        # a stencil point has no wall to fall back on: a failed evaluation
+        # would enter the Hessian as a real value
+        result = solve(space.to_full(u))
+        if result is None:
+            raise InferenceError(
+                "Laplace evaluation failed in the Hessian stencil",
+                best=theta_mode,
+                diagnostics={"theta": space.to_full(u)},
+            )
+        return -result[0]
 
     h = hessian_step
     H = np.zeros((m, m))
@@ -685,8 +686,8 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
     for i in range(m):
         e = np.zeros(m)
         e[i] = h
-        fp[i] = neg(u_mode + e)
-        fm[i] = neg(u_mode - e)
+        fp[i] = stencil_neg(u_mode + e)
+        fm[i] = stencil_neg(u_mode - e)
         H[i, i] = (fp[i] + fm[i] - 2.0 * f0) / h**2
     for i in range(m):
         for j in range(i + 1, m):
@@ -694,8 +695,8 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
             e[i] = h
             f = np.zeros(m)
             f[j] = h
-            fpp = neg(u_mode + e + f)
-            fmm = neg(u_mode - e - f)
+            fpp = stencil_neg(u_mode + e + f)
+            fmm = stencil_neg(u_mode - e - f)
             H[i, j] = H[j, i] = (
                 fpp + fmm + 2.0 * f0 - fp[i] - fm[i] - fp[j] - fm[j]
             ) / (2.0 * h**2)
@@ -862,7 +863,7 @@ def _mixture_quantiles(mus, sds, weights, probs, tol=1e-8):
     return out
 
 
-def latent_marginals(points, model=None):
+def latent_marginals(points):
     """Mixture summaries for every latent node: mean, sd, central quantiles."""
     weights = np.array([pt.weight for pt in points])
     mus = np.stack([pt.approx.mode for pt in points])
@@ -1032,40 +1033,31 @@ def hyper_marginals(model, points, theta_mode_internal, hessian,
     return out
 
 
-def fit_model(model, *, grad_step=1e-4, opt_tol=1e-5, max_evals=200,
-              hessian_step=0.05, explore_step=0.75, explore_drop=5.0,
-              ccd_radius=1.1, scan_step=0.5, scan_drop=6.0, init=None,
-              compute_latent=True):
-    """Run the full pipeline: mode search, exploration, marginals."""
+def fit_model(model, *, max_evals=200, explore_step=0.75):
+    """Run the full pipeline: mode search, exploration, marginals.
+
+    ``max_evals`` is ``optimize_theta``'s evaluation budget and
+    ``explore_step`` ``explore_theta``'s grid spacing; every other setting
+    is its stage function's default.
+    """
     timings = {}
     t0 = time.perf_counter()
-    theta_mode, hessian, opt_info = optimize_theta(
-        model,
-        init=init,
-        grad_step=grad_step,
-        tol=opt_tol,
-        max_evals=max_evals,
-        hessian_step=hessian_step,
-    )
+    theta_mode, hessian, opt_info = optimize_theta(model, max_evals=max_evals)
     timings["optimize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     points = explore_theta(
         model, theta_mode, hessian,
-        step=explore_step, drop=explore_drop, ccd_radius=ccd_radius,
-        center=opt_info["mode_approx"],
+        step=explore_step, center=opt_info["mode_approx"],
     )
     timings["explore"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    latent = latent_marginals(points) if compute_latent else None
+    latent = latent_marginals(points)
     timings["latent_marginals"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    grids = hyper_marginals(
-        model, points, theta_mode, hessian,
-        scan_step=scan_step, scan_drop=scan_drop,
-    )
+    grids = hyper_marginals(model, points, theta_mode, hessian)
     timings["hyper_marginals"] = time.perf_counter() - t0
 
     hyper_summary = {

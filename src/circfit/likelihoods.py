@@ -7,7 +7,7 @@ returns the log density together with its first and second derivatives with
 respect to eta, which is all the Gaussian approximation needs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -16,8 +16,6 @@ from .circular import BOUNDARY_MARGIN, _lavm_terms, lavm_approx_concentration
 
 __all__ = [
     "FAMILY_HYPERS",
-    "LikelihoodFamily",
-    "ObservationBlock",
     "ObservationError",
     "ValidationIssue",
     "loglik",
@@ -40,46 +38,6 @@ class ObservationError(ValueError):
     def __init__(self, message: str, indices):
         self.indices = list(np.atleast_1d(indices))
         super().__init__(f"{message} (observations {self.indices})")
-
-
-@dataclass(frozen=True)
-class LikelihoodFamily:
-    kind: str
-    hyper_bindings: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in FAMILY_HYPERS:
-            raise ValueError(f"unknown likelihood family {self.kind!r}")
-        expected = len(FAMILY_HYPERS[self.kind])
-        if len(self.hyper_bindings) != expected:
-            raise ValueError(
-                f"{self.kind} takes {expected} hyperparameter binding(s), "
-                f"got {self.hyper_bindings}"
-            )
-
-
-@dataclass(frozen=True)
-class ObservationBlock:
-    """Responses of one family plus their mapping onto predictor nodes."""
-
-    family: LikelihoodFamily
-    responses: np.ndarray
-    predictor_index: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "responses", np.asarray(self.responses, dtype=float)
-        )
-        idx = self.predictor_index
-        if idx is None:
-            idx = np.arange(self.responses.size)
-        object.__setattr__(self, "predictor_index", np.asarray(idx, dtype=int))
-        if self.predictor_index.shape != self.responses.shape:
-            raise ValueError("predictor_index must align with responses")
-
-    @property
-    def size(self) -> int:
-        return self.responses.size
 
 
 def _gaussian(y, eta, tau):
@@ -179,10 +137,12 @@ class ValidationIssue:
     problem: str
 
 
-def validate_block(block: ObservationBlock):
-    """Per-observation domain report for a block; empty means valid."""
+def validate_block(block):
+    """Per-observation domain report for an observation block (a
+    ``BlockSpec`` or an assembled block: its ``family`` name and its
+    ``responses``); empty means valid."""
     y = block.responses
-    kind = block.family.kind
+    kind = block.family
     issues = []
     if not np.all(np.isfinite(y)):
         issues += [

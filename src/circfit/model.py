@@ -32,7 +32,7 @@ from .latent import (
     scale_precision,
     scaled_log_gdet,
 )
-from .likelihoods import FAMILY_HYPERS, LikelihoodFamily, ObservationBlock
+from .likelihoods import FAMILY_HYPERS
 from .priors import (
     ConfigurationError,
     PriorSpec,
@@ -441,8 +441,9 @@ class ModelStructure:
     for the band, a dense (band, arrow) cross block and the dense arrow
     block.  The constraint ridge Q* + rho C'C needs the band at the full
     body bandwidth: ``full_band_map`` scatters Q*'s values into that
-    storage, and ``constraint_gram`` holds C'C split the same way, once.
-    """
+    storage, and ``constraint_gram`` holds C'C split the same way, once;
+    ``constraint_cct`` and ``constraint_cct_logdet`` hold C C' and its log
+    determinant."""
 
     def __init__(self, model):
         n = model.latent_dim
@@ -532,6 +533,10 @@ class ModelStructure:
         C = model.constraints
         self.constraint_gram = (
             self.band_arrow_dense(C.T @ C) if C.shape[0] else None
+        )
+        self.constraint_cct = C @ C.T
+        self.constraint_cct_logdet = float(
+            np.linalg.slogdet(self.constraint_cct)[1]
         )
 
     def prior_values(self, theta):
@@ -711,12 +716,6 @@ class AssembledBlock:
     @property
     def size(self) -> int:
         return self.responses.size
-
-    def observation_block(self) -> ObservationBlock:
-        bindings = ((self.hyper,) if self.hyper else ())
-        return ObservationBlock(
-            LikelihoodFamily(self.family, bindings), self.responses
-        )
 
 
 def _expand_terms(block, block_by_name, seen):

@@ -573,11 +573,11 @@ class TestBandArrowFactor:
         for _ in range(3):
             data = random_spd_values(S, rng)
             dense = S.qstar_matrix(data).toarray()
-            factor, half_logdet, QinvCt, S_chol = _factor_spd(S, data)
-            assert QinvCt is None and S_chol is None
+            factor = _factor_spd(S, data)
+            assert factor.QinvCt is None and factor.S_chol is None
             sign, logdet = np.linalg.slogdet(dense)
             assert sign == 1.0
-            assert half_logdet == pytest.approx(0.5 * logdet, rel=1e-10)
+            assert factor.half_logdet == pytest.approx(0.5 * logdet, rel=1e-10)
             b = rng.normal(size=n)
             _assert_close(factor.solve(b), np.linalg.solve(dense, b))
             B = rng.normal(size=(n, 4))
@@ -614,7 +614,7 @@ class TestBandArrowFactor:
         q_data[(rows == cols) & (rows < n_rw2)] -= shift
         with pytest.raises(InferenceError, match="not positive definite"):
             _factor_spd(S, q_data)
-        factor, half_logdet, QinvCt, S_chol = _factor_spd(S, q_data, C)
+        factor = _factor_spd(S, q_data, C)
         # the retry runs at the full body bandwidth
         assert factor.band.shape == (n_rw2, n_rw2)
         dense = S.qstar_matrix(q_data).toarray()
@@ -630,12 +630,45 @@ class TestBandArrowFactor:
             assert piece.flags.f_contiguous
         U = factor.solve_lt(np.eye(m.latent_dim))
         _assert_close(U @ U.T, np.linalg.inv(ridged))
-        assert half_logdet == pytest.approx(
+        assert factor.half_logdet == pytest.approx(
             0.5 * np.linalg.slogdet(ridged)[1], rel=1e-10
         )
         b = np.random.default_rng(4).normal(size=m.latent_dim)
         _assert_close(factor.solve(b), np.linalg.solve(ridged, b))
-        _assert_close(QinvCt, np.linalg.solve(ridged, C.T))
+        _assert_close(factor.QinvCt, np.linalg.solve(ridged, C.T))
+
+    @pytest.mark.parametrize("ridged", [False, True])
+    def test_constrained_determinant_matches_the_null_space_reference(
+        self, ridged
+    ):
+        # det_half is half the log determinant of Q* on null(C), on the
+        # plain path and after the constraint ridge alike
+        m = rw2_fixed_model(n=10)
+        S = m.structure
+        C = m.constraints
+        theta = m.theta_natural(m.initial_internal())
+        data, _ = S.prior_values(theta)
+        designs = {name: S.blocks[name].values(theta) for name in m.blocks}
+        system = NewtonSystem(S, data, designs)
+        if ridged:
+            # the ridge test's shift: positive definite on null(C) only
+            q_data = system.base
+            n_rw2 = m.components["w"].dimension
+            rw2 = S.qstar_matrix(q_data).toarray()[:n_rw2, :n_rw2]
+            shift = 0.5 * np.sort(np.linalg.eigvalsh(rw2))[2]
+            rows, cols = _pattern_entries(S)
+            q_data[(rows == cols) & (rows < n_rw2)] -= shift
+        else:
+            # the gaussian curvature makes Q* positive definite
+            tau = np.full(m.blocks["y"].size, theta["tau"])
+            q_data = system.values({"y": tau})
+        factor = _factor_spd(S, q_data, C)
+        assert (factor.rho is not None) == ridged
+        N = null_space(C)
+        Q = S.qstar_matrix(q_data).toarray()
+        sign, logdet = np.linalg.slogdet(N.T @ Q @ N)
+        assert sign == 1.0
+        assert factor.det_half == pytest.approx(0.5 * logdet, rel=1e-10)
 
     def test_non_positive_definite_matrix_raises(self):
         # negated values fail the ridge retry as well; a NaN passes LAPACK's
@@ -866,6 +899,38 @@ class TestOptimizeTheta:
             match="no successful Laplace evaluation during hyper optimization",
         ):
             fit_model(tau_free_model())
+
+    def test_failed_stencil_evaluation_is_an_error(self, monkeypatch):
+        # a failed stencil point must not enter the Hessian as the -1e10
+        # wall: that gave entries of order 1e12 and eigenvalues of both signs
+        m = two_hyper_model()
+        theta_mode, _, _ = optimize_theta(m)
+        real_lpt, real_minimize = inference.log_posterior_theta, inference.minimize
+        state = {"searched": False, "failing": None}
+
+        def minimize(*args, **kwargs):
+            res = real_minimize(*args, **kwargs)
+            state["searched"] = True
+            return res
+
+        def failing(model, theta_internal, *args, **kwargs):
+            # the first point after the search fails, cold retry included
+            if state["searched"] and state["failing"] is None:
+                state["failing"] = np.array(theta_internal, dtype=float)
+            if state["failing"] is not None and np.array_equal(
+                theta_internal, state["failing"]
+            ):
+                raise InferenceError("forced failure")
+            return real_lpt(model, theta_internal, *args, **kwargs)
+
+        monkeypatch.setattr(inference, "log_posterior_theta", failing)
+        monkeypatch.setattr(inference, "minimize", minimize)
+        with pytest.raises(InferenceError, match="Hessian stencil") as err:
+            optimize_theta(m)
+        np.testing.assert_array_equal(
+            err.value.diagnostics["theta"], state["failing"]
+        )
+        np.testing.assert_array_equal(err.value.best, theta_mode)
 
     def test_hessian_is_symmetric_positive_definite(self):
         m = two_hyper_model()

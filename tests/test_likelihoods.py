@@ -5,14 +5,14 @@ import pytest
 from scipy.integrate import quad
 
 from circfit.likelihoods import (
-    LikelihoodFamily,
-    ObservationBlock,
     ObservationError,
     lavm_curvature_floor,
     loglik,
     validate_block,
 )
 from circfit.circular import lavm_approx_concentration
+from circfit.model import BlockSpec
+from circfit.priors import ConfigurationError
 
 FD_RTOL = 1e-6
 
@@ -204,46 +204,32 @@ class TestDomainErrors:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             loglik("weibull", 1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            LikelihoodFamily("weibull")
-
-    def test_hyper_binding_arity(self):
-        with pytest.raises(ValueError):
-            LikelihoodFamily("gaussian", ())
-        LikelihoodFamily("poisson", ())
+        with pytest.raises(ConfigurationError):
+            BlockSpec("y", "weibull", np.zeros(2), ())
 
 
 class TestValidateBlock:
     def test_valid_block_is_empty(self):
-        block = ObservationBlock(
-            LikelihoodFamily("poisson", ()), np.array([0.0, 3.0, 7.0])
-        )
+        block = BlockSpec("y", "poisson", np.array([0.0, 3.0, 7.0]), ())
         assert validate_block(block) == []
 
     def test_lavm_boundary_band_flagged_with_advice(self):
-        block = ObservationBlock(
-            LikelihoodFamily("lavm", ("kappa",)), np.array([0.5, 3.14159])
+        block = BlockSpec(
+            "x", "lavm", np.array([0.5, 3.14159]), (), hyper="kappa"
         )
         report = validate_block(block)
         assert [issue.observation for issue in report] == [1]
         assert "pre-center" in report[0].problem
 
     def test_poisson_negative_flagged(self):
-        block = ObservationBlock(
-            LikelihoodFamily("poisson", ()), np.array([2.0, -1.0])
-        )
+        block = BlockSpec("y", "poisson", np.array([2.0, -1.0]), ())
         report = validate_block(block)
         assert [issue.observation for issue in report] == [1]
 
     def test_gamma_and_nonfinite_flagged(self):
-        block = ObservationBlock(
-            LikelihoodFamily("gamma", ("rho",)), np.array([1.0, 0.0, np.nan])
+        block = BlockSpec(
+            "y", "gamma", np.array([1.0, 0.0, np.nan]), (), hyper="rho"
         )
         problems = {issue.observation for issue in validate_block(block)}
         assert problems == {1, 2}
 
-    def test_default_predictor_index(self):
-        block = ObservationBlock(
-            LikelihoodFamily("gaussian", ("tau",)), np.array([1.0, 2.0])
-        )
-        assert np.array_equal(block.predictor_index, [0, 1])

@@ -811,10 +811,3 @@ class TestHyperPlumbing:
         Q_std = built.matrix.toarray()
         Q_raw = build_rw2(n).matrix.toarray()
         assert np.allclose(Q_std, Q_raw * raw**2, rtol=1e-12)
-
-    def test_observation_block_round_trip(self):
-        m = build_model(coupled_spec())
-        ob = m.blocks["x"].observation_block()
-        assert ob.family.kind == "lavm"
-        assert ob.family.hyper_bindings == ("kappa",)
-        assert ob.size == 16

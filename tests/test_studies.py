@@ -6,6 +6,7 @@ dimensions their specifications imply.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,13 +14,20 @@ import pytest
 from circfit.model import build_model
 from circfit.priors import ConfigurationError
 from circfit.studies import (
+    MV6_TRUTH,
     SIM2_TRUTH,
     SIM3_TRUTH,
+    WIND_TRUTH,
+    generate_mv6,
     generate_sim2,
     generate_sim3,
+    generate_wind_like,
+    mv6_recovery,
+    mv6_spec,
     run_study,
     sim2_spec,
     sim3_spec,
+    wind_spec,
 )
 
 
@@ -54,6 +62,34 @@ def test_coupled_studies_build_their_latent_dimension(
     model = build_model(spec(data))
     assert model.latent_dim == latent_dim
     assert all(blk.size == n for blk in model.blocks.values())
+
+
+@pytest.mark.parametrize(
+    "generate, spec, truth, n, latent_dim, free, constraints",
+    [
+        (generate_wind_like, wind_spec, WIND_TRUTH, 240, 268, 5, 1),
+        (generate_mv6, mv6_spec, MV6_TRUTH, 30, 186, 21, 0),
+    ],
+    ids=["wind", "mv6"],
+)
+def test_unregistered_studies_build_their_structure(
+    generate, spec, truth, n, latent_dim, free, constraints
+):
+    data = generate(n, truth, np.random.default_rng(1))
+    model = build_model(spec(data))
+    assert model.latent_dim == latent_dim
+    assert len(model.free_hyper_names) == free
+    assert model.constraints.shape == (constraints, latent_dim)
+    assert model.structure.qstar.shape == (latent_dim, latent_dim)
+
+
+def test_mv6_recovery_at_zero_partial_correlations():
+    prec = np.array([0.25, 1.0, 4.0, 2.0, 0.5, 9.0])
+    theta = {f"prec{j + 1}": prec[j] for j in range(6)}
+    theta.update({f"R[{k}]": 0.0 for k in range(15)})
+    sig, R = mv6_recovery(SimpleNamespace(theta_mode=theta))
+    np.testing.assert_allclose(sig, prec**-0.5, rtol=1e-15)
+    np.testing.assert_array_equal(R, np.eye(6))
 
 
 def test_unknown_study_and_empty_run_are_rejected():
