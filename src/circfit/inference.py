@@ -7,21 +7,12 @@ the hyper posterior is the Laplace ratio evaluated at that mode.  The hyper
 space is explored with a grid in the Hessian eigenbasis when it is small and
 a spherical central-composite design otherwise; latent marginals are
 Gaussian mixtures over the exploration points.
-
-Constrained determinants: adding any multiple of C'C to the precision leaves
-log det(Q) + log det(C Q^{-1} C') unchanged (matrix determinant lemma), and
-that combination is exactly what the conditional Gaussian density needs, so
-when Q is not positive definite the solver factorizes the ridged matrix
-Q + c*C'C instead, which is positive definite even when the likelihood
-contributes no curvature along the constrained directions.  The factor
-``_factor_spd`` returns is the one place they are computed.
 """
 
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtbtrs, dtrtrs
 from scipy.optimize import minimize
@@ -49,9 +40,9 @@ CURVATURE_MIN = 1e-12
 
 
 class _BandArrowFactor:
-    """Cholesky factor of Q* (plus rho C'C after the constraint ridge) in
-    the band + arrow layout of ``ModelStructure``, conditioned on the
-    model's constraints C w = 0 by kriging (Rue & Held 2005, 2.3.3).
+    """Cholesky factor of Q* in the band + arrow layout of
+    ``ModelStructure``, conditioned on the model's constraints C w = 0 by
+    kriging (Rue & Held 2005, 2.3.3).
 
     Q* = [[A, B], [B', D]] with A the banded component block in band order,
     B the cross block and D the fixed-effect arrow.  Holds the band factor
@@ -62,10 +53,9 @@ class _BandArrowFactor:
     chol(C Q^{-1} C') and the constrained half log determinant
     ``det_half`` = half_logdet + (log det(C Q^{-1} C') - log det(C C'))/2."""
 
-    def __init__(self, structure, data, rho, band, X, schur, half_logdet):
+    def __init__(self, structure, data, band, X, schur, half_logdet):
         self.structure = structure
         self.data = data
-        self.rho = rho
         self.band = band
         self.X = X
         self.schur = schur
@@ -130,11 +120,7 @@ class _BandArrowFactor:
 
     def matrix(self):
         """The factored matrix as a csc matrix."""
-        Q = self.structure.qstar_matrix(self.data)
-        if self.rho is not None:
-            C = self.C
-            Q = sparse.csc_matrix(Q + self.rho * sparse.csc_matrix(C.T @ C))
-        return Q
+        return self.structure.qstar_matrix(self.data)
 
 
 def _cholesky(band, cross, arrow):
@@ -173,48 +159,36 @@ def _factor_spd(structure, data, C=None):
     LAPACK or a non-finite log determinant means not positive definite.
 
     With constraints the kriging pieces Q^{-1}C' and chol(C Q^{-1} C') are
-    validated as part of the positive definiteness test.  If Q is only
-    positive definite on the constraint complement (for example when a
-    scale hyper passes through zero and an intrinsic component loses all
-    likelihood curvature), retry on Q + rho C'C with rho the mean diagonal
-    of Q (at least 1): the constrained determinant is invariant to that
-    change, and the conditional distribution on the constraint set is
-    untouched.  C'C is dense over a constrained component's nodes, so the
-    retry runs the same band routine at the full body bandwidth
-    (``ModelStructure.ridged_band_arrow``: Q*'s values are scattered at
-    that width and rho times C'C's stored split is added).  C must be the
-    model's constraint matrix, from which that split and the structure's
-    log det(C C') were made.
+    validated as part of the positive definiteness test.  C must be the
+    model's constraint matrix, from which the structure's log det(C C') was
+    made.  Q* singular along C's rows is not positive definite either,
+    although the constrained conditional is proper: ``build_model`` rejects
+    the models where that holds at every theta, and a theta where it holds
+    (a scale hyper at or near 0, so that an intrinsic component's null
+    space meets no likelihood curvature) is a failed evaluation.
     """
-    constrained = C is not None and C.shape[0] > 0
-    for ridged in (False, True) if constrained else (False,):
-        rho = None
-        if ridged:
-            rho = max(float(np.mean(structure.diagonal(data))), 1.0)
-            pieces = structure.ridged_band_arrow(data, rho)
-        else:
-            pieces = structure.band_arrow(data)
-        factored = _cholesky(*pieces)
-        if factored is None:
-            continue
-        factor = _BandArrowFactor(structure, data, rho, *factored)
-        if not constrained:
-            return factor
-        QinvCt = factor.solve(np.asarray(C.T, dtype=float))
-        if not np.all(np.isfinite(QinvCt)):
-            continue
-        S = C @ QinvCt
-        try:
-            S_chol = cho_factor(0.5 * (S + S.T))
-        except (np.linalg.LinAlgError, ValueError):
-            continue
-        factor.C, factor.QinvCt, factor.S_chol = C, QinvCt, S_chol
-        logdet_S = 2.0 * float(np.sum(np.log(np.diag(S_chol[0]))))
-        factor.det_half = factor.half_logdet + 0.5 * (
-            logdet_S - structure.constraint_cct_logdet
-        )
+    factored = _cholesky(*structure.band_arrow(data))
+    if factored is None:
+        raise InferenceError("conditional precision is not positive definite")
+    factor = _BandArrowFactor(structure, data, *factored)
+    if C is None or C.shape[0] == 0:
         return factor
-    raise InferenceError("conditional precision is not positive definite")
+    QinvCt = factor.solve(np.asarray(C.T, dtype=float))
+    if not np.all(np.isfinite(QinvCt)):
+        raise InferenceError("conditional precision is not positive definite")
+    S = C @ QinvCt
+    try:
+        S_chol = cho_factor(0.5 * (S + S.T))
+    except (np.linalg.LinAlgError, ValueError):
+        raise InferenceError(
+            "conditional precision is not positive definite"
+        ) from None
+    factor.C, factor.QinvCt, factor.S_chol = C, QinvCt, S_chol
+    logdet_S = 2.0 * float(np.sum(np.log(np.diag(S_chol[0]))))
+    factor.det_half = factor.half_logdet + 0.5 * (
+        logdet_S - structure.constraint_cct_logdet
+    )
+    return factor
 
 
 class InferenceError(RuntimeError):
@@ -264,9 +238,8 @@ class GaussianApprox:
 
     @property
     def Q(self):
-        """The factored conditional precision at the mode (with the
-        constraint ridge when it was needed), a csc matrix built on first
-        use."""
+        """The factored conditional precision at the mode, a csc matrix
+        built on first use."""
         if self._Q is None:
             self._Q = self.factor.matrix()
         return self._Q
@@ -311,7 +284,7 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
     - iteration limit: no convergence within ``max_iter`` iterations.
 
     ``_factor_spd`` raises it too when the conditional precision is not
-    positive definite even after the constraint ridge.
+    positive definite.
     """
     n = model.latent_dim
     C = model.constraints
@@ -403,7 +376,7 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
                 # predicted gain is below the objective's roundoff; done
                 break
             # quadratic model failed outright; fall back to one gradient step
-            diag_max = float(np.max(structure.diagonal(q_data)))
+            diag_max = float(np.max(q_data[structure.diag_pos]))
             step = g_proj / max(diag_max, 1.0)
             t = 1.0
             for _ in range(21):

@@ -439,11 +439,8 @@ class ModelStructure:
     arrow, coupled to every band node they share an observation with.
     Scatter maps take Q*'s values straight into LAPACK lower band storage
     for the band, a dense (band, arrow) cross block and the dense arrow
-    block.  The constraint ridge Q* + rho C'C needs the band at the full
-    body bandwidth: ``full_band_map`` scatters Q*'s values into that
-    storage, and ``constraint_gram`` holds C'C split the same way, once;
-    ``constraint_cct`` and ``constraint_cct_logdet`` hold C C' and its log
-    determinant."""
+    block.  ``constraint_cct`` and ``constraint_cct_logdet`` hold C C' and
+    its log determinant, C the model's constraints."""
 
     def __init__(self, model):
         n = model.latent_dim
@@ -524,16 +521,9 @@ class ModelStructure:
             np.flatnonzero(in_band),
             c[in_band] * (self.bandwidth + 1) + (r - c)[in_band],
         )
-        self.full_band_map = (
-            np.flatnonzero(in_band), c[in_band] * n_body + (r - c)[in_band]
-        )
         self.cross_map = (np.flatnonzero(cross), c[cross] * n_body + r[cross])
         self.arrow_map = (np.flatnonzero(arrow), c[arrow] * n_arrow + r[arrow])
-        # C'C split at the full body bandwidth, for the constraint ridge
         C = model.constraints
-        self.constraint_gram = (
-            self.band_arrow_dense(C.T @ C) if C.shape[0] else None
-        )
         self.constraint_cct = C @ C.T
         self.constraint_cct_logdet = float(
             np.linalg.slogdet(self.constraint_cct)[1]
@@ -577,32 +567,15 @@ class ModelStructure:
         P = self.qstar
         return sparse.csc_matrix((data, P.indices, P.indptr), shape=P.shape)
 
-    def diagonal(self, data):
-        """Q*'s diagonal from its stored values."""
-        return data[self.diag_pos]
-
     def band_arrow(self, data):
         """Q*'s values split into new column-major arrays (band, cross,
         arrow): the band's lower half in LAPACK band storage, shape
         (bandwidth + 1, n_body), the (n_body, n_arrow) cross block in band
         order, and the (n_arrow, n_arrow) arrow block."""
-        return self._split(data, self.band_map, self.bandwidth + 1)
-
-    def ridged_band_arrow(self, data, rho):
-        """Q* + rho C'C, C the model's constraints, split like
-        ``band_arrow`` but with the band at the full body bandwidth
-        n_body - 1: Q*'s values scattered at that width plus rho times the
-        stored split of C'C."""
-        pieces = self._split(data, self.full_band_map, self.order.size)
-        for piece, gram in zip(pieces, self.constraint_gram):
-            piece += rho * gram
-        return pieces
-
-    def _split(self, data, band_map, band_rows):
         n_body, n_arrow = self.order.size, self.effect_prec.size
         pieces = []
         for (src, dst), size in (
-            (band_map, (n_body, band_rows)),
+            (self.band_map, (n_body, self.bandwidth + 1)),
             (self.cross_map, (n_arrow, n_body)),
             (self.arrow_map, (n_arrow, n_arrow)),
         ):
@@ -610,20 +583,6 @@ class ModelStructure:
             flat[dst] = data[src]
             pieces.append(flat.reshape(size).T)
         return tuple(pieces)
-
-    def band_arrow_dense(self, M):
-        """A dense symmetric n x n matrix split like ``band_arrow``, with
-        the band at the full body bandwidth n_body - 1."""
-        n_body = self.order.size
-        body = M[np.ix_(self.order, self.order)]
-        i, j = np.tril_indices(n_body)
-        band = np.zeros((n_body, n_body)).T
-        band[i - j, j] = body[i, j]
-        return (
-            band,
-            np.asfortranarray(M[self.order, n_body:]),
-            np.asfortranarray(M[n_body:, n_body:]),
-        )
 
 
 class NewtonSystem:
@@ -937,7 +896,7 @@ def build_model(spec: ModelSpec) -> AssembledModel:
         )
 
     # global constraint rows, padded to the latent dimension
-    rows = []
+    rows, owners = [], []
     for comp in spec.components:
         if comp.name in unit and unit[comp.name].rank_deficiency > 0:
             C = np.atleast_2d(unit[comp.name].constraints)
@@ -945,6 +904,7 @@ def build_model(spec: ModelSpec) -> AssembledModel:
                 row = np.zeros(dim)
                 row[comp_offsets[comp.name]: comp_offsets[comp.name] + c.size] = c
                 rows.append(row)
+                owners.append(comp.name)
     constraints = np.vstack(rows) if rows else np.empty((0, dim))
 
     model = AssembledModel(
@@ -973,6 +933,36 @@ def build_model(spec: ModelSpec) -> AssembledModel:
         model.blocks[block.name] = AssembledBlock(
             block.name, block.family, block.responses, block.hyper, tuple(terms)
         )
+
+    # Q* = Q_prior + A'WA and null(Q_prior) is the row space of C, so Q* is
+    # singular at every theta when A C'u = 0 for some u != 0: a combination
+    # of the intrinsic components' null directions (their constraint rows)
+    # that no predictor sees, such as one component left unreferenced, or
+    # the constants of rw2 + cyclic_rw2 in one predictor.  A is every
+    # block's predictor at unit scales; its column rank on C' is judged
+    # like numpy's matrix_rank, on the k x k R of a QR
+    k = constraints.shape[0]
+    if k:
+        seen = np.vstack([
+            sum(
+                (t.matrix @ constraints.T for t in blk.terms
+                 if t.spec.kind == "component"),
+                np.zeros((blk.size, k)),
+            )
+            for blk in model.blocks.values()
+        ])
+        _, sv, vt = np.linalg.svd(np.linalg.qr(seen, mode="r"))
+        tol = sv.max(initial=0.0) * max(seen.shape) * np.finfo(float).eps
+        rank = int(np.sum(sv > tol))
+        if rank < k:
+            weight = np.abs(vt[rank:]).max(axis=0)
+            names = sorted({owners[j] for j in np.flatnonzero(weight > 1e-8)})
+            raise ConfigurationError(
+                f"the observations cannot pin down intrinsic component(s) "
+                f"{', '.join(map(repr, names))}: a combination of their "
+                f"constraint directions leaves every predictor unchanged, so "
+                f"the conditional precision is singular at every theta"
+            )
 
     if dim == 0:
         raise ConfigurationError("model has no latent nodes")

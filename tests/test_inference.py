@@ -596,15 +596,15 @@ class TestBandArrowFactor:
         mixed = mixed_family_model().structure
         assert 2 <= mixed.bandwidth < 10
 
-    def test_constraint_ridge_rescues_a_matrix_pd_on_the_complement(self):
-        m = rw2_fixed_model(n=10)
-        S = m.structure
-        C = m.constraints
-        theta = m.theta_natural(m.initial_internal())
-        data, _ = S.prior_values(theta)
+    def test_matrix_pd_only_on_the_constraint_complement_raises(self):
         # the rw2 block is singular along C; shifting its diagonal down by
         # half its smallest nonzero eigenvalue leaves it positive definite
-        # only on the complement of C's row space
+        # only on the complement of C's row space.  Q* itself is what is
+        # factored, so it is rejected with C as without
+        m = rw2_fixed_model(n=10)
+        S = m.structure
+        theta = m.theta_natural(m.initial_internal())
+        data, _ = S.prior_values(theta)
         n_rw2 = m.components["w"].dimension
         designs = {name: S.blocks[name].values(theta) for name in m.blocks}
         q_data = NewtonSystem(S, data, designs).base
@@ -612,58 +612,36 @@ class TestBandArrowFactor:
         shift = 0.5 * np.sort(np.linalg.eigvalsh(rw2))[2]
         rows, cols = _pattern_entries(S)
         q_data[(rows == cols) & (rows < n_rw2)] -= shift
-        with pytest.raises(InferenceError, match="not positive definite"):
-            _factor_spd(S, q_data)
-        factor = _factor_spd(S, q_data, C)
-        # the retry runs at the full body bandwidth
-        assert factor.band.shape == (n_rw2, n_rw2)
-        dense = S.qstar_matrix(q_data).toarray()
-        rho = max(float(np.mean(np.diag(dense))), 1.0)
-        ridged = dense + rho * (C.T @ C)
-        np.testing.assert_array_equal(factor.matrix().toarray(), ridged)
-        # Q*'s full-width split plus rho times the stored C'C pieces is the
-        # split of the dense ridged matrix, bit for bit, in LAPACK's layout
-        for piece, want in zip(
-            S.ridged_band_arrow(q_data, rho), S.band_arrow_dense(ridged)
-        ):
-            np.testing.assert_array_equal(piece, want)
-            assert piece.flags.f_contiguous
-        U = factor.solve_lt(np.eye(m.latent_dim))
-        _assert_close(U @ U.T, np.linalg.inv(ridged))
-        assert factor.half_logdet == pytest.approx(
-            0.5 * np.linalg.slogdet(ridged)[1], rel=1e-10
-        )
-        b = np.random.default_rng(4).normal(size=m.latent_dim)
-        _assert_close(factor.solve(b), np.linalg.solve(ridged, b))
-        _assert_close(factor.QinvCt, np.linalg.solve(ridged, C.T))
+        for C in (None, m.constraints):
+            with pytest.raises(InferenceError, match="not positive definite"):
+                _factor_spd(S, q_data, C)
 
-    @pytest.mark.parametrize("ridged", [False, True])
-    def test_constrained_determinant_matches_the_null_space_reference(
-        self, ridged
-    ):
-        # det_half is half the log determinant of Q* on null(C), on the
-        # plain path and after the constraint ridge alike
+    def test_zero_field_scale_is_a_failed_evaluation(self):
+        # at a1 = 0 the rw2 field's null space ({1, t}, C's rows) meets no
+        # likelihood curvature, so Q* is singular there; the evaluation
+        # fails, and the hyper stages treat it like any failed point.  At
+        # |a1| = 1e-3 the curvature a1^2 c is well above roundoff
+        m = _study_model(generate_sim2, sim2_spec, SIM2_TRUTH, 100, seed=1000)
+        theta = {"kappa": 12.0, "tau": 4.0, "a1": 0.0, "b1": 0.6}
+        with pytest.raises(InferenceError, match="not positive definite"):
+            gaussian_approx(m, theta)
+        for a1 in (-1e-3, 1e-3):
+            approx = gaussian_approx(m, dict(theta, a1=a1))
+            assert np.isfinite(approx.det_half)
+            assert np.max(np.abs(m.constraints @ approx.mode)) < 1e-8
+
+    def test_constrained_determinant_matches_the_null_space_reference(self):
+        # det_half is half the log determinant of Q* on null(C)
         m = rw2_fixed_model(n=10)
         S = m.structure
         C = m.constraints
         theta = m.theta_natural(m.initial_internal())
         data, _ = S.prior_values(theta)
         designs = {name: S.blocks[name].values(theta) for name in m.blocks}
-        system = NewtonSystem(S, data, designs)
-        if ridged:
-            # the ridge test's shift: positive definite on null(C) only
-            q_data = system.base
-            n_rw2 = m.components["w"].dimension
-            rw2 = S.qstar_matrix(q_data).toarray()[:n_rw2, :n_rw2]
-            shift = 0.5 * np.sort(np.linalg.eigvalsh(rw2))[2]
-            rows, cols = _pattern_entries(S)
-            q_data[(rows == cols) & (rows < n_rw2)] -= shift
-        else:
-            # the gaussian curvature makes Q* positive definite
-            tau = np.full(m.blocks["y"].size, theta["tau"])
-            q_data = system.values({"y": tau})
+        # the gaussian curvature makes Q* positive definite
+        tau = np.full(m.blocks["y"].size, theta["tau"])
+        q_data = NewtonSystem(S, data, designs).values({"y": tau})
         factor = _factor_spd(S, q_data, C)
-        assert (factor.rho is not None) == ridged
         N = null_space(C)
         Q = S.qstar_matrix(q_data).toarray()
         sign, logdet = np.linalg.slogdet(N.T @ Q @ N)
@@ -671,8 +649,8 @@ class TestBandArrowFactor:
         assert factor.det_half == pytest.approx(0.5 * logdet, rel=1e-10)
 
     def test_non_positive_definite_matrix_raises(self):
-        # negated values fail the ridge retry as well; a NaN passes LAPACK's
-        # pivot test and must be caught by the log-determinant check
+        # negated values fail with constraints as well; a NaN passes
+        # LAPACK's pivot test and must be caught by the log-determinant check
         m = mixed_family_model()
         S = m.structure
         data = random_spd_values(S, np.random.default_rng(5))
@@ -724,6 +702,32 @@ class TestBandArrowFactor:
 
         d = approx.sample(Identity(), m.latent_dim) - approx.mode
         _assert_close(d.T @ d, cov)
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_structure_holds_no_latent_squared_array(self, n):
+        # the factorization works at the structural bandwidth, so nothing
+        # the structure keeps grows with the square of the body size
+        m = _study_model(generate_sim2, sim2_spec, SIM2_TRUTH, n)
+        S = m.structure
+        n_body = S.order.size
+        assert n_body == n and m.constraints.shape[0] == 2
+
+        def arrays(value):
+            """Every ndarray reachable from value, short of the model."""
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from arrays(item)
+            elif isinstance(value, dict):
+                for item in value.values():
+                    yield from arrays(item)
+            elif hasattr(value, "__dict__") and value is not m:
+                yield from arrays(vars(value))
+
+        held = list(arrays(S))
+        assert held
+        assert max(a.size for a in held) < n_body**2
 
     def test_no_sparse_lu_in_the_package(self):
         src = Path(circfit.__file__).parent

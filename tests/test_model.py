@@ -4,6 +4,7 @@ from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circfit.inference import fit_model
 from circfit.latent import build_mv_iid, build_rw2, reference_marginal_sd
 from circfit.model import (
     AssembledModel,
@@ -512,6 +513,30 @@ class TestFixedStructure:
             m.prior_precision(dict(GENERIC_THETA, lam_i=0.0))
 
 
+EVERY_NODE = tuple(np.arange(20) % 8)
+
+
+def intrinsic_reach_spec(kinds, maps):
+    """20 gaussian observations of an intercept plus one 8-node intrinsic
+    component w<j> of each kind, with period 8 when cyclic; the predictor
+    references w<j> at node map maps[j] for each j < len(maps)."""
+    y = np.random.default_rng(5).normal(size=20)
+    terms = [TermSpec("intercept", "mu")]
+    terms += [
+        TermSpec("component", f"w{j}", indices=idx) for j, idx in enumerate(maps)
+    ]
+    components = tuple(
+        ComponentSpec(f"w{j}", kind, 8, period=8 if kind == "cyclic_rw2" else None)
+        for j, kind in enumerate(kinds)
+    )
+    return ModelSpec(
+        blocks=(BlockSpec("y", "gaussian", y, tuple(terms), hyper="tau"),),
+        components=components,
+        fixed_effects=(FixedEffectSpec("mu"),),
+        hypers={"tau": PriorSpec("pc_precision", (1.0, 0.01))},
+    )
+
+
 class TestValidation:
     def test_unknown_component_reference_names_it(self):
         spec = ModelSpec(
@@ -708,6 +733,64 @@ class TestValidation:
         )
         with pytest.raises(ConfigurationError, match="no latent nodes"):
             build_model(spec)
+
+    @pytest.mark.parametrize(
+        "kinds, maps, names",
+        [
+            (("rw2",), (), "'w0'"),
+            (("rw2",), ((3,) * 20,), "'w0'"),
+            (("cyclic_rw2",), (), "'w0'"),
+            (("rw2", "cyclic_rw2"), (EVERY_NODE, EVERY_NODE), "'w0', 'w1'"),
+            (("rw2", "rw2"), (EVERY_NODE, EVERY_NODE), "'w0', 'w1'"),
+        ],
+        ids=[
+            "unreferenced_rw2",
+            "one_node_rw2",
+            "unreferenced_cyclic_rw2",
+            "rw2_plus_cyclic_rw2",
+            "two_rw2_on_the_same_nodes",
+        ],
+    )
+    def test_intrinsic_component_the_observations_cannot_pin_down(
+        self, kinds, maps, names
+    ):
+        # Q* would be singular at every theta: a combination of the
+        # components' null directions (C's rows) meets no likelihood
+        # curvature.  For rw2 + cyclic_rw2 it is +1 on the rw2 nodes and -1
+        # on the cyclic ones, which every predictor sees as 1 - 1 = 0
+        spec = intrinsic_reach_spec(kinds, maps)
+        with pytest.raises(
+            ConfigurationError, match=f"intrinsic component\\(s\\) {names}:"
+        ):
+            build_model(spec)
+
+    def test_rw2_and_cyclic_rw2_in_two_predictors_build(self):
+        # each block's intercept-free predictor sees one constant, so
+        # nothing cancels
+        y = np.random.default_rng(5).normal(size=20)
+        spec = ModelSpec(
+            blocks=tuple(
+                BlockSpec(name, "gaussian", y,
+                          (TermSpec("component", comp, indices=EVERY_NODE),),
+                          hyper=f"tau_{name}")
+                for name, comp in (("y0", "w0"), ("y1", "w1"))
+            ),
+            components=(
+                ComponentSpec("w0", "rw2", 8),
+                ComponentSpec("w1", "cyclic_rw2", 8, period=8),
+            ),
+            hypers={
+                f"tau_{name}": PriorSpec("pc_precision", (1.0, 0.01))
+                for name in ("y0", "y1")
+            },
+        )
+        assert build_model(spec).constraints.shape[0] == 3
+
+    def test_rw2_reached_at_two_nodes_fits(self):
+        m = build_model(intrinsic_reach_spec(("rw2",), ((2, 5) * 10,)))
+        fit = fit_model(m)
+        assert np.isfinite(fit.theta_mode["tau"])
+        assert np.max(np.abs(m.constraints @ fit.latent_summary["mean"])) < 1e-9
 
     def test_index_map_out_of_range(self):
         spec = ModelSpec(

@@ -47,6 +47,20 @@ def test_threads_reproduce_sequential_replicates():
     assert all(reps == 2 for _, reps in coverage.values())
 
 
+def test_sim2_study_records_parameters_and_predictive_pvalues():
+    result = run_study("sim2", n=100, reps=1, seed=1000)
+    (record,) = result.records
+    assert record.seed == 1000
+    names = [p.name for p in record.parameters]
+    assert names == ["a0", "b0", "a1", "b1", "kappa", "tau"]
+    for p in record.parameters:
+        assert p.truth == SIM2_TRUTH[p.name]
+        assert np.isfinite([p.estimate, p.lower, p.upper]).all()
+        assert p.lower <= p.upper
+    assert set(record.pvalues) == {"x", "y"}
+    assert all(0.0 <= v <= 1.0 for v in record.pvalues.values())
+
+
 @pytest.mark.parametrize(
     "generate, spec, truth, n, latent_dim",
     [
