@@ -915,12 +915,22 @@ def hyper_marginals(model, points, theta_mode_internal, hessian,
     its lp is the scans' reference and its latent mode their warm start,
     so the mode is not solved again.  Fixed hypers yield degenerate
     one-point grids.  A scan step outside the hyper box counts as a failed
-    evaluation; a free coordinate whose scan keeps only the mode raises
+    evaluation; a free coordinate whose grid keeps only the mode raises
     ``InferenceError``.
     """
     space = _HyperSpace(model)
     out = {}
     free_list = list(space.free)
+
+    def summary(grid, lps, coord):
+        if len(grid) == 1:
+            # a one-point grid has zero area: no density to normalize
+            raise InferenceError(
+                f"the marginal grid of hyper {coord.name!r} kept only the "
+                "mode: every other point failed or left the hyper box",
+                best=theta_mode_internal,
+            )
+        return _natural_grid_summary(grid, lps, coord)
 
     for idx, coord in enumerate(model.hyper_coords):
         if coord.is_fixed:
@@ -937,9 +947,9 @@ def hyper_marginals(model, points, theta_mode_internal, hessian,
             }
     if space.dim == 1:
         coord = model.hyper_coords[free_list[0]]
-        grid = np.array([pt.theta_internal[free_list[0]] for pt in points])
-        lps = np.array([pt.log_unnorm_posterior for pt in points])
-        out[coord.name] = _natural_grid_summary(grid, lps, coord)
+        grid = [pt.theta_internal[free_list[0]] for pt in points]
+        lps = [pt.log_unnorm_posterior for pt in points]
+        out[coord.name] = summary(grid, lps, coord)
         return out
 
     if space.dim >= 2:
@@ -993,16 +1003,7 @@ def hyper_marginals(model, points, theta_mode_internal, hessian,
                     lp = eval_at(sign * kk * scan_step * sd_j)
                     if lp < lp0 - scan_drop:
                         break
-            if len(us) == 1:
-                # a one-point grid has zero area: no density to normalize
-                raise InferenceError(
-                    f"profile scan of hyper {coord.name!r} kept only the "
-                    "mode: every scan step failed or left the hyper box",
-                    best=theta_mode_internal,
-                )
-            out[coord.name] = _natural_grid_summary(
-                np.array(us), np.array(lps), coord
-            )
+            out[coord.name] = summary(us, lps, coord)
     return out
 
 

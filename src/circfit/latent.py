@@ -149,20 +149,22 @@ def build_ar2(n: int, pacf1: float, pacf2: float) -> SparsePrecision:
     a1, a2 = pacf_to_ar2(pacf1, pacf2)
     v = (1.0 - pacf1**2) * (1.0 - pacf2**2)
     r1 = a1 / (1.0 - a2)
-    A = sparse.coo_array(
-        (
-            np.tile([-a2, -a1, 1.0], n - 2),
-            (
-                np.repeat(np.arange(n - 2), 3),
-                (np.arange(n - 2)[:, None] + np.arange(3)[None, :]).ravel(),
-            ),
-        ),
-        shape=(n - 2, n),
-    )
+    # A'A / v by diagonals: each entry sums A's rows in order and is then
+    # scaled by 1 / v, which is how the sparse product A'A / v rounds it
+    main, first = np.zeros(n), np.zeros(n - 1)
+    main[2:] += 1.0
+    main[1:-1] += a1 * a1
+    main[:-2] += a2 * a2
+    first[1:] += -a1
+    first[:-1] += a2 * a1
+    second = np.full(n - 2, -a2)
+    main, first, second = (d * (1.0 / v) for d in (main, first, second))
     gamma2_inv = np.array([[1.0, -r1], [-r1, 1.0]]) / (1.0 - r1 * r1)
-    Q = sparse.lil_array((n, n))
-    Q[:2, :2] = gamma2_inv
-    Q = _as_csc(sparse.csc_array(Q) + (A.T @ A) / v)
+    main[:2] += np.diagonal(gamma2_inv)
+    first[0] += gamma2_inv[0, 1]
+    Q = _as_csc(sparse.diags_array(
+        [second, first, main, first, second], offsets=[-2, -1, 0, 1, 2]
+    ))
     log_gdet = -(n - 2) * np.log(v) - np.log1p(-r1 * r1)
     return SparsePrecision(matrix=Q, log_gdet=float(log_gdet))
 

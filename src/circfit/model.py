@@ -9,8 +9,9 @@ in the latent field and the model stays a latent Gaussian model.
 Assembly expands shared predictors symbolically: a term like
 b1 * (predictor of block x) becomes the inner block's terms with b1 joined
 onto each term's chain of scale hyperparameters.  Each expanded term is kept
-once, as a ``PredictorTerm`` on its assembled block; ``term_design`` maps it
-to latent nodes and coefficients for the fitted inputs and for new ones.
+once, as a ``PredictorTerm`` holding ``term_design``'s latent node and
+coefficient per observation; ``terms_predictor`` sums such records, fitted
+or copied with the nodes and coefficients of new inputs.
 """
 
 import warnings
@@ -54,6 +55,7 @@ __all__ = [
     "PredictorTerm",
     "build_model",
     "term_design",
+    "terms_predictor",
     "predictor_values",
     "classical_sincos_spec",
 ]
@@ -341,19 +343,18 @@ class AssembledModel:
         return self.structure.blocks[block_name].matrix(theta)
 
     def predictor(self, block_name: str, w: np.ndarray, theta: dict) -> np.ndarray:
-        return self.block_matrix(block_name, theta) @ w
+        return terms_predictor(self.blocks[block_name].terms, w, theta)
 
 
-def _pattern(mats, shape, fmt):
-    """Union of the stored-entry patterns of mats in canonical (sorted,
-    duplicate-free) csr or csc form.  Stored zeros count, so the pattern
-    never depends on values."""
-    coos = [sparse.coo_array(M) for M in mats]
-    rows = np.concatenate([C.row for C in coos])
-    cols = np.concatenate([C.col for C in coos])
-    C = sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=shape)
-    P = C.tocsr() if fmt == "csr" else C.tocsc()
-    P.sum_duplicates()
+def _pattern(keys, shape, fmt):
+    """The canonical (sorted, duplicate-free) csr or csc pattern of the
+    entries with the given keys, as ``_keys`` forms them; keys may repeat.
+    Stored zeros count, so a pattern never depends on values."""
+    keys = np.unique(keys)
+    major_dim, minor_dim = shape if fmt == "csr" else shape[::-1]
+    indptr = np.searchsorted(keys // minor_dim, np.arange(major_dim + 1))
+    compressed = sparse.csr_array if fmt == "csr" else sparse.csc_array
+    P = compressed((np.ones(keys.size), keys % minor_dim, indptr), shape=shape)
     # matrices built on this pattern share its index arrays
     P.indices.flags.writeable = False
     P.indptr.flags.writeable = False
@@ -379,16 +380,18 @@ class _BlockPattern:
     ``rows`` and ``cols`` give each stored entry's position."""
 
     def __init__(self, block, latent_dim):
-        mats = [t.matrix for t in block.terms]
-        union = _pattern(mats, (block.size, latent_dim), "csr")
-        keys = _keys(union)
-        self.coef = np.zeros((len(block.terms), union.nnz))
-        for t, M in enumerate(mats):
-            self.coef[t, _positions(keys, M)] = M.data
+        # each term stores one entry per observation, keyed as in csr
+        obs = np.arange(block.size)
+        keys = np.array([obs * latent_dim + t.nodes for t in block.terms])
+        union, where = np.unique(keys, return_inverse=True)
+        where = where.reshape(keys.shape)
+        self.coef = np.zeros((len(block.terms), union.size))
+        for t, term in enumerate(block.terms):
+            self.coef[t, where[t]] = term.coef
         self.terms = block.terms
-        self.pattern = union
-        self.rows = np.repeat(np.arange(union.shape[0]), np.diff(union.indptr))
-        self.cols = union.indices
+        self.pattern = _pattern(union, (block.size, latent_dim), "csr")
+        self.rows = union // latent_dim
+        self.cols = union % latent_dim
 
     def values(self, theta):
         """A_b(theta)'s stored values in pattern order."""
@@ -419,7 +422,7 @@ def _component_pattern(model, comp):
         M = sparse.kron(sparse.eye_array(comp.size), np.ones((d, d)))
     else:
         M = model._unit[comp.name].matrix
-    return _pattern([M], M.shape, "csc")
+    return _pattern(_keys(sparse.csc_array(M)), M.shape, "csc")
 
 
 class ModelStructure:
@@ -467,35 +470,33 @@ class ModelStructure:
         self.effect_log_gdet = float(np.sum(np.log(self.effect_prec)))
         if self.effect_prec.size:
             patterns.append(sparse.eye_array(self.effect_prec.size, format="csc"))
-        prior = sparse.block_diag(patterns)
-        self.prior = _pattern([prior], prior.shape, "csc")
+        prior = sparse.block_diag(patterns, format="csc")
+        self.prior = _pattern(_keys(prior), prior.shape, "csc")
         self.prior_rows = self.prior.indices
         self.prior_cols = np.repeat(np.arange(n), np.diff(self.prior.indptr))
 
-        # Newton matrix: the prior pattern plus every block's A'A pattern
-        self.qstar = _pattern(
-            [self.prior]
-            + [pat.pattern.T @ pat.pattern for pat in self.blocks.values()],
-            (n, n),
-            "csc",
-        )
-        q_keys = _keys(self.qstar)
-        self.prior_in_qstar = _positions(q_keys, self.prior)
+        # Newton matrix: the prior pattern plus every block's A'A pattern,
+        # whose entries are the pairs of stored entries of a row of A
         self.pairs = {}
         for name, pat in self.blocks.items():
             P = pat.pattern
             lengths = np.diff(P.indptr)
-            obs_of = np.repeat(np.arange(P.shape[0]), lengths)
-            partners = lengths[obs_of]
+            partners = lengths[pat.rows]
             nz_a = np.repeat(np.arange(P.nnz), partners)
             first = np.cumsum(partners) - partners
-            nz_b = np.repeat(P.indptr[obs_of], partners) + (
+            nz_b = np.repeat(P.indptr[pat.rows], partners) + (
                 np.arange(nz_a.size) - np.repeat(first, partners)
             )
-            # Q* is csc: entry (row cols[nz_a], column cols[nz_b])
-            cols = P.indices.astype(np.int64)
-            pos = np.searchsorted(q_keys, cols[nz_b] * n + cols[nz_a])
-            self.pairs[name] = (obs_of[nz_a], nz_a, nz_b, pos)
+            # Q* is csc: entry (row pat.cols[nz_a], column pat.cols[nz_b])
+            keys = pat.cols[nz_b] * n + pat.cols[nz_a]
+            self.pairs[name] = (pat.rows[nz_a], nz_a, nz_b, keys)
+        keys = [_keys(self.prior)] + [p[3] for p in self.pairs.values()]
+        self.qstar = _pattern(np.concatenate(keys), (n, n), "csc")
+        q_keys = _keys(self.qstar)
+        self.prior_in_qstar = _positions(q_keys, self.prior)
+        # each pair's key becomes its position in Q*'s data
+        for name, (obs, nz_a, nz_b, keys) in self.pairs.items():
+            self.pairs[name] = (obs, nz_a, nz_b, np.searchsorted(q_keys, keys))
 
         # band + arrow layout of Q*; rank is a node's band or arrow index
         Q = self.qstar
@@ -648,13 +649,15 @@ class PredictorTerm:
     ``spec`` is the ``TermSpec`` as declared (never a shared term: those are
     expanded into the referenced block's terms), ``chain`` the names of
     every scale hyper that multiplies it, the shared-predictor scales first
-    and its own scale last, and ``matrix`` its observation-by-latent csr
-    matrix at the fitted inputs, without scales.
+    and its own scale last, and ``nodes`` and ``coef`` the latent node and
+    coefficient of each observation as ``term_design`` gives them, without
+    scales: the fitted inputs' on the assembled block, new inputs' in a copy.
     """
 
     spec: TermSpec
     chain: tuple
-    matrix: sparse.csr_array
+    nodes: np.ndarray
+    coef: np.ndarray
 
     def factor(self, theta):
         """The product of the chain's natural hyper values."""
@@ -662,6 +665,15 @@ class PredictorTerm:
         for h in self.chain:
             factor *= theta[h]
         return factor
+
+
+def terms_predictor(terms, w, theta):
+    """sum_t factor_t(theta) * w[..., nodes_t] * coef_t over the terms of a
+    predictor, at latent w (one row per leading index) and natural theta."""
+    eta = np.zeros(w.shape[:-1] + terms[0].nodes.shape)
+    for t in terms:
+        eta += t.factor(theta) * w[..., t.nodes] * t.coef
+    return eta
 
 
 @dataclass(frozen=True)
@@ -923,13 +935,9 @@ def build_model(spec: ModelSpec) -> AssembledModel:
         n = block.size
         terms = []
         for term, chain in _expand_terms(block, block_by_name, []):
-            cols, vals = term_design(
+            terms.append(PredictorTerm(term, chain, *term_design(
                 model, block.name, term, n, spec.covariates, None
-            )
-            M = sparse.csr_array(
-                sparse.coo_array((vals, (np.arange(n), cols)), shape=(n, dim))
-            )
-            terms.append(PredictorTerm(term, chain, M))
+            )))
         model.blocks[block.name] = AssembledBlock(
             block.name, block.family, block.responses, block.hyper, tuple(terms)
         )
@@ -945,8 +953,8 @@ def build_model(spec: ModelSpec) -> AssembledModel:
     if k:
         seen = np.vstack([
             sum(
-                (t.matrix @ constraints.T for t in blk.terms
-                 if t.spec.kind == "component"),
+                (t.coef[:, None] * constraints[:, t.nodes].T
+                 for t in blk.terms if t.spec.kind == "component"),
                 np.zeros((blk.size, k)),
             )
             for blk in model.blocks.values()
@@ -966,6 +974,11 @@ def build_model(spec: ModelSpec) -> AssembledModel:
 
     if dim == 0:
         raise ConfigurationError("model has no latent nodes")
+    for blk in model.blocks.values():
+        if not blk.terms:
+            raise ConfigurationError(
+                f"block {blk.name!r} has no predictor terms"
+            )
     return model
 
 

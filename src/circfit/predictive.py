@@ -3,9 +3,10 @@ leave-one-out metrics.
 
 Everything here consumes a finished FitResult: hyper vectors are drawn from
 the exploration weights, latent vectors from the matching conditional
-Gaussians, and responses from the block families.  Predictors at new inputs
-and the fixed-effect part of a forecast come from the assembled terms through
-``model.term_design``, the map that built the fitted design.  Forecasting
+Gaussians, and responses from the block families.  Predictors are summed
+from the assembled term records by ``model.terms_predictor``, at new inputs
+from copies holding ``model.term_design``'s nodes and coefficients; the
+fixed-effect part of a forecast comes from ``term_design`` too.  Forecasting
 extends the latent components past the fitted range (ar2 by its exact
 conditional given the last two states, cyclic components by indexing modulo
 their period, iid effects by fresh draws) and composes predictors from
@@ -14,7 +15,7 @@ with an explicit index map cannot be forecast: the map says nothing about
 future positions.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -23,7 +24,7 @@ from scipy.signal import fftconvolve
 from .circular import lavm_sample
 from .latent import pacf_to_ar2
 from .likelihoods import loglik
-from .model import term_design
+from .model import term_design, terms_predictor
 from .priors import ConfigurationError
 
 __all__ = [
@@ -132,7 +133,7 @@ def sample_posterior(fit, n, rng):
     out = []
     for theta_internal, theta, latents in _point_batches(fit, n, rng):
         etas = {
-            name: latents @ model.block_matrix(name, theta).T
+            name: model.predictor(name, latents, theta)
             for name in model.blocks
         }
         for i, w in enumerate(latents):
@@ -243,23 +244,20 @@ def posterior_predictive(fit, block, new_inputs=None, n=300, rng=None):
         rng = np.random.default_rng(0)
     model = fit.model
     blk = model.blocks[block]
+    terms = blk.terms
     if new_inputs is not None:
         m = int(new_inputs["size"])
-        design = [
-            (t, *term_design(
-                model, block, t.spec, m, new_inputs.get("covariates") or {},
-                new_inputs.get("indices") or {},
-            ))
-            for t in blk.terms
-        ]
+        covariates = new_inputs.get("covariates") or {}
+        indices = new_inputs.get("indices") or {}
+        terms = []
+        for t in blk.terms:
+            nodes, coef = term_design(
+                model, block, t.spec, m, covariates, indices
+            )
+            terms.append(replace(t, nodes=nodes, coef=coef))
     out = []
     for _, theta, latents in _point_batches(fit, n, rng):
-        if new_inputs is None:
-            eta = latents @ model.block_matrix(block, theta).T
-        else:
-            eta = np.zeros((latents.shape[0], m))
-            for t, nodes, coef in design:
-                eta += t.factor(theta) * latents[:, nodes] * coef
+        eta = terms_predictor(terms, latents, theta)
         hyper = theta[blk.hyper] if blk.hyper else None
         out.append(_draw_responses(rng, blk.family, eta, hyper))
     draws = np.vstack(out)
@@ -432,8 +430,7 @@ def cpo(fit, n_draws=4000, rng=None, joint=None):
     parts = {name: [] for name in model.blocks}
     for _, theta, latents in _point_batches(fit, n_draws, rng):
         for name, blk in model.blocks.items():
-            A = model.block_matrix(name, theta)
-            eta = latents @ A.T
+            eta = model.predictor(name, latents, theta)
             hyper = theta[blk.hyper] if blk.hyper else None
             value, _, _ = loglik(blk.family, blk.responses, eta, hyper)
             parts[name].append(-value)

@@ -484,7 +484,9 @@ class TestAssembly:
         for name, blk in m.blocks.items():
             A = np.zeros((blk.size, m.latent_dim))
             for t in blk.terms:
-                A += t.matrix.toarray() * np.prod([theta[h] for h in t.chain])
+                M = np.zeros_like(A)
+                M[np.arange(blk.size), t.nodes] = t.coef
+                A += M * np.prod([theta[h] for h in t.chain])
             eta = A @ w
             hyper = theta[blk.hyper] if blk.hyper else None
             _, _, d2 = loglik(blk.family, blk.responses, eta, hyper)
@@ -1155,6 +1157,22 @@ class TestHyperMarginals:
         points = explore_theta(m, mode, hessian)
         with pytest.raises(InferenceError, match="'p1' kept only the mode"):
             hyper_marginals(m, points, mode, hessian)
+
+    def test_one_point_exploration_grid_raises_and_names_the_hyper(self):
+        # with one free hyper the exploration grid is the marginal's grid;
+        # the mode alone has no area to normalize by
+        m = tau_free_model()
+        theta_mode, hessian, _ = optimize_theta(m)
+        points = [
+            pt for pt in explore_theta(m, theta_mode, hessian)
+            if np.array_equal(pt.theta_internal, theta_mode)
+        ]
+        assert len(points) == 1
+        with pytest.raises(
+            InferenceError, match="'tau' kept only the mode"
+        ) as err:
+            hyper_marginals(m, points, theta_mode, hessian)
+        np.testing.assert_array_equal(err.value.best, theta_mode)
 
     def test_mode_refinement_survives_an_underflowing_neighbour(self):
         # exp(-800) underflows to a zero density; the parabola through the

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse._compressed import _cs_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from circfit.model import (
     predictor_values,
 )
 from circfit.priors import ConfigurationError, PriorSpec
+from circfit.studies import SIM1_TRUTH, generate_sim1, sim1_spec
 
 
 def intercept_only_spec(n=20, seed=3):
@@ -119,7 +121,8 @@ class TestLayout:
         for name in a.blocks:
             for ta, tb in zip(a.blocks[name].terms, b.blocks[name].terms):
                 assert ta.chain == tb.chain
-                assert (ta.matrix != tb.matrix).nnz == 0
+                np.testing.assert_array_equal(ta.nodes, tb.nodes)
+                np.testing.assert_array_equal(ta.coef, tb.coef)
         np.testing.assert_array_equal(a.constraints, b.constraints)
 
     def test_constraints_padded_to_latent_dim(self):
@@ -453,13 +456,18 @@ def reference_prior(m, theta):
 
 
 def reference_block(m, name, theta):
-    """Sum over the block's terms of M times its scale-chain product."""
+    """Sum over the block's terms of M times its scale-chain product, M the
+    term's observation-by-latent matrix."""
     A = None
     for t in m.blocks[name].terms:
         factor = 1.0
         for h in t.chain:
             factor *= theta[h]
-        A = t.matrix * factor if A is None else A + t.matrix * factor
+        M = sparse.csr_array(
+            (t.coef, t.nodes, np.arange(t.nodes.size + 1)),
+            shape=(t.nodes.size, m.latent_dim),
+        )
+        A = M * factor if A is None else A + M * factor
     return sparse.csr_array(A)
 
 
@@ -506,6 +514,22 @@ class TestFixedStructure:
         built = m._structure
         m.block_matrix("y", SPECIAL_THETA)
         assert m.structure is built
+
+    def test_build_model_constructs_no_compressed_sparse_matrix(
+        self, monkeypatch
+    ):
+        # terms hold nodes and coefficients; patterns wait for the first fit
+        data = generate_sim1(50, SIM1_TRUTH, np.random.default_rng(1))
+        built = []
+        original = _cs_matrix.__init__
+
+        def counting(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(_cs_matrix, "__init__", counting)
+        build_model(sim1_spec(data))
+        assert built == []
 
     def test_nonpositive_precision_hyper_still_rejected(self):
         m = build_model(structure_spec())
@@ -732,6 +756,16 @@ class TestValidation:
             blocks=(BlockSpec("y", "poisson", np.zeros(2), ()),),
         )
         with pytest.raises(ConfigurationError, match="no latent nodes"):
+            build_model(spec)
+
+    def test_block_without_terms_rejected(self):
+        # rejected at build time, not inside the first fit
+        spec = ModelSpec(
+            blocks=(BlockSpec("y", "gaussian", np.zeros(2), (), hyper="tau"),),
+            fixed_effects=(FixedEffectSpec("b"),),
+            hypers={"tau": PriorSpec("fixed", (1.0,))},
+        )
+        with pytest.raises(ConfigurationError, match="'y' has no predictor"):
             build_model(spec)
 
     @pytest.mark.parametrize(

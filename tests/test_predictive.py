@@ -7,6 +7,7 @@ Gaussian algebra on small models.
 
 import numpy as np
 import pytest
+from scipy.sparse._compressed import _cs_matrix
 from scipy.special import i0, i1, logsumexp
 from scipy.stats import gaussian_kde, norm
 
@@ -33,6 +34,7 @@ from circfit.predictive import (
     sample_posterior,
 )
 from circfit.priors import ConfigurationError, PriorSpec
+from circfit.studies import SIM2_TRUTH, generate_sim2, sim2_spec
 
 
 def diagonal_model(n=20, seed=3, lam=2.0, tau=3.0):
@@ -851,3 +853,27 @@ class TestCpo:
         logu = np.zeros((200, 2))
         logu[0, 1] = 60.0
         assert_harmonic_matches_reference(logu)
+
+
+class TestQueryRound:
+    def test_query_round_constructs_no_compressed_sparse_matrix(
+        self, monkeypatch
+    ):
+        # every query sums the terms' nodes and coefficients directly
+        data = generate_sim2(100, SIM2_TRUTH, np.random.default_rng(1000))
+        m = build_model(sim2_spec(data))
+        fit = fit_model(m, max_evals=600)
+        built = []
+        original = _cs_matrix.__init__
+
+        def counting(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(_cs_matrix, "__init__", counting)
+        rng = np.random.default_rng(0)
+        cpo(fit, n_draws=400, rng=rng)
+        for name in m.blocks:
+            posterior_predictive(fit, name, n=50, rng=rng)
+        sample_posterior(fit, 50, rng)
+        assert built == []
