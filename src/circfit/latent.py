@@ -5,13 +5,20 @@ matrix together with its rank deficiency, the constraint vectors spanning its
 null space, and the log generalized determinant (product of nonzero
 eigenvalues).  Intrinsic components keep their exact singular precision; the
 inference engine enforces the constraints by conditioning, never by jitter.
+
+The intrinsic kinds have closed forms.  Their reference sd is the root mean
+of the marginal variances under the constraints, sqrt(trace(Q^+) / n) with Q^+
+the pseudo-inverse; ``build_model`` divides each intrinsic precision by its
+square (Sorbye & Rue 2014; Rue & Held 2005, ch. 3).  For rw2 on n nodes the
+log generalized determinant is log(n^2 (n^2 - 1) / 12) and the reference
+variance (n^2 - 4)(n^2 + 5) / (420 n); for the cyclic rw2 of period p they are
+4 log p and (p^2 - 1)(p^2 + 11) / (720 p).
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cholesky_banded, solve_triangular
 
 from .priors import ConfigurationError
 
@@ -19,13 +26,14 @@ __all__ = [
     "SparsePrecision",
     "build_iid",
     "build_rw2",
+    "rw2_reference_sd",
     "build_cyclic_rw2",
+    "cyclic_rw2_reference_sd",
     "pacf_to_ar2",
     "build_ar2",
     "build_mv_iid",
     "scale_precision",
     "scaled_log_gdet",
-    "reference_marginal_sd",
 ]
 
 
@@ -46,9 +54,6 @@ class SparsePrecision:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 def _as_csc(M) -> sparse.csc_array:
@@ -77,24 +82,23 @@ def _second_difference(n: int) -> sparse.csc_array:
 def build_rw2(n: int) -> SparsePrecision:
     """Second-order random walk precision D2' D2 (interior stencil
     1, -4, 6, -4, 1), improper with the constant and the linear trend in its
-    null space."""
+    null space.  Its nonzero eigenvalues are those of D2 D2', whose
+    determinant is n^2 (n^2 - 1) / 12."""
     if n < 3:
         raise ConfigurationError(f"rw2 component needs n >= 3, got {n}")
     D2 = _second_difference(n)
     Q = _as_csc(D2.T @ D2)
     constraints = np.vstack([np.ones(n), np.arange(1.0, n + 1.0)])
-    # nonzero eigenvalues of D2'D2 equal the spectrum of the pentadiagonal
-    # D2 D2', whose banded Cholesky gives the log-determinant in O(n)
-    G = (D2 @ D2.T).toarray()
-    bands = np.zeros((3, n - 2))
-    bands[0, 2:] = np.diagonal(G, 2)
-    bands[1, 1:] = np.diagonal(G, 1)
-    bands[2, :] = np.diagonal(G)
-    chol = cholesky_banded(bands, lower=False)
-    log_gdet = 2.0 * float(np.sum(np.log(chol[-1])))
+    log_gdet = float(np.log(n * n * (n * n - 1.0) / 12.0))
     return SparsePrecision(
         matrix=Q, rank_deficiency=2, constraints=constraints, log_gdet=log_gdet
     )
+
+
+def rw2_reference_sd(n: int) -> float:
+    """Reference sd of the unit rw2 on n nodes, the root of
+    trace((D2 D2')^-1) / n; it grows as n^1.5 / sqrt(420)."""
+    return float(np.sqrt((n * n - 4.0) * (n * n + 5.0) / (420.0 * n)))
 
 
 def build_cyclic_rw2(n: int, period: int) -> SparsePrecision:
@@ -115,14 +119,19 @@ def build_cyclic_rw2(n: int, period: int) -> SparsePrecision:
     cols = (np.arange(p)[:, None] + np.array([0, 1, 2, p - 2, p - 1])[None, :]) % p
     vals = np.tile([6.0, -4.0, 1.0, 1.0, -4.0], p)
     Q = _as_csc(sparse.coo_array((vals, (rows, cols.ravel())), shape=(p, p)))
-    # circulant spectrum: (2 cos(2 pi k / p) - 2)^2, zero only at k = 0
-    eig = (2.0 * np.cos(2.0 * np.pi * np.arange(1, p) / p) - 2.0) ** 2
     return SparsePrecision(
         matrix=Q,
         rank_deficiency=1,
         constraints=np.ones((1, p)),
-        log_gdet=float(np.sum(np.log(eig))),
+        log_gdet=4.0 * float(np.log(p)),
     )
+
+
+def cyclic_rw2_reference_sd(period: int) -> float:
+    """Reference sd of the unit cyclic rw2 of the given period p, the root
+    of the sum of 1 / (16 p sin^4(pi k / p)) over k = 1..p-1."""
+    p = period
+    return float(np.sqrt((p * p - 1.0) * (p * p + 11.0) / (720.0 * p)))
 
 
 def pacf_to_ar2(pacf1: float, pacf2: float) -> tuple:
@@ -210,24 +219,3 @@ def scale_precision(Q: SparsePrecision, tau: float) -> SparsePrecision:
     determinant as ``scaled_log_gdet`` does."""
     log_gdet = scaled_log_gdet(Q, tau)
     return replace(Q, matrix=_as_csc(Q.matrix * tau), log_gdet=log_gdet)
-
-
-def reference_marginal_sd(prec: SparsePrecision) -> float:
-    """Root-mean marginal variance of the unit-scale component under its
-    constraints.  Intrinsic precisions are divided by the square of this at
-    model assembly, so a scale hyper multiplying the field is the
-    contribution sd itself; for a raw rw2 the reference grows with n
-    (roughly n^1.5), which would make scale priors meaningless.
-    """
-    n = prec.dimension
-    dense = prec.matrix.toarray()
-    if prec.rank_deficiency == 0:
-        L = np.linalg.cholesky(dense)
-        inv_diag = np.sum(solve_triangular(L, np.eye(n), lower=True) ** 2, axis=0)
-        return float(np.sqrt(np.mean(inv_diag)))
-    # the constraints span the null space, so the pseudo-inverse is exactly
-    # the covariance conditional on C w = 0
-    w, V = np.linalg.eigh(dense)
-    keep = w > 1e-9 * w[-1]
-    pinv_diag = ((V[:, keep] ** 2) / w[keep]).sum(axis=1)
-    return float(np.sqrt(np.mean(pinv_diag)))

@@ -29,7 +29,8 @@ from .latent import (
     build_iid,
     build_mv_iid,
     build_rw2,
-    reference_marginal_sd,
+    cyclic_rw2_reference_sd,
+    rw2_reference_sd,
     scale_precision,
     scaled_log_gdet,
 )
@@ -882,20 +883,25 @@ def build_model(spec: ModelSpec) -> AssembledModel:
             scale_roles[term.scale] = (role, term)
 
     # unit builds for theta-independent components; intrinsic fields are
-    # standardized to unit reference marginal sd (the rw2 analogue of the
-    # AR(2) unit-variance convention) so scale hypers read as the field's
-    # contribution sd and precision hypers as the field's own precision
+    # standardized to unit reference marginal sd, the root mean of their
+    # marginal variances under the constraints (the rw2 analogue of the
+    # AR(2) unit-variance convention), so scale hypers read as the field's
+    # contribution sd and precision hypers as the field's own precision.
+    # The reference variance is a closed form in the kind and size:
+    # (n^2 - 4)(n^2 + 5) / (420 n) for rw2 on n nodes and
+    # (p^2 - 1)(p^2 + 11) / (720 p) for the cyclic rw2 of period p.
     unit = {}
     for comp in spec.components:
         if comp.kind == "iid":
             unit[comp.name] = build_iid(comp.size)
         elif comp.kind == "rw2":
-            unit[comp.name] = build_rw2(comp.size)
+            sd = rw2_reference_sd(comp.size)
+            unit[comp.name] = scale_precision(build_rw2(comp.size), sd * sd)
         elif comp.kind == "cyclic_rw2":
-            unit[comp.name] = build_cyclic_rw2(comp.size, comp.period)
-        if comp.kind in ("rw2", "cyclic_rw2"):
-            sd = reference_marginal_sd(unit[comp.name])
-            unit[comp.name] = scale_precision(unit[comp.name], sd * sd)
+            sd = cyclic_rw2_reference_sd(comp.period)
+            unit[comp.name] = scale_precision(
+                build_cyclic_rw2(comp.size, comp.period), sd * sd
+            )
 
     for name, (role, term) in scale_roles.items():
         coords.append(HyperCoord(name, spec.hypers[name], role))

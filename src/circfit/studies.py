@@ -16,14 +16,13 @@ use.
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.stats import ks_2samp
 
 from .circular import lavm_sample
 from .inference import fit_model
-from .latent import build_rw2, pacf_to_ar2, reference_marginal_sd
+from .latent import pacf_to_ar2, rw2_reference_sd
 from .model import (
     BlockSpec,
     ComponentSpec,
@@ -65,19 +64,15 @@ __all__ = [
 # ------------------------------------------------------------------ fields
 
 
-@lru_cache(maxsize=None)
-def _rw2_reference_sd(n):
-    return reference_marginal_sd(build_rw2(n))
-
-
 def smooth_field(n, rng):
     """Exact draw from the standardized second-order random walk prior,
     conditioned on its level and trend being zero.
 
     Second differences are iid standard normal, so the path is a double
     cumulative sum; projecting out the constant and linear directions gives
-    the conditional law, and dividing by the reference sd matches the
-    standardization applied to fitted components, keeping a unit scale
+    the conditional law.  Dividing by the reference sd, the root mean of
+    those conditional variances, sqrt((n^2 - 4)(n^2 + 5) / (420 n)), matches
+    the standardization applied to fitted components, keeping a unit scale
     hyper the generating truth.
     """
     d = rng.standard_normal(n - 2)
@@ -85,7 +80,7 @@ def smooth_field(n, rng):
     t = np.arange(n, dtype=float)
     basis = np.stack([np.ones(n), t - t.mean()], axis=1)
     w = w - basis @ np.linalg.lstsq(basis, w, rcond=None)[0]
-    return w / _rw2_reference_sd(n)
+    return w / rw2_reference_sd(n)
 
 
 def ar2_path(n, pacf1, pacf2, rng):

@@ -478,7 +478,7 @@ class TestAssembly:
         theta = m.theta_natural(m.initial_internal())
         approx = gaussian_approx(m, theta)
         w = approx.mode
-        parts = [m.component_precision(c, theta).dense() for c in m.spec.components]
+        parts = [m.component_precision(c, theta).matrix.toarray() for c in m.spec.components]
         parts.append(np.eye(len(m.spec.fixed_effects)))
         Q_ref = block_diag(*parts)
         for name, blk in m.blocks.items():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circfit.inference import fit_model
-from circfit.latent import build_mv_iid, build_rw2, reference_marginal_sd
+from circfit.latent import build_mv_iid, build_rw2, rw2_reference_sd
 from circfit.model import (
     AssembledModel,
     BlockSpec,
@@ -369,7 +369,7 @@ class TestPriorPrecision:
 
         R = partials_to_correlation(np.array([0.5, 0.0, -0.3]), d)
         want = build_mv_iid(n, np.array([0.5, 1.0, 2.0]), R)
-        np.testing.assert_allclose(got.dense(), want.dense(), atol=1e-12)
+        np.testing.assert_allclose(got.matrix.toarray(), want.matrix.toarray(), atol=1e-12)
 
 
 def structure_spec(n=12, seed=19):
@@ -917,14 +917,16 @@ class TestHyperPlumbing:
         assert total == pytest.approx(want, rel=1e-12)
 
     def test_intrinsic_component_standardized(self):
-        n = 100
-        m = build_model(coupled_spec(n))
         # the assembled rw2 field is rescaled to unit reference marginal sd,
-        # so the a1 hyper is the contribution sd itself
-        built = m.component_precision(m.spec.components[0], {})
-        assert reference_marginal_sd(built) == pytest.approx(1.0, rel=1e-10)
-        raw = reference_marginal_sd(build_rw2(n))
-        assert raw > 5.0
-        Q_std = built.matrix.toarray()
-        Q_raw = build_rw2(n).matrix.toarray()
-        assert np.allclose(Q_std, Q_raw * raw**2, rtol=1e-12)
+        # so the a1 hyper is the contribution sd itself; the oracle is the
+        # dense pseudo-inverse, the field's covariance under its constraints
+        for n in (100, 500, 1000):
+            m = build_model(coupled_spec(n))
+            built = m.component_precision(m.spec.components[0], {})
+            Q_std = built.matrix.toarray()
+            pinv = np.linalg.pinv(Q_std, hermitian=True)
+            assert np.sqrt(np.mean(np.diag(pinv))) == pytest.approx(1.0, rel=1e-6)
+            raw = rw2_reference_sd(n)
+            assert raw > 5.0
+            Q_raw = build_rw2(n).matrix.toarray()
+            assert np.allclose(Q_std, Q_raw * raw**2, rtol=1e-12)

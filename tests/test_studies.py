@@ -61,6 +61,18 @@ def test_sim2_study_records_parameters_and_predictive_pvalues():
     assert all(0.0 <= v <= 1.0 for v in record.pvalues.values())
 
 
+def test_sim2_fits_at_default_size():
+    result = run_study("sim2", reps=1, seed=1)
+    assert result.n == 1000
+    (record,) = result.records
+    assert [p.name for p in record.parameters] == [
+        "a0", "b0", "a1", "b1", "kappa", "tau"
+    ]
+    for p in record.parameters:
+        assert np.isfinite([p.estimate, p.lower, p.upper]).all()
+        assert p.lower <= p.estimate <= p.upper
+
+
 @pytest.mark.parametrize(
     "generate, spec, truth, n, latent_dim",
     [
