@@ -131,8 +131,16 @@ def _check_open_interval(x, name: str = "x") -> np.ndarray:
     return arr
 
 
-def _lavm_terms(x, eta, kappa):
-    """Value, d1 and d2 in eta of the LAvM log density, for checked inputs.
+def _lavm_response(x):
+    """The eta-free terms of the LAvM log density at checked angles x:
+    (tan(x/2), log h'(x)), in the form ``_lavm_terms`` takes them."""
+    t_x = np.tan(0.5 * x)
+    return t_x, np.log(0.5 * (1.0 + t_x * t_x))
+
+
+def _lavm_terms(response, eta, kappa):
+    """Value, d1 and d2 in eta of the LAvM log density, for the response
+    terms ``_lavm_response`` gives and checked eta and kappa.
 
     With u = h(x) - eta and z = g(u) the trig terms are rational in u:
     tan(z/2) = u, h'(z) = Q(z) = (1 + u^2)/2, sin z = u/h'(z) and
@@ -144,14 +152,20 @@ def _lavm_terms(x, eta, kappa):
 
     the formulas of ``lavm_logpdf`` and ``lavm_deta_logpdf`` (dz/deta =
     -1/h'(z)) without an arctan, cosine or sine.
+
+    h(x) = tan(x/2) and log h'(x) depend on the responses alone, so a fit
+    computes them once per model (``ModelStructure.responses``) and
+    ``lavm_logpdf``, ``lavm_deta_logpdf`` and ``loglik`` once per call; the
+    normalizer log(2 pi I0(kappa)) depends on kappa alone, and everything
+    in u is per eta, that is per Newton step.
     """
-    t_x = np.tan(0.5 * x)
+    t_x, log_hp_x = response
     u = t_x - eta
     hp = 0.5 * (1.0 + u * u)
     sin_z = u / hp
     ks = kappa * sin_z
     value = (
-        np.log(0.5 * (1.0 + t_x * t_x))
+        log_hp_x
         - np.log(hp)
         - u * ks
         - (np.log(TWO_PI) + np.log(i0e(kappa)))
@@ -179,7 +193,7 @@ def lavm_logpdf(x, eta, kappa):
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     xa = _check_open_interval(x, "x")
     ea = _as_finite_array(eta, "eta")
-    out = _lavm_terms(xa, ea, kappa)[0]
+    out = _lavm_terms(_lavm_response(xa), ea, kappa)[0]
     if np.ndim(x) == 0 and np.ndim(eta) == 0:
         return float(out)
     return out
@@ -224,7 +238,7 @@ def lavm_deta_logpdf(x, eta, kappa):
     """
     xa = _check_open_interval(x, "x")
     ea = _as_finite_array(eta, "eta")
-    _, d1, d2 = _lavm_terms(xa, ea, kappa)
+    _, d1, d2 = _lavm_terms(_lavm_response(xa), ea, kappa)
     if np.ndim(x) == 0 and np.ndim(eta) == 0:
         return float(d1), float(d2)
     return d1, d2

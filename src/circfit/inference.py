@@ -200,17 +200,20 @@ class InferenceError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-def _curvatures(blk, eta, hyper):
-    """Negative second derivatives of the block log-likelihood, floored so
-    the assembled system stays positive definite."""
-    value, d1, d2 = loglik(blk.family, blk.responses, eta, hyper)
+def _curvatures(blk, eta, hyper, response):
+    """Value, d1 and the negative second derivatives of the block
+    log-likelihood, from the block's ``response_terms``; the curvatures are
+    floored so the assembled system stays positive definite.  The floor is
+    evaluated only on the entries that take it."""
+    value, d1, d2 = loglik(blk.family, blk.responses, eta, hyper,
+                           response=response)
     c = -d2
     bad = c < CURVATURE_MIN
-    if np.any(bad):
+    if bad.any():
         if blk.family == "lavm":
-            c = np.where(bad, -lavm_curvature_floor(eta, hyper), c)
+            c[bad] = -lavm_curvature_floor(eta[bad], hyper)
         else:
-            c = np.where(bad, CURVATURE_MIN, c)
+            c[bad] = CURVATURE_MIN
     return value, d1, c
 
 
@@ -271,6 +274,13 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
     returned; they are recomputed only when the final constraint projection
     moves the mode.
 
+    Once per model the structure holds the patterns and each block's
+    checked response terms; once per call (per theta) ``NewtonSystem``
+    forms the prior values and takes each block's design values and pair
+    products, recomputed only when its chain factors move; each objective
+    evaluation computes the predictors and ``loglik`` on them, and each
+    step the gradient, Q*'s values and their factor.
+
     Fails only by raising ``InferenceError`` with the last iterate as
     ``best``; ``optimize_theta``, ``explore_theta`` and ``hyper_marginals``
     catch exactly that, so any other exception escaping is a bug.  The
@@ -290,11 +300,7 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
     C = model.constraints
     k = C.shape[0]
     structure = model.structure
-    prior_data, prior_log_gdet = structure.prior_values(theta)
-    designs = {
-        name: structure.blocks[name].values(theta) for name in model.blocks
-    }
-    system = NewtonSystem(structure, prior_data, designs)
+    system = NewtonSystem(structure, theta)
     hypers = {
         name: (theta[blk.hyper] if blk.hyper else None)
         for name, blk in model.blocks.items()
@@ -307,8 +313,10 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
         f = -0.5 * float(w @ qw)
         for name, blk in model.blocks.items():
             eta = system.predictor(name, w)
-            value, d1, c = _curvatures(blk, eta, hypers[name])
-            parts[name] = (float(np.sum(value)), d1, c)
+            value, d1, c = _curvatures(
+                blk, eta, hypers[name], structure.responses[name]
+            )
+            parts[name] = (float(value.sum()), d1, c)
             f += parts[name][0]
         return f, (qw, parts)
 
@@ -334,7 +342,7 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
         grad, q_data = assemble(at_w)
         factor = None
         g_proj = project(grad) if k else grad
-        if np.max(np.abs(g_proj)) < tol:
+        if np.abs(g_proj).max() < tol:
             iterations -= 1
             break
         factor = _factor_spd(structure, q_data, C)
@@ -421,7 +429,7 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
         factor=factor,
         loglik_sum=loglik_sum,
         prior_quad=-0.5 * float(w @ qw),
-        prior_log_gdet=prior_log_gdet,
+        prior_log_gdet=system.prior_log_gdet,
         iterations=iterations,
     )
 

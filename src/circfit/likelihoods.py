@@ -4,7 +4,10 @@ Four families cover the models here: gaussian (mean eta, precision tau),
 poisson (rate exp(eta)), gamma (shape rho, rate rho*exp(-eta), so the mean is
 exp(eta)), and the link-adjusted von Mises for angular responses.  Each
 returns the log density together with its first and second derivatives with
-respect to eta, which is all the Gaussian approximation needs.
+respect to eta, which is all the Gaussian approximation needs.  The terms
+that depend on the responses alone, with the responses' domain checks, are
+``response_terms``: ``loglik`` computes them per call unless the caller
+passes them, as a fit does once per model.
 """
 
 from dataclasses import dataclass
@@ -12,7 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .circular import BOUNDARY_MARGIN, _lavm_terms, lavm_approx_concentration
+from .circular import (
+    BOUNDARY_MARGIN,
+    _lavm_response,
+    _lavm_terms,
+    lavm_approx_concentration,
+)
 
 __all__ = [
     "FAMILY_HYPERS",
@@ -20,6 +28,7 @@ __all__ = [
     "ValidationIssue",
     "loglik",
     "lavm_curvature_floor",
+    "response_terms",
     "validate_block",
 ]
 
@@ -48,79 +57,102 @@ def _gaussian(y, eta, tau):
     return value, tau * r, np.full_like(r, -tau)
 
 
-def _poisson(y, eta):
-    bad = (y < 0) | (y != np.floor(y))
-    if np.any(bad):
-        raise ObservationError(
-            "poisson responses must be nonnegative integers", np.nonzero(bad)[0]
-        )
+def _poisson(y, eta, log_y_factorial):
     rate = np.exp(eta)
-    value = y * eta - rate - gammaln(y + 1.0)
+    value = y * eta - rate - log_y_factorial
     return value, y - rate, -rate
 
 
-def _gamma(y, eta, rho):
+def _gamma(y, eta, rho, log_y):
     if rho <= 0:
         raise ValueError(f"gamma shape must be positive, got {rho}")
-    bad = y <= 0
-    if np.any(bad):
-        raise ObservationError(
-            "gamma responses must be positive", np.nonzero(bad)[0]
-        )
     # shape rho, rate rho * exp(-eta): mean exp(eta), tau = rho / mean^2
     scaled = y * np.exp(-eta)
     value = (
         rho * (np.log(rho) - eta)
         - gammaln(rho)
-        + (rho - 1.0) * np.log(y)
+        + (rho - 1.0) * log_y
         - rho * scaled
     )
     return value, rho * (scaled - 1.0), -rho * scaled
 
 
-def _lavm(y, eta, kappa):
+def _lavm(y, eta, kappa, response):
     """Value, d1 and d2 from the one LAvM kernel of ``circular``, which
     ``lavm_logpdf`` and ``lavm_deta_logpdf`` share, so the results are
-    bit-identical to theirs.  The input checks are those functions' too,
-    except that the boundary band is reported first, as an
-    ``ObservationError``.
-    """
-    bad = np.abs(y) >= np.pi - BOUNDARY_MARGIN
-    if np.any(bad):
-        raise ObservationError(
-            "angular responses inside the boundary band |x| >= pi - 1e-6; "
-            "consider pre-centering",
-            np.nonzero(bad)[0],
-        )
+    bit-identical to theirs.  The checks on kappa and eta are those
+    functions' too; the responses were checked with their terms."""
     if kappa < 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("x must be finite, got a NaN or infinity")
-    if not np.all(np.isfinite(eta)):
+    if not np.isfinite(eta).all():
         raise ValueError("eta must be finite, got a NaN or infinity")
-    value, d1, d2 = _lavm_terms(y, eta, kappa)
+    value, d1, d2 = _lavm_terms(response, eta, kappa)
     if np.ndim(y) == 0 and np.ndim(eta) == 0:
         return float(value), float(d1), float(d2)
     return value, d1, d2
 
 
-def loglik(kind: str, y, eta, hyper: float = None):
+def response_terms(kind: str, y):
+    """The terms of a family's log density that depend on the responses
+    alone, after checking the responses: gammaln(y + 1) for poisson, log y
+    for gamma, (tan(y/2), log h'(y)) for lavm and None for gaussian.
+
+    A response outside its family's domain raises ``ObservationError``
+    with its index; for lavm that is the boundary band |y| >= pi - 1e-6,
+    reported before a non-finite angle's ``ValueError``.
+    """
+    y = np.asarray(y, dtype=float)
+    if kind == "gaussian":
+        return None
+    if kind == "poisson":
+        bad = (y < 0) | (y != np.floor(y))
+        if np.any(bad):
+            raise ObservationError(
+                "poisson responses must be nonnegative integers",
+                np.nonzero(bad)[0],
+            )
+        return gammaln(y + 1.0)
+    if kind == "gamma":
+        bad = y <= 0
+        if np.any(bad):
+            raise ObservationError(
+                "gamma responses must be positive", np.nonzero(bad)[0]
+            )
+        return np.log(y)
+    if kind == "lavm":
+        bad = np.abs(y) >= np.pi - BOUNDARY_MARGIN
+        if np.any(bad):
+            raise ObservationError(
+                "angular responses inside the boundary band |x| >= pi - 1e-6; "
+                "consider pre-centering",
+                np.nonzero(bad)[0],
+            )
+        if not np.all(np.isfinite(y)):
+            raise ValueError("x must be finite, got a NaN or infinity")
+        return _lavm_response(y)
+    raise ValueError(f"unknown likelihood family {kind!r}")
+
+
+def loglik(kind: str, y, eta, hyper: float = None, response=None):
     """(log density, d/d eta, d^2/d eta^2) for one family, vectorized.
 
     ``hyper`` is the family hyperparameter on its natural scale (tau, rho or
-    kappa); poisson takes none.
+    kappa); poisson takes none.  ``response`` is ``response_terms(kind, y)``
+    from a caller that evaluates the same responses many times, as a fit
+    does; when it is not given the responses are checked and their terms
+    computed here.
     """
     y = np.asarray(y, dtype=float)
     eta = np.asarray(eta, dtype=float)
+    if response is None:
+        response = response_terms(kind, y)
     if kind == "gaussian":
         return _gaussian(y, eta, hyper)
     if kind == "poisson":
-        return _poisson(y, eta)
+        return _poisson(y, eta, response)
     if kind == "gamma":
-        return _gamma(y, eta, hyper)
-    if kind == "lavm":
-        return _lavm(y, eta, hyper)
-    raise ValueError(f"unknown likelihood family {kind!r}")
+        return _gamma(y, eta, hyper, response)
+    return _lavm(y, eta, hyper, response)
 
 
 def lavm_curvature_floor(eta, kappa):

@@ -34,7 +34,7 @@ from .latent import (
     scale_precision,
     scaled_log_gdet,
 )
-from .likelihoods import FAMILY_HYPERS
+from .likelihoods import FAMILY_HYPERS, response_terms
 from .priors import (
     ConfigurationError,
     PriorSpec,
@@ -296,7 +296,8 @@ class AssembledModel:
 
     @property
     def structure(self) -> "ModelStructure":
-        """The fixed sparsity structure, built on first use inside a fit."""
+        """The fixed sparsity structure and checked response terms, built
+        on first use inside a fit."""
         if self._structure is None:
             self._structure = ModelStructure(self)
         return self._structure
@@ -378,7 +379,10 @@ def _positions(pattern_keys, P):
 class _BlockPattern:
     """Union CSR pattern of a block's terms and a (terms, nnz) coefficient
     array, so A_b(theta) = sum_t coef[t] * (product of chain t's scales).
-    ``rows`` and ``cols`` give each stored entry's position."""
+    ``rows`` and ``cols`` give each stored entry's position, and
+    ``nz_a``, ``nz_b`` every pair of stored entries a, b in one row with
+    cols[a] >= cols[b]: the products A[i, a] A[i, b] of these pairs make
+    up the lower triangle of the symmetric A_b' diag(c) A_b."""
 
     def __init__(self, block, latent_dim):
         # each term stores one entry per observation, keyed as in csr
@@ -393,14 +397,45 @@ class _BlockPattern:
         self.pattern = _pattern(union, (block.size, latent_dim), "csr")
         self.rows = union // latent_dim
         self.cols = union % latent_dim
+        P = self.pattern
+        partners = np.diff(P.indptr)[self.rows]
+        nz_a = np.repeat(np.arange(P.nnz), partners)
+        first = np.cumsum(partners) - partners
+        nz_b = np.repeat(P.indptr[self.rows], partners) + (
+            np.arange(nz_a.size) - np.repeat(first, partners)
+        )
+        lower = self.cols[nz_a] >= self.cols[nz_b]
+        self.nz_a, self.nz_b = nz_a[lower], nz_b[lower]
+        self._design = None
+
+    def _combine(self, factors):
+        data = None
+        for coef, factor in zip(self.coef, factors):
+            data = coef * factor if data is None else data + coef * factor
+        return data
 
     def values(self, theta):
         """A_b(theta)'s stored values in pattern order."""
-        data = None
-        for coef, term in zip(self.coef, self.terms):
-            factor = term.factor(theta)
-            data = coef * factor if data is None else data + coef * factor
-        return data
+        return self._combine([term.factor(theta) for term in self.terms])
+
+    def design(self, theta):
+        """A_b(theta)'s stored values and pair products, both read-only.
+
+        They depend on theta only through the terms' chain factors, so
+        they are kept for the last tuple of factors and recomputed when it
+        changes: a block without scale chains computes them once per
+        model, and a chained block again only when one of its chain's
+        hypers moves."""
+        key = tuple(term.factor(theta) for term in self.terms)
+        # one read and one write of the memo, so a caller on another
+        # thread never pairs this key with that thread's arrays
+        memo = self._design
+        if memo is None or memo[0] != key:
+            data = self._combine(key)
+            products = data[self.nz_a] * data[self.nz_b]
+            data.flags.writeable = products.flags.writeable = False
+            memo = self._design = (key, data, products)
+        return memo[1], memo[2]
 
     def matrix(self, theta):
         P = self.pattern
@@ -427,14 +462,21 @@ def _component_pattern(model, comp):
 
 
 class ModelStructure:
-    """Sparsity patterns of an assembled model, fixed once it is built.
+    """What a fit computes once per model: the sparsity patterns, fixed
+    once the model is built, and each block's checked response terms.
 
-    Holds each block's union pattern, the block-diagonal pattern of the
-    prior precision, the pattern of the Newton matrix
+    Holds each block's union pattern (``_BlockPattern``, which also keeps
+    its last design values and pair products), the block-diagonal pattern
+    of the prior precision, the pattern of the Newton matrix
     Q* = Q_p + sum_b A_b' diag(c_b) A_b, and per block the scatter map
-    (obs, nz_a, nz_b, pos): observation i adds c_i A[i, a] A[i, b] at
-    position pos of Q*'s data for every pair of stored entries a, b of
-    row i.  Per theta and per Newton step only values are computed.
+    (obs, pos): observation i adds c_i A[i, a] A[i, b] at position pos of
+    Q*'s data for every pair (nz_a, nz_b) of stored entries a, b of row i
+    in the lower triangle, and ``lower_twin`` copies each lower entry's
+    sum to its mirror image: the products and the sums are symmetric.
+    ``responses`` holds each block's ``response_terms``, so a response
+    outside its family's domain raises ``ObservationError`` when the
+    structure is built, at the start of the first fit.  Per theta and per
+    Newton step only values are computed (``NewtonSystem``).
 
     Q* is factorized in a band + arrow layout (Rue & Held 2005, ch. 2),
     fixed here too.  The component nodes in reverse Cuthill-McKee order
@@ -449,6 +491,10 @@ class ModelStructure:
     def __init__(self, model):
         n = model.latent_dim
         self.model = model
+        self.responses = {
+            name: response_terms(blk.family, blk.responses)
+            for name, blk in model.blocks.items()
+        }
         self.blocks = {
             name: _BlockPattern(blk, n) for name, blk in model.blocks.items()
         }
@@ -477,27 +523,21 @@ class ModelStructure:
         self.prior_cols = np.repeat(np.arange(n), np.diff(self.prior.indptr))
 
         # Newton matrix: the prior pattern plus every block's A'A pattern,
-        # whose entries are the pairs of stored entries of a row of A
+        # whose entries are the pairs of stored entries of a row of A and
+        # their mirror images
         self.pairs = {}
+        keys = [_keys(self.prior)]
         for name, pat in self.blocks.items():
-            P = pat.pattern
-            lengths = np.diff(P.indptr)
-            partners = lengths[pat.rows]
-            nz_a = np.repeat(np.arange(P.nnz), partners)
-            first = np.cumsum(partners) - partners
-            nz_b = np.repeat(P.indptr[pat.rows], partners) + (
-                np.arange(nz_a.size) - np.repeat(first, partners)
-            )
             # Q* is csc: entry (row pat.cols[nz_a], column pat.cols[nz_b])
-            keys = pat.cols[nz_b] * n + pat.cols[nz_a]
-            self.pairs[name] = (pat.rows[nz_a], nz_a, nz_b, keys)
-        keys = [_keys(self.prior)] + [p[3] for p in self.pairs.values()]
+            row, col = pat.cols[pat.nz_a], pat.cols[pat.nz_b]
+            self.pairs[name] = (pat.rows[pat.nz_a], col * n + row)
+            keys += [col * n + row, row * n + col]
         self.qstar = _pattern(np.concatenate(keys), (n, n), "csc")
         q_keys = _keys(self.qstar)
         self.prior_in_qstar = _positions(q_keys, self.prior)
         # each pair's key becomes its position in Q*'s data
-        for name, (obs, nz_a, nz_b, keys) in self.pairs.items():
-            self.pairs[name] = (obs, nz_a, nz_b, np.searchsorted(q_keys, keys))
+        for name, (obs, keys) in self.pairs.items():
+            self.pairs[name] = (obs, np.searchsorted(q_keys, keys))
 
         # band + arrow layout of Q*; rank is a node's band or arrow index
         Q = self.qstar
@@ -506,6 +546,10 @@ class ModelStructure:
         rows = Q.indices.astype(np.int64)
         cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(Q.indptr))
         self.diag_pos = np.flatnonzero(rows == cols)
+        # each stored entry's mirror image in the lower triangle
+        self.lower_twin = np.searchsorted(
+            q_keys, np.minimum(rows, cols) * n + np.maximum(rows, cols)
+        )
         self.order = np.zeros(0, dtype=np.int64)
         if n_body:
             self.order = reverse_cuthill_mckee(
@@ -590,21 +634,26 @@ class ModelStructure:
 class NewtonSystem:
     """The Newton problem at one theta on value arrays: the prior's and
     each block's stored values on their fixed patterns.  Matrix-vector
-    products are bincounts over those patterns, and each block's pair
-    products A[i, a] A[i, b] are formed once, so ``values`` only weighs
-    them by the curvatures of one Newton step.  No sparse matrix is
-    built."""
+    products are bincounts over those patterns, and ``values`` weighs each
+    block's pair products A[i, a] A[i, b] by the curvatures of one Newton
+    step.  No sparse matrix is built, and the per-step gathers use
+    ``np.take``, which is quicker than fancy indexing at these sizes.
 
-    def __init__(self, structure, prior_data, designs):
+    Per model ``ModelStructure`` holds the patterns, the scatter maps and
+    the response terms.  Per theta this object holds Q_p's values and log
+    generalized determinant and each block's design values and pair
+    products, which ``_BlockPattern.design`` recomputes only when the
+    block's chain factors move.  Per step only the predictors, the
+    gradient and ``values`` are computed."""
+
+    def __init__(self, structure, theta):
         self.structure = structure
-        self.prior_data = prior_data
-        self.designs = designs
+        self.prior_data, self.prior_log_gdet = structure.prior_values(theta)
         self.base = np.zeros(structure.qstar.nnz)
-        self.base[structure.prior_in_qstar] = prior_data
-        self.products = {}
-        for name, (_, nz_a, nz_b, _) in structure.pairs.items():
-            data = designs[name]
-            self.products[name] = data[nz_a] * data[nz_b]
+        self.base[structure.prior_in_qstar] = self.prior_data
+        self.designs, self.products = {}, {}
+        for name, pat in structure.blocks.items():
+            self.designs[name], self.products[name] = pat.design(theta)
 
     def prior_times(self, w):
         """Q_p w."""
@@ -618,7 +667,7 @@ class NewtonSystem:
         """A_b w."""
         P = self.structure.blocks[name]
         return np.bincount(
-            P.rows, weights=self.designs[name] * w[P.cols],
+            P.rows, weights=self.designs[name] * np.take(w, P.cols),
             minlength=P.pattern.shape[0],
         )
 
@@ -626,7 +675,7 @@ class NewtonSystem:
         """A_b' v."""
         P = self.structure.blocks[name]
         return np.bincount(
-            P.cols, weights=self.designs[name] * v[P.rows],
+            P.cols, weights=self.designs[name] * np.take(v, P.rows),
             minlength=P.pattern.shape[1],
         )
 
@@ -634,12 +683,13 @@ class NewtonSystem:
         """Q*'s stored values for per-block curvature vectors c_b."""
         S = self.structure
         data = self.base.copy()
-        for name, (obs, _, _, pos) in S.pairs.items():
-            data += np.bincount(
+        for name, (obs, pos) in S.pairs.items():
+            lower = np.bincount(
                 pos,
-                weights=curvatures[name][obs] * self.products[name],
+                weights=np.take(curvatures[name], obs) * self.products[name],
                 minlength=data.size,
             )
+            data += lower[S.lower_twin]
         return data
 
 

@@ -21,7 +21,9 @@ import circfit
 from circfit import inference
 from circfit.circular import lavm_sample
 from circfit.inference import (
+    CURVATURE_MIN,
     InferenceError,
+    _curvatures,
     _factor_spd,
     _mixture_quantiles,
     _natural_grid_summary,
@@ -33,8 +35,14 @@ from circfit.inference import (
     log_posterior_theta,
     optimize_theta,
 )
-from circfit.likelihoods import lavm_curvature_floor, loglik
+from circfit.likelihoods import (
+    ObservationError,
+    lavm_curvature_floor,
+    loglik,
+    response_terms,
+)
 from circfit.model import (
+    AssembledBlock,
     BlockSpec,
     ComponentSpec,
     FixedEffectSpec,
@@ -503,6 +511,95 @@ class TestAssembly:
         assert approx.Q.format == "csc"
 
 
+    def test_newton_values_equal_the_ordered_pair_sums(self):
+        # Q* is formed from the lower-triangle pairs and mirrored; the
+        # reference adds every ordered pair of a row, observation by
+        # observation, as a sum over all pairs would
+        m = mixed_family_model()
+        S = m.structure
+        theta = m.theta_natural(m.initial_internal())
+        rng = np.random.default_rng(3)
+        curvatures = {
+            name: rng.uniform(0.1, 5.0, blk.size)
+            for name, blk in m.blocks.items()
+        }
+        Q_ref = S.prior_precision(theta)[0].toarray()
+        for name, pat in S.blocks.items():
+            A = pat.values(theta)
+            acc = np.zeros_like(Q_ref)
+            c = curvatures[name]
+            for i in range(pat.pattern.shape[0]):
+                row = range(pat.pattern.indptr[i], pat.pattern.indptr[i + 1])
+                for a in row:
+                    for b in row:
+                        acc[pat.cols[a], pat.cols[b]] += c[i] * (A[a] * A[b])
+            Q_ref += acc
+        data = NewtonSystem(S, theta).values(curvatures)
+        np.testing.assert_array_equal(S.qstar_matrix(data).toarray(), Q_ref)
+
+
+class TestResponseTerms:
+    """The Newton loop passes each block's response terms, computed once
+    per model, to ``loglik``; the results are those of the public call."""
+
+    @pytest.mark.parametrize(
+        "family,hyper",
+        [("lavm", 2.0), ("poisson", None), ("gamma", 3.0), ("gaussian", 1.5)],
+    )
+    @pytest.mark.parametrize("shape", [(40,), (6, 40)])
+    def test_cached_terms_match_public_loglik(self, family, hyper, shape):
+        rng = np.random.default_rng(31)
+        y = {
+            "lavm": rng.uniform(-2.8, 2.8, 40),
+            "poisson": rng.poisson(3.0, 40).astype(float),
+            "gamma": rng.gamma(2.0, 1.5, 40),
+            "gaussian": rng.normal(size=40),
+        }[family]
+        eta = rng.normal(0.0, 3.0, shape)
+        # far predictors make the poisson and gamma curvatures underflow
+        # the floor as well
+        eta[..., :2] = [-40.0, 40.0]
+        blk = AssembledBlock("b", family, y, None, ())
+        value, d1, c = _curvatures(blk, eta, hyper, response_terms(family, y))
+        ref_value, ref_d1, ref_d2 = loglik(family, y, eta, hyper)
+        ref_c = -ref_d2
+        floor = (
+            -lavm_curvature_floor(eta, hyper) if family == "lavm"
+            else np.full_like(ref_c, CURVATURE_MIN)
+        )
+        floored = ref_c < CURVATURE_MIN
+        assert np.any(floored) == (family != "gaussian")
+        np.testing.assert_array_equal(value, ref_value)
+        np.testing.assert_array_equal(d1, ref_d1)
+        np.testing.assert_array_equal(c, np.where(floored, floor, ref_c))
+
+    def test_lavm_response_in_the_boundary_band_fails_the_fit(self):
+        m = kappa_free_model(n=20)
+        x = m.blocks["x"].responses.copy()
+        x[7] = np.pi - 5e-7
+        block = replace(m.spec.blocks[0], responses=x)
+        with pytest.raises(ObservationError) as err:
+            fit_model(build_model(replace(m.spec, blocks=(block,))))
+        assert err.value.indices == [7]
+
+    def test_non_count_poisson_response_fails_the_fit(self):
+        m = mixed_family_model()
+        blocks = list(m.spec.blocks)
+        counts = blocks[2].responses.copy()
+        counts[4] = 2.5
+        blocks[2] = replace(blocks[2], responses=counts)
+        with pytest.raises(ObservationError) as err:
+            fit_model(build_model(replace(m.spec, blocks=tuple(blocks))))
+        assert err.value.indices == [4]
+
+    def test_non_finite_predictor_still_raises(self):
+        m = kappa_free_model(n=20)
+        theta = m.theta_natural(m.initial_internal())
+        init_w = np.full(m.latent_dim, np.nan)
+        with pytest.raises(ValueError, match="eta must be finite"):
+            gaussian_approx(m, theta, init_w=init_w)
+
+
 def iid_only_model(n=15, seed=29):
     """An iid component observed alone: Q* is all band, no arrow."""
     rng = np.random.default_rng(seed)
@@ -606,10 +703,8 @@ class TestBandArrowFactor:
         m = rw2_fixed_model(n=10)
         S = m.structure
         theta = m.theta_natural(m.initial_internal())
-        data, _ = S.prior_values(theta)
         n_rw2 = m.components["w"].dimension
-        designs = {name: S.blocks[name].values(theta) for name in m.blocks}
-        q_data = NewtonSystem(S, data, designs).base
+        q_data = NewtonSystem(S, theta).base
         rw2 = S.qstar_matrix(q_data).toarray()[:n_rw2, :n_rw2]
         shift = 0.5 * np.sort(np.linalg.eigvalsh(rw2))[2]
         rows, cols = _pattern_entries(S)
@@ -638,11 +733,9 @@ class TestBandArrowFactor:
         S = m.structure
         C = m.constraints
         theta = m.theta_natural(m.initial_internal())
-        data, _ = S.prior_values(theta)
-        designs = {name: S.blocks[name].values(theta) for name in m.blocks}
         # the gaussian curvature makes Q* positive definite
         tau = np.full(m.blocks["y"].size, theta["tau"])
-        q_data = NewtonSystem(S, data, designs).values({"y": tau})
+        q_data = NewtonSystem(S, theta).values({"y": tau})
         factor = _factor_spd(S, q_data, C)
         N = null_space(C)
         Q = S.qstar_matrix(q_data).toarray()

@@ -531,6 +531,37 @@ class TestFixedStructure:
         build_model(sim1_spec(data))
         assert built == []
 
+    def test_design_memo_follows_the_chain_factors(self):
+        # block c's terms carry the chains (g,) and (g, a_r); tau, lam_s
+        # and p1 are in none of them
+        m = build_model(structure_spec())
+        pat = m.structure.blocks["c"]
+        last = pat.design(GENERIC_THETA)
+        for theta, chain_moved in (
+            (dict(GENERIC_THETA, tau=5.0, lam_s=0.2, p1=0.1), False),
+            (dict(GENERIC_THETA, a_r=1.9), True),
+            (dict(GENERIC_THETA, g=0.3), True),
+        ):
+            values, products = pat.design(theta)
+            fresh = pat.values(theta)
+            np.testing.assert_array_equal(values, fresh)
+            np.testing.assert_array_equal(
+                products, fresh[pat.nz_a] * fresh[pat.nz_b]
+            )
+            assert (values is last[0]) is not chain_moved
+            assert (products is last[1]) is not chain_moved
+            assert not (values.flags.writeable or products.flags.writeable)
+            last = (values, products)
+
+    def test_chain_free_block_computes_its_design_once(self):
+        data = generate_sim1(50, SIM1_TRUTH, np.random.default_rng(1))
+        m = build_model(sim1_spec(data))
+        pat = m.structure.blocks["y"]
+        assert all(t.chain == () for t in pat.terms)
+        values, products = pat.design({"kappa": 2.0})
+        again = pat.design({"kappa": 40.0})
+        assert again[0] is values and again[1] is products
+
     def test_nonpositive_precision_hyper_still_rejected(self):
         m = build_model(structure_spec())
         with pytest.raises(ConfigurationError, match="positive"):

@@ -1,9 +1,16 @@
 """Tests for the package metadata in pyproject.toml."""
 
 import importlib
+import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import circfit
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -18,3 +25,26 @@ def test_every_console_script_target_imports():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"console script {name!r} is not callable"
+
+
+def test_console_script_prints_the_study_result_as_json():
+    # python -m runs the same main as the console script entry point
+    src = str(Path(circfit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-m", "circfit", "sim1", "--n", "200", "--reps", "2",
+         "--seed", "3"],
+        capture_output=True, text=True, env=env, check=True, timeout=300,
+    ).stdout
+    result = json.loads(out)
+    assert (result["study"], result["n"], result["reps"]) == ("sim1", 200, 2)
+    assert [r["seed"] for r in result["records"]] == [3, 4]
+    for record in result["records"]:
+        names = [p["name"] for p in record["parameters"]]
+        assert names == ["beta0", "beta1", "beta2", "kappa"]
+        for p in record["parameters"]:
+            assert p["lower"] <= p["estimate"] <= p["upper"]
+            assert all(math.isfinite(p[k]) for k in ("lower", "upper"))
