@@ -254,7 +254,9 @@ class GaussianApprox:
         return self._marginal_sd
 
     def sample(self, rng, size):
-        """Draws from the constrained Gaussian, one row per draw."""
+        """Draws from the constrained Gaussian as a (size, n) array, one row
+        per draw.  It is the transposed view of the (n, size) solve, so in
+        memory each draw's latent vector is one contiguous column."""
         z = rng.standard_normal((self.mode.size, size))
         u = self.factor.constrain(self.factor.solve_lt(z))
         return (self.mode[:, None] + u).T

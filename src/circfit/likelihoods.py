@@ -92,6 +92,23 @@ def _lavm(y, eta, kappa, response):
     return value, d1, d2
 
 
+def _not_a_count(y):
+    """Poisson's domain rule: True where a response is not a nonnegative
+    integer."""
+    return (y < 0) | (y != np.floor(y))
+
+
+def _not_positive(y):
+    """Gamma's domain rule: True where a response is not positive."""
+    return y <= 0
+
+
+def _in_lavm_band(y, margin):
+    """LAvM's domain rule: True where an angle lies within ``margin`` of
+    the boundary at +-pi (or beyond it)."""
+    return np.abs(y) >= np.pi - margin
+
+
 def response_terms(kind: str, y):
     """The terms of a family's log density that depend on the responses
     alone, after checking the responses: gammaln(y + 1) for poisson, log y
@@ -105,7 +122,7 @@ def response_terms(kind: str, y):
     if kind == "gaussian":
         return None
     if kind == "poisson":
-        bad = (y < 0) | (y != np.floor(y))
+        bad = _not_a_count(y)
         if np.any(bad):
             raise ObservationError(
                 "poisson responses must be nonnegative integers",
@@ -113,14 +130,14 @@ def response_terms(kind: str, y):
             )
         return gammaln(y + 1.0)
     if kind == "gamma":
-        bad = y <= 0
+        bad = _not_positive(y)
         if np.any(bad):
             raise ObservationError(
                 "gamma responses must be positive", np.nonzero(bad)[0]
             )
         return np.log(y)
     if kind == "lavm":
-        bad = np.abs(y) >= np.pi - BOUNDARY_MARGIN
+        bad = _in_lavm_band(y, BOUNDARY_MARGIN)
         if np.any(bad):
             raise ObservationError(
                 "angular responses inside the boundary band |x| >= pi - 1e-6; "
@@ -182,7 +199,7 @@ def validate_block(block):
             for i in np.nonzero(~np.isfinite(y))[0]
         ]
     if kind == "poisson":
-        bad = (y < 0) | (y != np.floor(y))
+        bad = _not_a_count(y)
         issues += [
             ValidationIssue(int(i), "poisson response must be a count")
             for i in np.nonzero(bad & np.isfinite(y))[0]
@@ -190,13 +207,13 @@ def validate_block(block):
     elif kind == "gamma":
         issues += [
             ValidationIssue(int(i), "gamma response must be positive")
-            for i in np.nonzero((y <= 0) & np.isfinite(y))[0]
+            for i in np.nonzero(_not_positive(y) & np.isfinite(y))[0]
         ]
     elif kind == "lavm":
         outside = np.abs(y) > np.pi
         # advise one decade before the hard band: evaluation degrades well
         # before it becomes an error
-        band = (np.abs(y) >= np.pi - 10.0 * BOUNDARY_MARGIN) & ~outside
+        band = _in_lavm_band(y, 10.0 * BOUNDARY_MARGIN) & ~outside
         issues += [
             ValidationIssue(int(i), "angle outside (-pi, pi]")
             for i in np.nonzero(outside & np.isfinite(y))[0]

@@ -720,9 +720,15 @@ class PredictorTerm:
 
 def terms_predictor(terms, w, theta):
     """sum_t factor_t(theta) * w[..., nodes_t] * coef_t over the terms of a
-    predictor, at latent w (one row per leading index) and natural theta."""
-    eta = np.zeros(w.shape[:-1] + terms[0].nodes.shape)
-    for t in terms:
+    predictor, at latent w (one row per leading index) and natural theta.
+
+    The sum starts from the first term's product and adds the others in
+    place, so the output keeps the layout of the gathers ``w[..., nodes]``:
+    for the draws of ``GaussianApprox.sample``, one contiguous column per
+    observation."""
+    first, *rest = terms
+    eta = first.factor(theta) * w[..., first.nodes] * first.coef
+    for t in rest:
         eta += t.factor(theta) * w[..., t.nodes] * t.coef
     return eta
 

@@ -15,6 +15,7 @@ with an explicit index map cannot be forecast: the map says nothing about
 future positions.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -113,6 +114,11 @@ class CpoResult:
     n_draws: int
 
 
+def _check_draw_count(name, n, least=1):
+    if n < least:
+        raise ConfigurationError(f"{name} must be at least {least}, got {n}")
+
+
 def _point_batches(fit, n, rng):
     """Allocate n joint draws over the exploration points by weight and
     return (theta_internal, theta, latent matrix) per visited point."""
@@ -129,6 +135,7 @@ def _point_batches(fit, n, rng):
 
 def sample_posterior(fit, n, rng):
     """Draw n joint posterior samples, deterministic for a given generator."""
+    _check_draw_count("n", n, least=0)
     model = fit.model
     out = []
     for theta_internal, theta, latents in _point_batches(fit, n, rng):
@@ -240,11 +247,13 @@ def posterior_predictive(fit, block, new_inputs=None, n=300, rng=None):
     has at most 256 * 1.2 * sqrt(2(N-1)) * N^(1/5) + 770 nodes.  Linear
     draws spanning at most 1e-12 raise numpy.linalg.LinAlgError.
     """
+    _check_draw_count("n", n)
     if rng is None:
         rng = np.random.default_rng(0)
     model = fit.model
     blk = model.blocks[block]
     terms = blk.terms
+    m = blk.size
     if new_inputs is not None:
         m = int(new_inputs["size"])
         covariates = new_inputs.get("covariates") or {}
@@ -255,12 +264,15 @@ def posterior_predictive(fit, block, new_inputs=None, n=300, rng=None):
                 model, block, t.spec, m, covariates, indices
             )
             terms.append(replace(t, nodes=nodes, coef=coef))
-    out = []
+    draws = np.empty((n, m))
+    row = 0
     for _, theta, latents in _point_batches(fit, n, rng):
         eta = terms_predictor(terms, latents, theta)
         hyper = theta[blk.hyper] if blk.hyper else None
-        out.append(_draw_responses(rng, blk.family, eta, hyper))
-    draws = np.vstack(out)
+        draws[row : row + eta.shape[0]] = _draw_responses(
+            rng, blk.family, eta, hyper
+        )
+        row += eta.shape[0]
     summary = _density_summary(draws, circular=blk.family == "lavm")
     summary["draws"] = draws
     return summary
@@ -323,6 +335,7 @@ def forecast(fit, task, rng=None, n_draws=300):
     """Rolling forecasts: per block, per origin, per step predictive means
     and central 95% intervals.  Draws are coherent across blocks within each
     posterior sample, so shared latent paths transfer between responses."""
+    _check_draw_count("n_draws", n_draws)
     if rng is None:
         rng = np.random.default_rng(0)
     model = fit.model
@@ -395,15 +408,42 @@ def forecast(fit, task, rng=None, n_draws=300):
 
 def _harmonic_cpo(logu):
     """CPO from log importance weights (draws, observations): truncate at
-    the 99.9th percentile per observation, then invert the weight mean."""
+    the 99.9th percentile per observation, then invert the weight mean.
+
+    The weights are copied once into a Fortran-ordered work array, so each
+    observation's draws are contiguous whatever the layout of ``logu``.
+    The cap is numpy's ``linear`` quantile from one select: a partition at
+    k = floor((S - 1) * 0.999) along the draws, the smallest entry above k
+    as the upper neighbour, and numpy's interpolation between the two,
+    its ``t >= 0.5`` branch included.  The truncation, exp and both sums
+    then run in place on the work array.
+    """
     S = logu.shape[0]
-    cap = np.quantile(logu, 0.999, axis=0)
-    lu = np.minimum(logu, cap[None, :])
-    top = lu.max(axis=0)
-    e = np.exp(lu - top)
-    s1 = e.sum(axis=0)
-    s2 = (e * e).sum(axis=0)
-    log_cpo = np.log(S) - top - np.log(s1)
+    v = (S - 1) * 0.999
+    if v >= S - 1:
+        # S = 1: numpy takes the last order statistic with t = v + 1
+        k, t = S - 1, v + 1.0
+    else:
+        k = math.floor(v)
+        t = v - k
+    work = np.array(logu, order="F")
+    work.partition(k, axis=0)
+    lower = work[k]
+    upper = work[k + 1 :].min(axis=0) if k + 1 < S else lower
+    diff = upper - lower
+    if t >= 0.5:
+        cap = upper - diff * (1.0 - t)
+    else:
+        cap = lower + diff * t
+    # the cap lies between two order statistics, so it is also the largest
+    # truncated weight
+    np.minimum(work, cap, out=work)
+    work -= cap
+    np.exp(work, out=work)
+    s1 = work.sum(axis=0)
+    work *= work
+    s2 = work.sum(axis=0)
+    log_cpo = np.log(S) - cap - np.log(s1)
     ess = s1 * s1 / s2
     flagged = ess < 10.0
     return BlockCpo(
@@ -423,28 +463,48 @@ def cpo(fit, n_draws=4000, rng=None, joint=None):
     joint: optional pair of block names whose observations leave together;
     their weights multiply observation-wise.  Observations whose weight
     effective sample size falls below 10 are flagged.
+
+    Each block's log weights -log p fill one preallocated (n_draws,
+    observations) array in Fortran order, each exploration point's draws
+    writing their own rows; the predictors of the sampler's draws keep
+    one contiguous column per observation, so the weights are computed
+    and stored column by column.
     """
+    _check_draw_count("n_draws", n_draws)
     if rng is None:
         rng = np.random.default_rng(0)
     model = fit.model
-    parts = {name: [] for name in model.blocks}
+    if joint is not None:
+        a, b = joint
+        for name in joint:
+            if name not in model.blocks:
+                raise ConfigurationError(
+                    f"joint leave-one-out names unknown block {name!r}"
+                )
+        if model.blocks[a].size != model.blocks[b].size:
+            raise ConfigurationError(
+                f"joint leave-one-out needs matching block sizes, got "
+                f"{model.blocks[a].size} and {model.blocks[b].size}"
+            )
+    responses = model.structure.responses
+    logu = {
+        name: np.empty((n_draws, blk.size), order="F")
+        for name, blk in model.blocks.items()
+    }
+    row = 0
     for _, theta, latents in _point_batches(fit, n_draws, rng):
+        rows = slice(row, row + latents.shape[0])
         for name, blk in model.blocks.items():
             eta = model.predictor(name, latents, theta)
             hyper = theta[blk.hyper] if blk.hyper else None
-            value, _, _ = loglik(blk.family, blk.responses, eta, hyper)
-            parts[name].append(-value)
-    logu = {name: np.vstack(v) for name, v in parts.items()}
+            value, _, _ = loglik(
+                blk.family, blk.responses, eta, hyper, response=responses[name]
+            )
+            np.negative(value, out=logu[name][rows])
+        row = rows.stop
     blocks = {name: _harmonic_cpo(lu) for name, lu in logu.items()}
-
     joint_result = None
     if joint is not None:
-        a, b = joint
-        if logu[a].shape != logu[b].shape:
-            raise ConfigurationError(
-                f"joint leave-one-out needs matching block sizes, got "
-                f"{logu[a].shape[1]} and {logu[b].shape[1]}"
-            )
         joint_result = _harmonic_cpo(logu[a] + logu[b])
     return CpoResult(
         blocks=blocks,

@@ -8,6 +8,7 @@ from circfit.likelihoods import (
     ObservationError,
     lavm_curvature_floor,
     loglik,
+    response_terms,
     validate_block,
 )
 from circfit.circular import lavm_approx_concentration
@@ -233,3 +234,24 @@ class TestValidateBlock:
         problems = {issue.observation for issue in validate_block(block)}
         assert problems == {1, 2}
 
+
+    @pytest.mark.parametrize(
+        "family, hyper, y",
+        [
+            ("poisson", None, [3.0, -1.0, 0.5, 0.0, -2.5, 7.0]),
+            ("gamma", "rho", [1.0, 0.0, -3.0, 2.5, -0.0]),
+            ("lavm", "kappa", [0.1, np.pi - 5e-7, -np.pi + 2e-6, -0.4]),
+        ],
+    )
+    def test_fit_check_and_report_share_the_domain_rule(self, family, hyper, y):
+        # the report also advises on lavm angles up to 1e-5 from the
+        # boundary, so it names a superset of what the fit rejects
+        y = np.array(y)
+        with pytest.raises(ObservationError) as err:
+            response_terms(family, y)
+        block = BlockSpec("b", family, y, (), hyper=hyper)
+        reported = [issue.observation for issue in validate_block(block)]
+        if family == "lavm":
+            assert set(err.value.indices) < set(reported)
+        else:
+            assert err.value.indices == reported

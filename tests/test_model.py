@@ -214,6 +214,24 @@ class TestPredictors:
                 lhs[name], p1[name] + p2[name] - zero[name], atol=1e-10
             )
 
+    def test_batched_predictor_keeps_the_draw_layout(self):
+        # draws arrive as the transposed view the sampler returns
+        m = build_model(coupled_spec())
+        rng = np.random.default_rng(13)
+        w = rng.normal(size=(m.latent_dim, 40)).T
+        th = m.theta_natural(m.initial_internal())
+        th["a1"], th["b1"] = 0.6, -1.1
+        for name in m.blocks:
+            eta = m.predictor(name, w, th)
+            assert eta.flags.f_contiguous
+            np.testing.assert_array_equal(
+                eta, m.predictor(name, np.ascontiguousarray(w), th)
+            )
+            for i in (0, 17, 39):
+                np.testing.assert_array_equal(
+                    eta[i], m.predictor(name, w[i].copy(), th)
+                )
+
     def test_block_matrix_matches_predictor(self):
         m = build_model(coupled_spec())
         rng = np.random.default_rng(5)

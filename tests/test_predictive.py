@@ -855,6 +855,129 @@ class TestCpo:
         assert_harmonic_matches_reference(logu)
 
 
+def two_block_model(n=6, seed=41):
+    rng = np.random.default_rng(seed)
+    spec = ModelSpec(
+        blocks=(
+            BlockSpec(
+                "y",
+                "gaussian",
+                rng.normal(size=n),
+                (TermSpec("intercept", "mu"),),
+                hyper="tau",
+            ),
+            BlockSpec(
+                "z",
+                "gaussian",
+                rng.normal(size=n),
+                (TermSpec("intercept", "c0"),),
+                hyper="tau_z",
+            ),
+        ),
+        fixed_effects=(FixedEffectSpec("mu", 1.0), FixedEffectSpec("c0", 1.0)),
+        hypers={
+            "tau": PriorSpec("pc_precision", (0.5, 0.5)),
+            "tau_z": PriorSpec("fixed", (2.0,)),
+        },
+    )
+    return build_model(spec)
+
+
+@pytest.fixture(scope="module")
+def two_block_fit():
+    return fit_model(two_block_model())
+
+
+class TestQueryArguments:
+    @pytest.mark.parametrize("n_draws", [0, -1])
+    def test_cpo_needs_a_draw(self, two_block_fit, n_draws):
+        with pytest.raises(ConfigurationError, match="n_draws"):
+            cpo(two_block_fit, n_draws=n_draws)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_posterior_predictive_needs_a_draw(self, two_block_fit, n):
+        with pytest.raises(ConfigurationError, match="n must be at least 1"):
+            posterior_predictive(two_block_fit, "y", n=n)
+
+    @pytest.mark.parametrize("n_draws", [0, -1])
+    def test_forecast_needs_a_draw(self, two_block_fit, n_draws):
+        task = ForecastTask(horizon=1, origins=(3,))
+        with pytest.raises(ConfigurationError, match="n_draws"):
+            forecast(two_block_fit, task, n_draws=n_draws)
+
+    def test_sample_posterior_takes_zero_but_not_fewer_draws(
+        self, two_block_fit
+    ):
+        assert sample_posterior(two_block_fit, 0, np.random.default_rng(0)) == []
+        with pytest.raises(ConfigurationError, match="n must be at least 0"):
+            sample_posterior(two_block_fit, -1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("joint", [("y", "nope"), ("nope", "z")])
+    def test_unknown_joint_block_is_named(self, two_block_fit, joint):
+        with pytest.raises(ConfigurationError, match="'nope'"):
+            cpo(two_block_fit, n_draws=10, joint=joint)
+
+    def test_weights_fill_every_draw_row_once(self, two_block_fit):
+        # the draws spread over several exploration points, each filling
+        # its own rows of the preallocated weights
+        assert len(two_block_fit.points) > 1
+        rng = np.random.default_rng(4)
+        res = cpo(two_block_fit, n_draws=300, rng=rng)
+        rng = np.random.default_rng(4)
+        samples = sample_posterior(two_block_fit, 300, rng)
+        for name, blk in two_block_fit.model.blocks.items():
+            logu = np.array(
+                [
+                    -loglik(
+                        blk.family,
+                        blk.responses,
+                        s.predictors[name],
+                        s.theta[blk.hyper],
+                    )[0]
+                    for s in samples
+                ]
+            )
+            np.testing.assert_allclose(
+                res.blocks[name].log_cpo,
+                _harmonic_cpo(logu).log_cpo,
+                rtol=1e-12,
+                atol=1e-14,
+            )
+
+
+class TestHarmonicCap:
+    @pytest.mark.parametrize("S", [1, 2, 200, 4000])
+    def test_either_layout_matches_the_quantile_form(self, S):
+        rng = np.random.default_rng(S)
+        logu = rng.normal(0.0, 4.0, (S, 30))
+        logu[:, :3] += rng.gamma(0.3, 20.0, (S, 3))
+        assert_harmonic_matches_reference(np.ascontiguousarray(logu))
+        assert_harmonic_matches_reference(np.asfortranarray(logu))
+
+    @pytest.mark.parametrize("S", [1, 2, 200, 4000])
+    def test_layout_does_not_change_the_result(self, S):
+        rng = np.random.default_rng(S + 1)
+        logu = rng.normal(1.0, 6.0, (S, 25))
+        c_order = np.ascontiguousarray(logu)
+        kept = c_order.copy()
+        a = _harmonic_cpo(c_order)
+        b = _harmonic_cpo(np.asfortranarray(logu))
+        np.testing.assert_array_equal(c_order, kept)
+        for name in ("cpo", "log_cpo", "ess", "flagged"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert (a.gm_cpo, a.looic) == (b.gm_cpo, b.looic)
+
+    @pytest.mark.parametrize("S", [2, 200, 800])
+    def test_cap_is_the_linear_quantile_bit_for_bit(self, S):
+        # one heavy draw: every other weight vanishes beside the capped
+        # one, so log cpo = log S - cap exactly; S = 800 takes numpy's
+        # t < 0.5 branch, S = 2 and 200 its t >= 0.5 branch
+        logu = np.full((S, 1), -300.0)
+        logu[S // 3, 0] = 5.0
+        cap = np.quantile(logu, 0.999, axis=0)
+        assert _harmonic_cpo(logu).log_cpo[0] == np.log(S) - cap[0]
+
+
 class TestQueryRound:
     def test_query_round_constructs_no_compressed_sparse_matrix(
         self, monkeypatch
