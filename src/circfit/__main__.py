@@ -4,7 +4,9 @@
 
 The ``circfit`` console script runs the same ``main``.  The printed object
 is the ``StudyResult`` of ``circfit.studies.run_study``, with each
-replicate's parameter records and predictive p-values.
+replicate's parameter records and predictive p-values.  A study that
+cannot be set up (no replicates, too few observations) ends in a usage
+error with status 2, as a bad option does.
 """
 
 import argparse
@@ -12,6 +14,7 @@ import dataclasses
 import json
 import sys
 
+from .priors import ConfigurationError
 from .studies import STUDY_NAMES, run_study
 
 
@@ -30,7 +33,12 @@ def main(argv=None):
         help="replicate r uses data seed SEED + r",
     )
     args = parser.parse_args(argv)
-    result = run_study(args.study, n=args.n, reps=args.reps, seed=args.seed)
+    try:
+        result = run_study(
+            args.study, n=args.n, reps=args.reps, seed=args.seed
+        )
+    except ConfigurationError as err:
+        parser.error(str(err))
     json.dump(dataclasses.asdict(result), sys.stdout)
     sys.stdout.write("\n")
     return 0

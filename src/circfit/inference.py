@@ -482,14 +482,19 @@ class FitResult:
     diagnostics: dict
 
 
-class _HyperSpace:
-    """Free-coordinate bookkeeping: fixed hypers are pinned, the rest are
-    searched on their internal axes, u being the free coordinates.
+class _HyperEvaluator:
+    """Laplace evaluations of the hyper posterior at free coordinates ``u``,
+    under the rules every hyper stage shares.  Fixed hypers are pinned at
+    their values and the free ones are searched on their internal axes.
 
     Internal coordinates beyond +-30 are numerically degenerate for every
-    transform in use (exp overflow, saturated correlations), so every stage
-    stays inside that box: the optimizer is bounded by it, and exploration
-    and scan points outside it are not evaluated.
+    transform in use (exp overflow, saturated correlations), so a point not
+    inside that box (NaN is not) is a failed evaluation and is not solved.
+    An evaluation warm-starts from ``w``, the latent mode of the last
+    success (a stage may set it); a failed warm start is retried cold once,
+    and a failed cold start is deterministic, so it is not repeated.
+    ``count`` is the number of points evaluated, failures included, and
+    ``best`` the (lp, theta_internal, approx) of the highest success.
     """
 
     BOX = 30.0
@@ -501,12 +506,10 @@ class _HyperSpace:
             [i for i, c in enumerate(model.hyper_coords) if not c.is_fixed],
             dtype=int,
         )
-        self.lower = np.full(self.free.size, -self.BOX)
-        self.upper = np.full(self.free.size, self.BOX)
-
-    @property
-    def dim(self):
-        return self.free.size
+        self.dim = self.free.size
+        self.w = None
+        self.count = 0
+        self.best = (-np.inf, None, None)
 
     def to_full(self, u):
         th = self.base.copy()
@@ -516,34 +519,40 @@ class _HyperSpace:
     def to_u(self, theta_internal):
         return np.asarray(theta_internal, dtype=float)[self.free]
 
-    def inside(self, u):
-        return bool(np.all((u >= self.lower) & (u <= self.upper)))
-
-
-class _WarmStarts:
-    """Laplace evaluations along a path of hyper points, the policy all
-    three hyper stages share.  Each evaluation warm-starts from ``w``, the
-    latent mode of the last success (callers may set it); a failed warm
-    start is retried cold once, and a failed cold start is deterministic,
-    so it is not repeated."""
-
-    def __init__(self, model):
-        self.model = model
-        self.w = None
-
-    def __call__(self, theta_internal):
-        """``log_posterior_theta``'s (lp, approx), or None on failure."""
-        try:
-            lp, approx = log_posterior_theta(
-                self.model, theta_internal, init_w=self.w
-            )
-        except InferenceError:
-            if self.w is None:
-                return None
-            self.w = None
-            return self(theta_internal)
+    def __call__(self, u):
+        """(theta_internal, lp, approx) at u; a failure has lp -inf and
+        approx None."""
+        theta = self.to_full(u)
+        self.count += 1
+        if not np.all(np.abs(u) <= self.BOX):
+            return theta, -np.inf, None
+        while True:
+            try:
+                lp, approx = log_posterior_theta(
+                    self.model, theta, init_w=self.w
+                )
+                break
+            except InferenceError:
+                if self.w is None:
+                    return theta, -np.inf, None
+                self.w = None
         self.w = approx.mode
-        return lp, approx
+        if lp > self.best[0]:
+            self.best = (lp, theta, approx)
+        return theta, lp, approx
+
+    def walk(self, point, lp0, drop, max_steps, w):
+        """Evaluate point(1), point(2), ..., point(max_steps), the first
+        warm-started from the latent ``w``, stopping after the first step
+        whose lp falls more than ``drop`` below ``lp0`` (a failure does);
+        returns every step's evaluation in order."""
+        self.w = w
+        steps = []
+        for k in range(1, max_steps + 1):
+            steps.append(self(point(k)))
+            if steps[-1][1] < lp0 - drop:
+                break
+        return steps
 
 
 def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
@@ -558,7 +567,8 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
     unit-Hessian model, so scaling bounds that step to one internal unit
     per coordinate instead of |grad lp(u0)|, which otherwise lands on the
     +-30 box corner.  ``tol`` is divided by s, so the projected-gradient
-    test still reads |grad lp| <= tol.
+    test still reads |grad lp| <= tol.  A failed evaluation, a gradient
+    probe outside the box included, reads as a -1e10 wall.
 
     The mode is the best point evaluated.  The Hessian, in the
     free-coordinate basis, is a central-difference stencil around it: its
@@ -570,35 +580,25 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
     when no hyper is free), for ``explore_theta``'s ``center``.  Only the
     search's evaluations count against ``max_evals``, not the stencil's.
     """
-    space = _HyperSpace(model)
-    m = space.dim
-    solve = _WarmStarts(model)
-    state = {"evals": 0, "best": (-np.inf, None, None)}
-
-    def lp_at(u):
-        theta_internal = space.to_full(u)
-        state["evals"] += 1
-        if state["evals"] > max_evals:
-            raise _EvalBudget()
-        result = solve(theta_internal)
-        if result is None:
-            # usually a wild line search excursion: report a steep wall
-            # instead of aborting
-            return -1e10
-        lp, approx = result
-        if lp > state["best"][0]:
-            state["best"] = (lp, theta_internal, approx)
-        return lp
-
+    hyper = _HyperEvaluator(model)
+    m = hyper.dim
     if m == 0:
-        th = space.to_full(np.zeros(0))
+        th = hyper.to_full(np.zeros(0))
         return th, np.zeros((0, 0)), {"evaluations": 0, "mode_approx": None}
 
-    u0 = space.to_u(model.initial_internal() if init is None else init)
-    u0 = np.clip(u0, space.lower, space.upper)
+    u0 = hyper.to_u(model.initial_internal() if init is None else init)
+    u0 = np.clip(u0, -hyper.BOX, hyper.BOX)
 
     def neg(u):
-        return -lp_at(u)
+        if hyper.count >= max_evals:
+            raise InferenceError(
+                "hyper optimization exceeded its evaluation budget",
+                best=hyper.best[1],
+                diagnostics={"evaluations": hyper.count},
+            )
+        _, lp, approx = hyper(u)
+        # usually a wild line search excursion: a steep wall, not an abort
+        return 1e10 if approx is None else -lp
 
     def neg_and_grad(u):
         f = neg(u)
@@ -609,57 +609,50 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
             g[i] = (neg(u + e) - neg(u - e)) / (2.0 * grad_step)
         return f, g
 
-    try:
-        f_start, g_start = neg_and_grad(u0)
-        scale = max(1.0, float(np.max(np.abs(g_start))))
+    f_start, g_start = neg_and_grad(u0)
+    scale = max(1.0, float(np.max(np.abs(g_start))))
 
-        def scaled(u):
-            # L-BFGS-B evaluates the start point first: already paid for
-            if np.array_equal(u, u0):
-                f, g = f_start, g_start
-            else:
-                f, g = neg_and_grad(u)
-            return f / scale, g / scale
+    def scaled(u):
+        # L-BFGS-B evaluates the start point first: already paid for
+        if np.array_equal(u, u0):
+            f, g = f_start, g_start
+        else:
+            f, g = neg_and_grad(u)
+        return f / scale, g / scale
 
-        res = minimize(
-            scaled,
-            u0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=list(zip(space.lower, space.upper)),
-            options={"gtol": tol / scale, "maxiter": 1000, "ftol": 1e-12},
-        )
-    except _EvalBudget:
-        raise InferenceError(
-            "hyper optimization exceeded its evaluation budget",
-            best=state["best"][1],
-            diagnostics={"evaluations": state["evals"]},
-        )
-    lp_mode, theta_mode, approx_mode = state["best"]
+    res = minimize(
+        scaled,
+        u0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(-hyper.BOX, hyper.BOX)] * m,
+        options={"gtol": tol / scale, "maxiter": 1000, "ftol": 1e-12},
+    )
+    lp_mode, theta_mode, approx_mode = hyper.best
     if theta_mode is None:
         # every evaluation hit the -1e10 wall, so the optimizer's answer
         # is the start point and its curvature is flat
         raise InferenceError(
             "no successful Laplace evaluation during hyper optimization",
-            diagnostics={"evaluations": state["evals"]},
+            diagnostics={"evaluations": hyper.count},
         )
+    evaluations = hyper.count
     # the best point actually evaluated; the optimizer's final iterate
     # can sit on a failed-evaluation wall after an aggressive line search
-    u_mode = space.to_u(theta_mode)
-
-    solve.w = approx_mode.mode
+    u_mode = hyper.to_u(theta_mode)
+    hyper.w = approx_mode.mode
 
     def stencil_neg(u):
         # a stencil point has no wall to fall back on: a failed evaluation
         # would enter the Hessian as a real value
-        result = solve(space.to_full(u))
-        if result is None:
+        th, lp, approx = hyper(u)
+        if approx is None:
             raise InferenceError(
                 "Laplace evaluation failed in the Hessian stencil",
                 best=theta_mode,
-                diagnostics={"theta": space.to_full(u)},
+                diagnostics={"theta": th},
             )
-        return -result[0]
+        return -lp
 
     h = hessian_step
     H = np.zeros((m, m))
@@ -685,15 +678,11 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
             ) / (2.0 * h**2)
 
     info = {
-        "evaluations": state["evals"],
+        "evaluations": evaluations,
         "optimizer_message": str(res.message),
         "mode_approx": approx_mode,
     }
     return theta_mode, H, info
-
-
-class _EvalBudget(Exception):
-    pass
 
 
 def _spd_directions(H, step):
@@ -709,8 +698,9 @@ def explore_theta(model, theta_mode_internal, hessian, step=0.75, drop=5.0,
     """Weighted hyper-space point set around the mode.
 
     Free dimension up to 2: centered product grid in the Hessian eigenbasis
-    (spacing `step` standard deviations, each axis extended until the log
-    posterior falls `drop` below the mode).  The probes that set the
+    (spacing `step` standard deviations).  Each axis is walked both ways
+    from the mode until the log posterior falls `drop` below the mode's, and
+    spans the longer walk's extent on both sides.  The probes that set the
     extents are kept by integer offset and reused as grid points, each
     reused point's latent mode becoming the next warm start, so a grid point
     is evaluated only when no probe reached it.  Higher dimensions: a
@@ -724,22 +714,13 @@ def explore_theta(model, theta_mode_internal, hessian, step=0.75, drop=5.0,
     like ``log_posterior_theta``'s ``approx``, so the mode costs no Newton
     solve.  The result always holds the mode as one of its points.
     """
-    space = _HyperSpace(model)
-    m = space.dim
-    u_mode = space.to_u(theta_mode_internal)
-    solve = _WarmStarts(model)
-
-    def evaluate(u):
-        th = space.to_full(u)
-        result = solve(th) if space.inside(u) else None
-        if result is None:
-            return th, -np.inf, None
-        return (th,) + result
-
+    hyper = _HyperEvaluator(model)
+    m = hyper.dim
+    u_mode = hyper.to_u(theta_mode_internal)
     if center is None:
-        th0, lp0, approx0 = evaluate(u_mode)
+        th0, lp0, approx0 = hyper(u_mode)
     else:
-        th0, approx0 = space.to_full(u_mode), center
+        th0, approx0 = hyper.to_full(u_mode), center
         lp0 = _laplace_ratio(model, th0, center)
     if approx0 is None:
         raise InferenceError(
@@ -754,37 +735,36 @@ def explore_theta(model, theta_mode_internal, hessian, step=0.75, drop=5.0,
     points = []
     if m <= 2:
         reached = {(0,) * m: (th0, lp0, approx0)}
+        unit = np.eye(m, dtype=int)
         extents = []
         for i in range(m):
             ext = 0
             for sign in (1, -1):
-                solve.w = approx0.mode
-                for kk in range(1, max_steps + 1):
-                    z = np.zeros(m, dtype=int)
-                    z[i] = sign * kk
-                    probe = evaluate(u_mode + axes @ z)
-                    reached[tuple(z.tolist())] = probe
-                    if probe[1] < lp0 - drop:
-                        break
-                    ext = max(ext, kk)
+                steps = hyper.walk(
+                    lambda k: u_mode + axes @ (sign * k * unit[i]),
+                    lp0, drop, max_steps, approx0.mode,
+                )
+                for k, probe in enumerate(steps, 1):
+                    reached[tuple((sign * k * unit[i]).tolist())] = probe
+                # the walk ends on its first drop: the steps before it reach
+                ext = max(ext, sum(not lp < lp0 - drop for _, lp, _ in steps))
             extents.append(ext)
-        grids = [np.arange(-extents[i], extents[i] + 1) for i in range(m)]
+        grids = [np.arange(-e, e + 1) for e in extents]
         mesh = np.meshgrid(*grids, indexing="ij")
         offsets = np.stack([g.ravel() for g in mesh], axis=-1)
-        solve.w = approx0.mode
+        hyper.w = approx0.mode
         for z in offsets:
             key = tuple(z.tolist())
             if key not in reached:
-                reached[key] = evaluate(u_mode + axes @ z)
+                reached[key] = hyper(u_mode + axes @ z)
             elif reached[key][2] is not None:
-                solve.w = reached[key][2].mode
+                hyper.w = reached[key][2].mode
             th, lp, approx = reached[key]
             if approx is not None:
                 points.append([th, lp, 1.0, approx])
     else:
         points.append([th0, lp0, None, approx0])
         zs = []
-        design_w = []
         if m <= 6:
             corners = np.array(
                 np.meshgrid(*([[-1.0, 1.0]] * m), indexing="ij")
@@ -799,8 +779,7 @@ def explore_theta(model, theta_mode_internal, hessian, step=0.75, drop=5.0,
         w0 = np_pts * (ccd_radius**2 - 1.0) * np.exp(-0.5 * m * ccd_radius**2)
         points[0][2] = w0
         for z in zs:
-            u = u_mode + axes @ (z / step)
-            th, lp, approx = evaluate(u)
+            th, lp, approx = hyper(u_mode + axes @ (z / step))
             if approx is not None:
                 points.append([th, lp, 1.0, approx])
 
@@ -928,9 +907,8 @@ def hyper_marginals(model, points, theta_mode_internal, hessian,
     evaluation; a free coordinate whose grid keeps only the mode raises
     ``InferenceError``.
     """
-    space = _HyperSpace(model)
+    hyper = _HyperEvaluator(model)
     out = {}
-    free_list = list(space.free)
 
     def summary(grid, lps, coord):
         if len(grid) == 1:
@@ -942,7 +920,7 @@ def hyper_marginals(model, points, theta_mode_internal, hessian,
             )
         return _natural_grid_summary(grid, lps, coord)
 
-    for idx, coord in enumerate(model.hyper_coords):
+    for coord in model.hyper_coords:
         if coord.is_fixed:
             val = float(coord.spec.parameters[0])
             out[coord.name] = {
@@ -955,25 +933,19 @@ def hyper_marginals(model, points, theta_mode_internal, hessian,
                 "q975": val,
                 "fixed": True,
             }
-    if space.dim == 1:
-        coord = model.hyper_coords[free_list[0]]
-        grid = [pt.theta_internal[free_list[0]] for pt in points]
+    if hyper.dim == 1:
+        coord = model.hyper_coords[hyper.free[0]]
+        grid = [pt.theta_internal[hyper.free[0]] for pt in points]
         lps = [pt.log_unnorm_posterior for pt in points]
         out[coord.name] = summary(grid, lps, coord)
         return out
 
-    if space.dim >= 2:
+    if hyper.dim >= 2:
         Hinv = np.linalg.inv(hessian)
-        u_mode = space.to_u(theta_mode_internal)
-        solve = _WarmStarts(model)
-
-        def eval_theta(u):
-            result = solve(space.to_full(u)) if space.inside(u) else None
-            return -np.inf if result is None else result[0]
-
+        u_mode = hyper.to_u(theta_mode_internal)
         at_mode = [
             pt for pt in points
-            if np.array_equal(space.to_u(pt.theta_internal), u_mode)
+            if np.array_equal(hyper.to_u(pt.theta_internal), u_mode)
         ]
         if not at_mode:
             raise ValueError(
@@ -983,10 +955,10 @@ def hyper_marginals(model, points, theta_mode_internal, hessian,
         lp0 = at_mode[0].log_unnorm_posterior
         w_mode = at_mode[0].approx.mode
 
-        for j in range(space.dim):
-            coord = model.hyper_coords[free_list[j]]
+        for j in range(hyper.dim):
+            coord = model.hyper_coords[hyper.free[j]]
             sd_j = float(np.sqrt(max(Hinv[j, j], 1e-12)))
-            others = [t for t in range(space.dim) if t != j]
+            others = [t for t in range(hyper.dim) if t != j]
             Hoo = hessian[np.ix_(others, others)]
             Hoj = hessian[np.ix_(others, [j])].ravel()
             try:
@@ -994,25 +966,22 @@ def hyper_marginals(model, points, theta_mode_internal, hessian,
             except np.linalg.LinAlgError:
                 ridge_dir = np.zeros(len(others))
 
-            us, lps = [u_mode[j]], [lp0]
-
-            def eval_at(delta):
+            def on_ridge(delta):
                 u = u_mode.copy()
                 u[j] += delta
-                for t, o in enumerate(others):
-                    u[o] += ridge_dir[t] * delta
-                lp = eval_theta(u)
-                if np.isfinite(lp):
-                    us.append(u[j])
-                    lps.append(lp)
-                return lp
+                u[others] += ridge_dir * delta
+                return u
 
+            us, lps = [u_mode[j]], [lp0]
             for sign in (1.0, -1.0):
-                solve.w = w_mode
-                for kk in range(1, max_steps + 1):
-                    lp = eval_at(sign * kk * scan_step * sd_j)
-                    if lp < lp0 - scan_drop:
-                        break
+                steps = hyper.walk(
+                    lambda k: on_ridge(sign * k * scan_step * sd_j),
+                    lp0, scan_drop, max_steps, w_mode,
+                )
+                for th, lp, _ in steps:
+                    if np.isfinite(lp):
+                        us.append(th[hyper.free[j]])
+                        lps.append(lp)
             out[coord.name] = summary(us, lps, coord)
     return out
 

@@ -114,11 +114,18 @@ def response_terms(kind: str, y):
     alone, after checking the responses: gammaln(y + 1) for poisson, log y
     for gamma, (tan(y/2), log h'(y)) for lavm and None for gaussian.
 
-    A response outside its family's domain raises ``ObservationError``
-    with its index; for lavm that is the boundary band |y| >= pi - 1e-6,
-    reported before a non-finite angle's ``ValueError``.
+    A non-finite response, in every family, and then a response outside
+    its family's domain raise ``ObservationError`` with their indices; for
+    lavm the domain rule is the boundary band |y| >= pi - 1e-6.
     """
+    if kind not in FAMILY_HYPERS:
+        raise ValueError(f"unknown likelihood family {kind!r}")
     y = np.asarray(y, dtype=float)
+    bad = ~np.isfinite(y)
+    if np.any(bad):
+        raise ObservationError(
+            f"{kind} responses must be finite", np.nonzero(bad)[0]
+        )
     if kind == "gaussian":
         return None
     if kind == "poisson":
@@ -136,18 +143,14 @@ def response_terms(kind: str, y):
                 "gamma responses must be positive", np.nonzero(bad)[0]
             )
         return np.log(y)
-    if kind == "lavm":
-        bad = _in_lavm_band(y, BOUNDARY_MARGIN)
-        if np.any(bad):
-            raise ObservationError(
-                "angular responses inside the boundary band |x| >= pi - 1e-6; "
-                "consider pre-centering",
-                np.nonzero(bad)[0],
-            )
-        if not np.all(np.isfinite(y)):
-            raise ValueError("x must be finite, got a NaN or infinity")
-        return _lavm_response(y)
-    raise ValueError(f"unknown likelihood family {kind!r}")
+    bad = _in_lavm_band(y, BOUNDARY_MARGIN)
+    if np.any(bad):
+        raise ObservationError(
+            "angular responses inside the boundary band |x| >= pi - 1e-6; "
+            "consider pre-centering",
+            np.nonzero(bad)[0],
+        )
+    return _lavm_response(y)
 
 
 def loglik(kind: str, y, eta, hyper: float = None, response=None):

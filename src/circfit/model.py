@@ -196,6 +196,8 @@ class BlockSpec:
         object.__setattr__(
             self, "responses", np.asarray(self.responses, dtype=float)
         )
+        if self.responses.size == 0:
+            raise ConfigurationError(f"block {self.name!r} has no responses")
         object.__setattr__(self, "terms", tuple(self.terms))
 
     @property

@@ -27,6 +27,7 @@ from circfit.inference import (
     _factor_spd,
     _mixture_quantiles,
     _natural_grid_summary,
+    _spd_directions,
     explore_theta,
     fit_model,
     gaussian_approx,
@@ -1031,6 +1032,41 @@ class TestOptimizeTheta:
         )
         np.testing.assert_array_equal(err.value.best, theta_mode)
 
+    def test_gradient_probe_past_the_box_is_a_failed_evaluation(
+        self, monkeypatch
+    ):
+        # from a start on the +30 edge the forward probe at 30 + 1e-4 is
+        # outside the hyper box: it reads as the wall without a Laplace
+        # evaluation.  lp(30) lies far below the wall here, so the search
+        # stops on the edge and the stencil's point past it fails too
+        m = tau_free_model()
+        evaluated = []
+        real = inference.log_posterior_theta
+
+        def recording(model, theta_internal, *args, **kwargs):
+            evaluated.append(float(theta_internal[0]))
+            return real(model, theta_internal, *args, **kwargs)
+
+        monkeypatch.setattr(inference, "log_posterior_theta", recording)
+        with pytest.raises(InferenceError, match="Hessian stencil"):
+            optimize_theta(m, init=np.array([30.0]))
+        assert evaluated == [30.0, 30.0 - 1e-4]
+
+    def test_budget_error_counts_the_evaluations_made(self, monkeypatch):
+        # the refused attempt is not an evaluation
+        m = two_hyper_model()
+        calls = []
+        real = inference.log_posterior_theta
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "log_posterior_theta", counting)
+        with pytest.raises(InferenceError, match="budget") as err:
+            optimize_theta(m, max_evals=7)
+        assert err.value.diagnostics["evaluations"] == 7 == len(calls)
+
     def test_hessian_is_symmetric_positive_definite(self):
         m = two_hyper_model()
         _, hessian, _ = optimize_theta(m)
@@ -1108,6 +1144,59 @@ class TestExploreTheta:
         w = np.array([pt.weight for pt in points])
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert w[0] > 0.0
+
+    def test_one_hyper_grid_spans_the_longer_walk_both_ways(self):
+        # two steps below the mode the upward walk runs further than the
+        # downward one; the grid takes the longer extent on both sides,
+        # not the extent of the walk that ran last
+        m = tau_free_model()
+        theta_mode, hessian, _ = optimize_theta(m)
+        a = 0.75 / np.sqrt(hessian[0, 0])
+        start = theta_mode - 2.0 * a
+        lp0 = log_posterior_theta(m, start)[0]
+
+        def extent(sign):
+            for k in range(1, 11):
+                lp = log_posterior_theta(m, start + sign * k * a)[0]
+                if lp < lp0 - 5.0:
+                    return k - 1
+            return 10
+
+        up, down = extent(1), extent(-1)
+        assert up > down
+        points = explore_theta(m, start, hessian)
+        offsets = sorted(
+            round(float((pt.theta_internal[0] - start[0]) / a))
+            for pt in points
+        )
+        assert offsets == list(range(-up, up + 1))
+
+    @pytest.mark.parametrize("factory", [tau_free_model, two_hyper_model])
+    def test_every_grid_walk_starts_warm_from_the_mode(
+        self, factory, monkeypatch
+    ):
+        m = factory()
+        theta_mode, hessian, info = optimize_theta(m)
+        center = info["mode_approx"]
+        calls = []
+        real = inference.log_posterior_theta
+
+        def recording(model, theta_internal, init_w=None):
+            calls.append((np.array(theta_internal), init_w))
+            return real(model, theta_internal, init_w=init_w)
+
+        monkeypatch.setattr(inference, "log_posterior_theta", recording)
+        explore_theta(m, theta_mode, hessian, center=center)
+        axes, _, _ = _spd_directions(hessian, 0.75)
+        for i in range(axes.shape[1]):
+            for sign in (1, -1):
+                first = theta_mode + sign * axes[:, i]
+                init_w = next(
+                    w for th, w in calls
+                    if np.allclose(th, first, rtol=0.0, atol=1e-12)
+                )
+                assert init_w is not None
+                np.testing.assert_array_equal(init_w, center.mode)
 
     def test_weighted_mean_matches_dense_quadrature(self):
         m = tau_free_model()
@@ -1293,6 +1382,35 @@ class TestHyperMarginals:
         monkeypatch.setattr(inference, "gaussian_approx", recording)
         hyper_marginals(m, points, theta_mode, hessian)
         assert cold and not any(cold)
+
+    def test_every_scan_starts_warm_from_the_mode(self, monkeypatch):
+        m = two_hyper_model()
+        theta_mode, hessian, info = optimize_theta(m)
+        center = info["mode_approx"]
+        points = explore_theta(m, theta_mode, hessian, center=center)
+        calls = []
+        real = inference.log_posterior_theta
+
+        def recording(model, theta_internal, init_w=None):
+            calls.append((np.array(theta_internal), init_w))
+            return real(model, theta_internal, init_w=init_w)
+
+        monkeypatch.setattr(inference, "log_posterior_theta", recording)
+        hyper_marginals(m, points, theta_mode, hessian)
+        Hinv = np.linalg.inv(hessian)
+        for j, o in ((0, 1), (1, 0)):
+            ridge = -hessian[o, j] / hessian[o, o]
+            for sign in (1.0, -1.0):
+                delta = sign * 0.5 * np.sqrt(Hinv[j, j])
+                first = theta_mode.copy()
+                first[j] += delta
+                first[o] += ridge * delta
+                init_w = next(
+                    w for th, w in calls
+                    if np.allclose(th, first, rtol=0.0, atol=1e-12)
+                )
+                assert init_w is not None
+                np.testing.assert_array_equal(init_w, center.mode)
 
     def test_points_without_the_mode_are_rejected(self):
         m = two_hyper_model()

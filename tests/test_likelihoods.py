@@ -202,6 +202,23 @@ class TestDomainErrors:
             )
         assert err.value.indices == [1]
 
+    @pytest.mark.parametrize(
+        "family, hyper, y0",
+        [
+            ("gaussian", 1.0, 0.3),
+            ("poisson", None, 2.5),
+            ("gamma", 1.0, -1.0),
+            ("lavm", 1.0, np.pi),
+        ],
+    )
+    def test_non_finite_response_is_rejected_first(self, family, hyper, y0):
+        # y0 breaks the family's own domain rule (none for gaussian): the
+        # non-finite responses are reported before it, by their indices
+        y = np.array([y0, np.nan, -np.inf, np.inf])
+        with pytest.raises(ObservationError, match="must be finite") as err:
+            loglik(family, y, np.zeros(4), hyper)
+        assert err.value.indices == [1, 2, 3]
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             loglik("weibull", 1.0, 0.0, 1.0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circfit.inference import fit_model
+from circfit.likelihoods import ObservationError
 from circfit.latent import build_mv_iid, build_rw2, rw2_reference_sd
 from circfit.model import (
     AssembledModel,
@@ -790,6 +791,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="likelihood hyper"):
             BlockSpec("y", "gaussian", np.zeros(2), ())
 
+    def test_block_without_responses_rejected(self):
+        with pytest.raises(ConfigurationError, match="'y' has no responses"):
+            BlockSpec("y", "gaussian", np.zeros(0), (), hyper="tau")
+
     def test_component_kind_validation(self):
         with pytest.raises(ConfigurationError, match="unknown kind"):
             ComponentSpec("w", "rw7", 5)
@@ -911,6 +916,16 @@ class TestClassicalSpec:
         w[m.effect_nodes["alpha2"]] = -0.5
         th = m.theta_natural(m.initial_internal())
         np.testing.assert_allclose(m.predictor("y", w, th), y, atol=1e-12)
+
+    def test_nan_response_fails_the_fit_with_its_index(self):
+        # it used to end the fit on "no successful Laplace evaluation"
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-np.pi, np.pi, 50)
+        y = 1.0 + 2.0 * np.cos(x) - 0.5 * np.sin(x)
+        y[17] = np.nan
+        with pytest.raises(ObservationError, match="finite") as err:
+            fit_model(build_model(classical_sincos_spec(y, x)))
+        assert err.value.indices == [17]
 
     def test_degenerate_circular_covariate_flagged(self):
         with pytest.warns(UserWarning, match="collinear with the intercept"):

@@ -48,3 +48,29 @@ def test_console_script_prints_the_study_result_as_json():
         for p in record["parameters"]:
             assert p["lower"] <= p["estimate"] <= p["upper"]
             assert all(math.isfinite(p[k]) for k in ("lower", "upper"))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("sim1", "--reps", "0"), "need at least one replicate, got 0"),
+        (("sim1", "--n", "0", "--reps", "1"), "block 'y' has no responses"),
+    ],
+)
+def test_console_script_reports_a_bad_study_setup_as_a_usage_error(
+    args, message
+):
+    # argparse's own status and format: no traceback, one error line
+    src = str(Path(circfit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-m", "circfit", *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+    assert out.stderr.splitlines()[-1] == f"circfit: error: {message}"

@@ -27,6 +27,7 @@ from circfit.studies import (
     run_study,
     sim2_spec,
     sim3_spec,
+    smooth_field,
     wind_spec,
 )
 
@@ -123,3 +124,15 @@ def test_unknown_study_and_empty_run_are_rejected():
         run_study("sim9")
     with pytest.raises(ConfigurationError, match="at least one replicate"):
         run_study("sim1", n=300, reps=0)
+
+
+def test_studies_without_enough_observations_are_rejected():
+    # n=0 used to fit the prior alone, and sim2 at n=2 divided its field
+    # by the zero reference sd of a two-node rw2
+    with pytest.raises(ConfigurationError, match="no responses"):
+        run_study("sim1", n=0, reps=1)
+    with pytest.raises(ConfigurationError, match="n >= 3"):
+        run_study("sim2", n=2, reps=1)
+    with pytest.raises(ConfigurationError, match="n >= 3"):
+        smooth_field(2, np.random.default_rng(1))
+    assert smooth_field(3, np.random.default_rng(1)).shape == (3,)
