@@ -133,31 +133,25 @@ def _check_open_interval(x, name: str = "x") -> np.ndarray:
 
 def _lavm_response(x):
     """The eta-free terms of the LAvM log density at checked angles x:
-    (tan(x/2), log h'(x)), in the form ``_lavm_terms`` takes them."""
+    (tan(x/2), log h'(x)), in the form ``_lavm_value`` takes them."""
     t_x = np.tan(0.5 * x)
     return t_x, np.log(0.5 * (1.0 + t_x * t_x))
 
 
-def _lavm_terms(response, eta, kappa):
-    """Value, d1 and d2 in eta of the LAvM log density, for the response
-    terms ``_lavm_response`` gives and checked eta and kappa.
+def _lavm_value(response, eta, kappa):
+    """The LAvM log density alone, for the response terms
+    ``_lavm_response`` gives and checked eta and kappa, with the
+    intermediates (u, h'(z), sin z, kappa*sin z) its derivatives reuse.
 
     With u = h(x) - eta and z = g(u) the trig terms are rational in u:
-    tan(z/2) = u, h'(z) = Q(z) = (1 + u^2)/2, sin z = u/h'(z) and
-    cos z = 1 - u*sin z.  So
+    tan(z/2) = u, h'(z) = Q(z) = (1 + u^2)/2 and sin z = u/h'(z), so
 
         value = -kappa*u*sin z - log(2 pi I0(kappa)) + log h'(x) - log h'(z)
-        d1    = (kappa*sin z + u) / h'(z)
-        d2    = (u*(kappa*sin z + u) - kappa*cos z - h'(z)) / h'(z)^2,
 
-    the formulas of ``lavm_logpdf`` and ``lavm_deta_logpdf`` (dz/deta =
-    -1/h'(z)) without an arctan, cosine or sine.
-
-    h(x) = tan(x/2) and log h'(x) depend on the responses alone, so a fit
-    computes them once per model (``ModelStructure.responses``) and
-    ``lavm_logpdf``, ``lavm_deta_logpdf`` and ``loglik`` once per call; the
-    normalizer log(2 pi I0(kappa)) depends on kappa alone, and everything
-    in u is per eta, that is per Newton step.
+    without an arctan, cosine or sine.  This is the one formula of the
+    density: ``_lavm_terms`` adds the derivatives to it, and
+    ``lavm_logpdf`` and the CPO weights (through
+    ``likelihoods._log_density``) read it alone.
     """
     t_x, log_hp_x = response
     u = t_x - eta
@@ -170,6 +164,28 @@ def _lavm_terms(response, eta, kappa):
         - u * ks
         - (np.log(TWO_PI) + np.log(i0e(kappa)))
     )
+    return value, (u, hp, sin_z, ks)
+
+
+def _lavm_terms(response, eta, kappa):
+    """Value, d1 and d2 in eta of the LAvM log density, for the response
+    terms ``_lavm_response`` gives and checked eta and kappa.
+
+    The value and the intermediates come from ``_lavm_value``; with
+    cos z = 1 - u*sin z and dz/deta = -1/h'(z) the derivatives are
+
+        d1    = (kappa*sin z + u) / h'(z)
+        d2    = (u*(kappa*sin z + u) - kappa*cos z - h'(z)) / h'(z)^2,
+
+    the formulas of ``lavm_deta_logpdf``.
+
+    h(x) = tan(x/2) and log h'(x) depend on the responses alone, so a fit
+    computes them once per model (``ModelStructure.responses``) and
+    ``lavm_logpdf``, ``lavm_deta_logpdf`` and ``loglik`` once per call; the
+    normalizer log(2 pi I0(kappa)) depends on kappa alone, and everything
+    in u is per eta, that is per Newton step.
+    """
+    value, (u, hp, sin_z, ks) = _lavm_value(response, eta, kappa)
     kp = ks + u
     d1 = kp / hp
     d2 = (u * kp - kappa * (1.0 - u * sin_z) - hp) / (hp * hp)
@@ -193,7 +209,7 @@ def lavm_logpdf(x, eta, kappa):
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     xa = _check_open_interval(x, "x")
     ea = _as_finite_array(eta, "eta")
-    out = _lavm_terms(_lavm_response(xa), ea, kappa)[0]
+    out = _lavm_value(_lavm_response(xa), ea, kappa)[0]
     if np.ndim(x) == 0 and np.ndim(eta) == 0:
         return float(out)
     return out

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import cho_factor, eigh
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtbtrs, dtrtrs
 from scipy.optimize import minimize
 from scipy.special import ndtr
@@ -96,17 +96,30 @@ class _BandArrowFactor:
             head = dtbtrs(self.band, head, uplo="L", trans="T")[0]
         if self.schur.shape[0]:
             tail = dtrtrs(self.schur, z[n_body:], lower=1, trans=1)[0]
-            head = head - self.X @ tail
+            head -= self.X @ tail
             x[n_body:] = tail
         x[order] = head
         return x
 
+    def _s_solve(self, b):
+        """(C Q^{-1} C')^{-1} b: LAPACK's dpotrs on ``S_chol``, the call
+        ``cho_solve`` makes, without its finiteness checks of both
+        operands; ``_factor_spd`` validated the factor when it made it."""
+        c, lower = self.S_chol
+        return dpotrs(c, b, lower=lower)[0]
+
+    def correction(self, v):
+        """The kriging correction Q^{-1} C' (C Q^{-1} C')^{-1} C v of a
+        vector (or columns) on constraints C; ``constrain`` subtracts it."""
+        return self.QinvCt @ self._s_solve(self.C @ v)
+
     def constrain(self, v):
         """Condition a vector (or columns) on C v = 0 the way the
-        constrained conditional does: v - Q^{-1} C' (C Q^{-1} C')^{-1} C v."""
+        constrained conditional does: v - Q^{-1} C' (C Q^{-1} C')^{-1} C v,
+        as a new array; v is never written."""
         if self.C is None:
             return v
-        return v - self.QinvCt @ cho_solve(self.S_chol, self.C @ v)
+        return v - self.correction(v)
 
     def marginal_sd(self):
         """Standard deviations of the constrained conditional, node-wise:
@@ -114,7 +127,7 @@ class _BandArrowFactor:
         U = self.solve_lt(np.eye(self.structure.qstar.shape[0]))
         var = np.einsum("ij,ij->i", U, U)
         if self.C is not None:
-            corr = cho_solve(self.S_chol, self.QinvCt.T)
+            corr = self._s_solve(self.QinvCt.T)
             var = var - np.einsum("ij,ji->i", self.QinvCt, corr)
         return np.sqrt(np.maximum(var, 0.0))
 
@@ -256,10 +269,19 @@ class GaussianApprox:
     def sample(self, rng, size):
         """Draws from the constrained Gaussian as a (size, n) array, one row
         per draw.  It is the transposed view of the (n, size) solve, so in
-        memory each draw's latent vector is one contiguous column."""
+        memory each draw's latent vector is one contiguous column.
+
+        The draws are finished in place on the array ``solve_lt``
+        allocates: the kriging correction is subtracted from it and the
+        mode added to it, the sums ``mode + constrain(solve_lt(z))`` forms
+        with no temporary (n, size) array."""
+        factor = self.factor
         z = rng.standard_normal((self.mode.size, size))
-        u = self.factor.constrain(self.factor.solve_lt(z))
-        return (self.mode[:, None] + u).T
+        u = factor.solve_lt(z)
+        if factor.C is not None:
+            u -= factor.correction(u)
+        u += self.mode[:, None]
+        return u.T
 
 
 def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):

@@ -8,9 +8,13 @@ respect to eta, which is all the Gaussian approximation needs.  The terms
 that depend on the responses alone, with the responses' domain checks, are
 ``response_terms``: ``loglik`` computes them per call unless the caller
 passes them, as a fit does once per model.
-"""
 
-from dataclasses import dataclass
+A caller that reads the log density alone, as ``predictive.cpo``'s
+importance weights do, calls ``_log_density``: gaussian and LAvM have a
+value kernel (``_gaussian_value``, ``circular._lavm_value``) from which
+``loglik`` builds its derivatives, so each density has one formula, and
+``circular.lavm_logpdf`` reads the LAvM kernel too.
+"""
 
 import numpy as np
 from scipy.special import gammaln
@@ -19,17 +23,16 @@ from .circular import (
     BOUNDARY_MARGIN,
     _lavm_response,
     _lavm_terms,
+    _lavm_value,
     lavm_approx_concentration,
 )
 
 __all__ = [
     "FAMILY_HYPERS",
     "ObservationError",
-    "ValidationIssue",
     "loglik",
     "lavm_curvature_floor",
     "response_terms",
-    "validate_block",
 ]
 
 # family -> names of its hyperparameters, in binding order
@@ -49,11 +52,16 @@ class ObservationError(ValueError):
         super().__init__(f"{message} (observations {self.indices})")
 
 
-def _gaussian(y, eta, tau):
+def _gaussian_value(y, eta, tau):
+    """The gaussian log density and the residual y - eta."""
     if tau <= 0:
         raise ValueError(f"gaussian precision must be positive, got {tau}")
     r = y - eta
-    value = 0.5 * np.log(tau / (2.0 * np.pi)) - 0.5 * tau * r * r
+    return 0.5 * np.log(tau / (2.0 * np.pi)) - 0.5 * tau * r * r, r
+
+
+def _gaussian(y, eta, tau):
+    value, r = _gaussian_value(y, eta, tau)
     return value, tau * r, np.full_like(r, -tau)
 
 
@@ -77,36 +85,24 @@ def _gamma(y, eta, rho, log_y):
     return value, rho * (scaled - 1.0), -rho * scaled
 
 
-def _lavm(y, eta, kappa, response):
-    """Value, d1 and d2 from the one LAvM kernel of ``circular``, which
-    ``lavm_logpdf`` and ``lavm_deta_logpdf`` share, so the results are
-    bit-identical to theirs.  The checks on kappa and eta are those
-    functions' too; the responses were checked with their terms."""
+def _check_lavm(eta, kappa):
+    """The checks on kappa and eta of ``circular``'s LAvM functions; the
+    responses were checked with their terms."""
     if kappa < 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     if not np.isfinite(eta).all():
         raise ValueError("eta must be finite, got a NaN or infinity")
+
+
+def _lavm(y, eta, kappa, response):
+    """Value, d1 and d2 from the one LAvM kernel of ``circular``, which
+    ``lavm_logpdf`` and ``lavm_deta_logpdf`` share, so the results are
+    bit-identical to theirs."""
+    _check_lavm(eta, kappa)
     value, d1, d2 = _lavm_terms(response, eta, kappa)
     if np.ndim(y) == 0 and np.ndim(eta) == 0:
         return float(value), float(d1), float(d2)
     return value, d1, d2
-
-
-def _not_a_count(y):
-    """Poisson's domain rule: True where a response is not a nonnegative
-    integer."""
-    return (y < 0) | (y != np.floor(y))
-
-
-def _not_positive(y):
-    """Gamma's domain rule: True where a response is not positive."""
-    return y <= 0
-
-
-def _in_lavm_band(y, margin):
-    """LAvM's domain rule: True where an angle lies within ``margin`` of
-    the boundary at +-pi (or beyond it)."""
-    return np.abs(y) >= np.pi - margin
 
 
 def response_terms(kind: str, y):
@@ -129,7 +125,7 @@ def response_terms(kind: str, y):
     if kind == "gaussian":
         return None
     if kind == "poisson":
-        bad = _not_a_count(y)
+        bad = (y < 0) | (y != np.floor(y))
         if np.any(bad):
             raise ObservationError(
                 "poisson responses must be nonnegative integers",
@@ -137,13 +133,13 @@ def response_terms(kind: str, y):
             )
         return gammaln(y + 1.0)
     if kind == "gamma":
-        bad = _not_positive(y)
+        bad = y <= 0
         if np.any(bad):
             raise ObservationError(
                 "gamma responses must be positive", np.nonzero(bad)[0]
             )
         return np.log(y)
-    bad = _in_lavm_band(y, BOUNDARY_MARGIN)
+    bad = np.abs(y) >= np.pi - BOUNDARY_MARGIN
     if np.any(bad):
         raise ObservationError(
             "angular responses inside the boundary band |x| >= pi - 1e-6; "
@@ -161,6 +157,11 @@ def loglik(kind: str, y, eta, hyper: float = None, response=None):
     from a caller that evaluates the same responses many times, as a fit
     does; when it is not given the responses are checked and their terms
     computed here.
+
+    The value is the family's value kernel where it has one
+    (``_gaussian_value``, ``circular._lavm_value``), which ``_log_density``
+    returns alone for ``predictive.cpo`` and ``circular.lavm_logpdf`` reads
+    for the LAvM density; the derivatives are built from its intermediates.
     """
     y = np.asarray(y, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -175,58 +176,23 @@ def loglik(kind: str, y, eta, hyper: float = None, response=None):
     return _lavm(y, eta, hyper, response)
 
 
+def _log_density(kind, y, eta, hyper, response):
+    """``loglik(kind, y, eta, hyper, response=response)[0]`` without the
+    derivatives, for array eta and the checked ``response_terms`` of float
+    responses y: the gaussian and LAvM value kernels with ``loglik``'s
+    checks on the hyper and on eta; poisson and gamma take ``loglik``'s
+    value."""
+    if kind == "gaussian":
+        return _gaussian_value(y, eta, hyper)[0]
+    if kind == "lavm":
+        _check_lavm(eta, hyper)
+        return _lavm_value(response, eta, hyper)[0]
+    return loglik(kind, y, eta, hyper, response=response)[0]
+
+
 def lavm_curvature_floor(eta, kappa):
     """Negative curvature to substitute where the lavm d2 turns nonnegative
     far from the conditional mode: minus the local concentration of the
     density, which preserves the Newton fixed point while keeping steps
     descent-directed."""
     return -lavm_approx_concentration(eta, kappa)
-
-
-@dataclass(frozen=True)
-class ValidationIssue:
-    observation: int
-    problem: str
-
-
-def validate_block(block):
-    """Per-observation domain report for an observation block (a
-    ``BlockSpec`` or an assembled block: its ``family`` name and its
-    ``responses``); empty means valid."""
-    y = block.responses
-    kind = block.family
-    issues = []
-    if not np.all(np.isfinite(y)):
-        issues += [
-            ValidationIssue(int(i), "response is not finite")
-            for i in np.nonzero(~np.isfinite(y))[0]
-        ]
-    if kind == "poisson":
-        bad = _not_a_count(y)
-        issues += [
-            ValidationIssue(int(i), "poisson response must be a count")
-            for i in np.nonzero(bad & np.isfinite(y))[0]
-        ]
-    elif kind == "gamma":
-        issues += [
-            ValidationIssue(int(i), "gamma response must be positive")
-            for i in np.nonzero(_not_positive(y) & np.isfinite(y))[0]
-        ]
-    elif kind == "lavm":
-        outside = np.abs(y) > np.pi
-        # advise one decade before the hard band: evaluation degrades well
-        # before it becomes an error
-        band = _in_lavm_band(y, 10.0 * BOUNDARY_MARGIN) & ~outside
-        issues += [
-            ValidationIssue(int(i), "angle outside (-pi, pi]")
-            for i in np.nonzero(outside & np.isfinite(y))[0]
-        ]
-        issues += [
-            ValidationIssue(
-                int(i),
-                "angle within 1e-5 of the boundary where the likelihood "
-                "turns singular; pre-center the angles first",
-            )
-            for i in np.nonzero(band & np.isfinite(y))[0]
-        ]
-    return sorted(issues, key=lambda issue: issue.observation)

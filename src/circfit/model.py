@@ -724,14 +724,22 @@ def terms_predictor(terms, w, theta):
     """sum_t factor_t(theta) * w[..., nodes_t] * coef_t over the terms of a
     predictor, at latent w (one row per leading index) and natural theta.
 
-    The sum starts from the first term's product and adds the others in
-    place, so the output keeps the layout of the gathers ``w[..., nodes]``:
-    for the draws of ``GaussianApprox.sample``, one contiguous column per
-    observation."""
+    Each product is formed in place on its gather ``w[..., nodes]`` (a
+    copy, so w is never written), factor first and coefficient second, and
+    the sum starts from the first term's product and adds the others in
+    place, so the output keeps the layout of the gathers: for the draws of
+    ``GaussianApprox.sample``, one contiguous column per observation."""
+
+    def product(t):
+        g = w[..., t.nodes]
+        g *= t.factor(theta)
+        g *= t.coef
+        return g
+
     first, *rest = terms
-    eta = first.factor(theta) * w[..., first.nodes] * first.coef
+    eta = product(first)
     for t in rest:
-        eta += t.factor(theta) * w[..., t.nodes] * t.coef
+        eta += product(t)
     return eta
 
 

@@ -24,7 +24,9 @@ from scipy.signal import fftconvolve
 
 from .circular import lavm_sample
 from .latent import pacf_to_ar2
-from .likelihoods import loglik
+# loglik is not called here since cpo reads the value alone, but the
+# perfbench tracer wraps the name predictive.loglik
+from .likelihoods import _log_density, loglik  # noqa: F401
 from .model import term_design, terms_predictor
 from .priors import ConfigurationError
 
@@ -460,11 +462,13 @@ def cpo(fit, n_draws=4000, rng=None, joint=None):
     """Leave-one-out metrics for every block, via importance weighting of
     posterior draws with weights proportional to 1/p(y_i | eta_i, theta).
 
-    joint: optional pair of block names whose observations leave together;
-    their weights multiply observation-wise.  Observations whose weight
-    effective sample size falls below 10 are flagged.
+    joint: optional pair of two different block names whose observations
+    leave together; their weights multiply observation-wise.  Observations
+    whose weight effective sample size falls below 10 are flagged.
 
-    Each block's log weights -log p fill one preallocated (n_draws,
+    The weights read only log p(y_i | eta_i, theta), from
+    ``likelihoods._log_density``: no derivative in eta is computed.  Each
+    block's log weights -log p fill one preallocated (n_draws,
     observations) array in Fortran order, each exploration point's draws
     writing their own rows; the predictors of the sampler's draws keep
     one contiguous column per observation, so the weights are computed
@@ -481,6 +485,10 @@ def cpo(fit, n_draws=4000, rng=None, joint=None):
                 raise ConfigurationError(
                     f"joint leave-one-out names unknown block {name!r}"
                 )
+        if a == b:
+            raise ConfigurationError(
+                f"joint leave-one-out names block {a!r} twice"
+            )
         if model.blocks[a].size != model.blocks[b].size:
             raise ConfigurationError(
                 f"joint leave-one-out needs matching block sizes, got "
@@ -497,8 +505,8 @@ def cpo(fit, n_draws=4000, rng=None, joint=None):
         for name, blk in model.blocks.items():
             eta = model.predictor(name, latents, theta)
             hyper = theta[blk.hyper] if blk.hyper else None
-            value, _, _ = loglik(
-                blk.family, blk.responses, eta, hyper, response=responses[name]
+            value = _log_density(
+                blk.family, blk.responses, eta, hyper, responses[name]
             )
             np.negative(value, out=logu[name][rows])
         row = rows.stop

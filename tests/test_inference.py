@@ -799,6 +799,31 @@ class TestBandArrowFactor:
         d = approx.sample(Identity(), m.latent_dim) - approx.mode
         _assert_close(d.T @ d, cov)
 
+    @pytest.mark.parametrize(
+        "factory, constrained",
+        [(rw2_fixed_model, True), (iid_fixed_model, False)],
+    )
+    def test_draws_are_the_mode_plus_the_constrained_solve(
+        self, factory, constrained
+    ):
+        # the draws finished in place are the sums the out-of-place finish
+        # forms, from the same normals
+        m = factory()
+        assert (m.constraints.shape[0] > 0) == constrained
+        approx = gaussian_approx(m, m.theta_natural(m.initial_internal()))
+        factor = approx.factor
+        rng = np.random.default_rng(31)
+        z = np.random.default_rng(31).standard_normal((m.latent_dim, 7))
+        u = factor.solve_lt(z)
+        kept = u.copy()
+        expected = (approx.mode[:, None] + factor.constrain(u)).T
+        np.testing.assert_array_equal(u, kept)
+        first = approx.sample(rng, 7)
+        np.testing.assert_array_equal(first, expected)
+        second = approx.sample(rng, 7)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, approx.mode)
+
     @pytest.mark.parametrize("n", [100, 200])
     def test_structure_holds_no_latent_squared_array(self, n):
         # the factorization works at the structural bandwidth, so nothing

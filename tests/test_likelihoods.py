@@ -1,4 +1,4 @@
-"""Tests for the observation families and block validation."""
+"""Tests for the observation families and their response domains."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,10 @@ from scipy.integrate import quad
 
 from circfit.likelihoods import (
     ObservationError,
+    _log_density,
     lavm_curvature_floor,
     loglik,
     response_terms,
-    validate_block,
 )
 from circfit.circular import lavm_approx_concentration
 from circfit.model import BlockSpec
@@ -219,6 +219,21 @@ class TestDomainErrors:
             loglik(family, y, np.zeros(4), hyper)
         assert err.value.indices == [1, 2, 3]
 
+    @pytest.mark.parametrize(
+        "family, y, offenders",
+        [
+            ("poisson", [3.0, -1.0, 0.5, 0.0, -2.5, 7.0], [1, 2, 4]),
+            ("gamma", [1.0, 0.0, -3.0, 2.5, -0.0], [1, 2, 4]),
+            # -pi + 2e-6 lies outside the 1e-6 band
+            ("lavm", [0.1, np.pi - 5e-7, -np.pi + 2e-6, -0.4], [1]),
+        ],
+        ids=["poisson", "gamma", "lavm"],
+    )
+    def test_response_terms_names_every_offender(self, family, y, offenders):
+        with pytest.raises(ObservationError) as err:
+            response_terms(family, np.array(y))
+        assert err.value.indices == offenders
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             loglik("weibull", 1.0, 0.0, 1.0)
@@ -226,49 +241,47 @@ class TestDomainErrors:
             BlockSpec("y", "weibull", np.zeros(2), ())
 
 
-class TestValidateBlock:
-    def test_valid_block_is_empty(self):
-        block = BlockSpec("y", "poisson", np.array([0.0, 3.0, 7.0]), ())
-        assert validate_block(block) == []
-
-    def test_lavm_boundary_band_flagged_with_advice(self):
-        block = BlockSpec(
-            "x", "lavm", np.array([0.5, 3.14159]), (), hyper="kappa"
-        )
-        report = validate_block(block)
-        assert [issue.observation for issue in report] == [1]
-        assert "pre-center" in report[0].problem
-
-    def test_poisson_negative_flagged(self):
-        block = BlockSpec("y", "poisson", np.array([2.0, -1.0]), ())
-        report = validate_block(block)
-        assert [issue.observation for issue in report] == [1]
-
-    def test_gamma_and_nonfinite_flagged(self):
-        block = BlockSpec(
-            "y", "gamma", np.array([1.0, 0.0, np.nan]), (), hyper="rho"
-        )
-        problems = {issue.observation for issue in validate_block(block)}
-        assert problems == {1, 2}
-
+class TestValueKernel:
+    """``_log_density``, the value alone that cpo's weights read, against
+    ``loglik``'s value."""
 
     @pytest.mark.parametrize(
         "family, hyper, y",
         [
-            ("poisson", None, [3.0, -1.0, 0.5, 0.0, -2.5, 7.0]),
-            ("gamma", "rho", [1.0, 0.0, -3.0, 2.5, -0.0]),
-            ("lavm", "kappa", [0.1, np.pi - 5e-7, -np.pi + 2e-6, -0.4]),
+            ("gaussian", 2.5, np.linspace(-2.0, 3.0, 40)),
+            ("poisson", None, np.arange(40.0) % 7),
+            ("gamma", 1.7, np.linspace(0.1, 6.0, 40)),
+            ("lavm", 4.0, np.linspace(-3.0, 3.0, 40)),
         ],
+        ids=["gaussian", "poisson", "gamma", "lavm"],
     )
-    def test_fit_check_and_report_share_the_domain_rule(self, family, hyper, y):
-        # the report also advises on lavm angles up to 1e-5 from the
-        # boundary, so it names a superset of what the fit rejects
-        y = np.array(y)
-        with pytest.raises(ObservationError) as err:
-            response_terms(family, y)
-        block = BlockSpec("b", family, y, (), hyper=hyper)
-        reported = [issue.observation for issue in validate_block(block)]
-        if family == "lavm":
-            assert set(err.value.indices) < set(reported)
+    @pytest.mark.parametrize("layout", ["1-d", "2-d fortran"])
+    def test_bit_identical_to_loglik_value(self, family, hyper, y, layout):
+        rng = np.random.default_rng(12)
+        if layout == "1-d":
+            eta = rng.normal(0.0, 1.0, y.size)
         else:
-            assert err.value.indices == reported
+            # cpo's draws: one contiguous column per observation
+            eta = np.asfortranarray(rng.normal(0.0, 1.0, (9, y.size)))
+        value = _log_density(family, y, eta, hyper, response_terms(family, y))
+        expected = loglik(family, y, eta, hyper)[0]
+        assert value.shape == expected.shape == eta.shape
+        np.testing.assert_array_equal(value, expected)
+        if family == "lavm":
+            from circfit.circular import lavm_logpdf
+
+            np.testing.assert_array_equal(lavm_logpdf(y, eta, hyper), expected)
+
+    @pytest.mark.parametrize(
+        "family, eta, hyper",
+        [
+            ("gaussian", np.zeros(2), 0.0),
+            ("lavm", np.zeros(2), -0.5),
+            ("lavm", np.array([0.0, np.nan]), 1.0),
+        ],
+        ids=["gaussian tau", "lavm kappa", "lavm eta"],
+    )
+    def test_keeps_the_checks_of_loglik(self, family, eta, hyper):
+        y = np.array([0.1, 0.2])
+        with pytest.raises(ValueError):
+            _log_density(family, y, eta, hyper, response_terms(family, y))

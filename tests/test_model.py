@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -18,6 +20,7 @@ from circfit.model import (
     build_model,
     classical_sincos_spec,
     predictor_values,
+    terms_predictor,
 )
 from circfit.priors import ConfigurationError, PriorSpec
 from circfit.studies import SIM1_TRUTH, generate_sim1, sim1_spec
@@ -232,6 +235,33 @@ class TestPredictors:
                 np.testing.assert_array_equal(
                     eta[i], m.predictor(name, w[i].copy(), th)
                 )
+
+    @pytest.mark.parametrize("layout", ["1-d", "transposed 2-d"])
+    def test_terms_predictor_sums_term_by_term_and_leaves_w(self, layout):
+        # each product is factor * w[..., nodes] * coef, left to right,
+        # summed in term order; coefficients other than 1 make a swapped
+        # product order show
+        m = build_model(coupled_spec())
+        rng = np.random.default_rng(17)
+        terms = [
+            replace(t, coef=rng.uniform(0.5, 2.0, t.coef.size))
+            for t in m.blocks["y"].terms
+        ]
+        th = m.theta_natural(m.initial_internal())
+        th["a1"], th["b1"] = 0.7, -1.3
+        if layout == "1-d":
+            w = rng.normal(size=m.latent_dim)
+        else:
+            w = rng.normal(size=(m.latent_dim, 12)).T
+        kept = w.copy()
+        products = [t.factor(th) * w[..., t.nodes] * t.coef for t in terms]
+        expected = products[0]
+        for p in products[1:]:
+            expected = expected + p
+        eta = terms_predictor(terms, w, th)
+        np.testing.assert_array_equal(eta, expected)
+        np.testing.assert_array_equal(w, kept)
+        assert not np.shares_memory(eta, w)
 
     def test_block_matrix_matches_predictor(self):
         m = build_model(coupled_spec())

@@ -917,6 +917,11 @@ class TestQueryArguments:
         with pytest.raises(ConfigurationError, match="'nope'"):
             cpo(two_block_fit, n_draws=10, joint=joint)
 
+    def test_joint_block_named_twice_is_refused(self, two_block_fit):
+        # a block with itself would square its weights
+        with pytest.raises(ConfigurationError, match="'y' twice"):
+            cpo(two_block_fit, n_draws=10, joint=("y", "y"))
+
     def test_weights_fill_every_draw_row_once(self, two_block_fit):
         # the draws spread over several exploration points, each filling
         # its own rows of the preallocated weights
