@@ -53,9 +53,8 @@ class _BandArrowFactor:
     chol(C Q^{-1} C') and the constrained half log determinant
     ``det_half`` = half_logdet + (log det(C Q^{-1} C') - log det(C C'))/2."""
 
-    def __init__(self, structure, data, band, X, schur, half_logdet):
+    def __init__(self, structure, band, X, schur, half_logdet):
         self.structure = structure
-        self.data = data
         self.band = band
         self.X = X
         self.schur = schur
@@ -131,10 +130,6 @@ class _BandArrowFactor:
             var = var - np.einsum("ij,ji->i", self.QinvCt, corr)
         return np.sqrt(np.maximum(var, 0.0))
 
-    def matrix(self):
-        """The factored matrix as a csc matrix."""
-        return self.structure.qstar_matrix(self.data)
-
 
 def _cholesky(band, cross, arrow):
     """Band + arrow Cholesky of pieces laid out by
@@ -183,7 +178,7 @@ def _factor_spd(structure, data, C=None):
     factored = _cholesky(*structure.band_arrow(data))
     if factored is None:
         raise InferenceError("conditional precision is not positive definite")
-    factor = _BandArrowFactor(structure, data, *factored)
+    factor = _BandArrowFactor(structure, *factored)
     if C is None or C.shape[0] == 0:
         return factor
     QinvCt = factor.solve(np.asarray(C.T, dtype=float))
@@ -236,8 +231,7 @@ class GaussianApprox:
     ``factor`` is ``_factor_spd``'s constrained factor of Q* at the mode:
     ``det_half`` is its constrained half log determinant, which the Laplace
     ratio reads with ``loglik_sum``, ``prior_quad`` and ``prior_log_gdet``;
-    the marginal sds and the draws are its too.  ``Q`` is built as csc only
-    when asked.
+    the marginal sds and the draws are its too.
     """
 
     def __init__(self, mode, factor, loglik_sum, prior_quad, prior_log_gdet,
@@ -249,16 +243,7 @@ class GaussianApprox:
         self.prior_quad = prior_quad
         self.prior_log_gdet = prior_log_gdet
         self.iterations = iterations
-        self._Q = None
         self._marginal_sd = None
-
-    @property
-    def Q(self):
-        """The factored conditional precision at the mode, a csc matrix
-        built on first use."""
-        if self._Q is None:
-            self._Q = self.factor.matrix()
-        return self._Q
 
     def marginal_sd(self):
         """Standard deviations of the constrained conditional, node-wise."""
@@ -292,11 +277,10 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
     (``AssembledModel.structure``, through ``NewtonSystem``): predictors
     and gradients are bincount matrix-vector products, Q*'s values are
     filled into its fixed pattern, and ``_factor_spd`` factorizes them in
-    the band + arrow layout.  No sparse matrix is built in the loop; the
-    returned approximation builds its csc ``Q`` only when asked.  The
-    converged iterate's values, factor and log-likelihood sum are the ones
-    returned; they are recomputed only when the final constraint projection
-    moves the mode.
+    the band + arrow layout.  No sparse matrix is built.  The converged
+    iterate's values, factor and log-likelihood sum are the ones returned;
+    they are recomputed only when the final constraint projection moves the
+    mode.
 
     Once per model the structure holds the patterns and each block's
     checked response terms; once per call (per theta) ``NewtonSystem``
@@ -313,8 +297,11 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
     - plateau guard: from iteration 24 on, the decrement has not halved
       over the last 12 iterations and the objective has not risen beyond
       roundoff over them either;
-    - stall: neither the Newton step nor the gradient fallback step
-      increases the objective;
+    - stall: the Newton step does not increase the objective at any of 21
+      halvings while its predicted gain, the decrement, is above 1e-7 of
+      the objective's scale.  With Q* positive definite the step is an
+      ascent direction, so this exit means derivatives that do not match
+      the objective, or roundoff beyond that threshold;
     - iteration limit: no convergence within ``max_iter`` iterations.
 
     ``_factor_spd`` raises it too when the conditional precision is not
@@ -407,22 +394,11 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
             if decrement < 1e-7 * (1.0 + abs(f_w)):
                 # predicted gain is below the objective's roundoff; done
                 break
-            # quadratic model failed outright; fall back to one gradient step
-            diag_max = float(np.max(q_data[structure.diag_pos]))
-            step = g_proj / max(diag_max, 1.0)
-            t = 1.0
-            for _ in range(21):
-                f_new, at_new = evaluate(w + t * step)
-                if np.isfinite(f_new) and f_new > f_w:
-                    improved = True
-                    break
-                t *= 0.5
-            if not improved:
-                raise InferenceError(
-                    "Newton iteration stalled before reaching tolerance",
-                    best=w,
-                    diagnostics={"iterations": iterations, "grad": g_proj},
-                )
+            raise InferenceError(
+                "Newton iteration stalled before reaching tolerance",
+                best=w,
+                diagnostics={"iterations": iterations, "grad": g_proj},
+            )
         w = w + t * step
         f_w, at_w = f_new, at_new
     else:

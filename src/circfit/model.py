@@ -12,6 +12,10 @@ onto each term's chain of scale hyperparameters.  Each expanded term is kept
 once, as a ``PredictorTerm`` holding ``term_design``'s latent node and
 coefficient per observation; ``terms_predictor`` sums such records, fitted
 or copied with the nodes and coefficients of new inputs.
+
+A fit works on value arrays over the patterns ``ModelStructure`` fixes once
+per model and builds no matrix from them; ``AssembledModel.prior_precision``
+and ``block_matrix`` are sparse views of those arrays that no fit reads.
 """
 
 import warnings
@@ -57,7 +61,6 @@ __all__ = [
     "build_model",
     "term_design",
     "terms_predictor",
-    "predictor_values",
     "classical_sincos_spec",
 ]
 
@@ -326,28 +329,26 @@ class AssembledModel:
             return build_mv_iid(comp.size, sigmas, R)
         return self._unit[comp.name]
 
-    def component_precision(self, comp: ComponentSpec, theta: dict) -> SparsePrecision:
-        base = self._base_precision(comp, theta)
-        if comp.precision_hyper is not None:
-            base = scale_precision(base, theta[comp.precision_hyper])
-        return base
+    # -- matrix views: no fit reads them; the perfbench tracer wraps both
+    # by name ------------------------------------------------------------
 
     def prior_precision(self, theta: dict):
-        """Joint prior precision over the latent vector and its generalized
-        log-determinant, at natural hyper values theta.  The matrix keeps
-        the structural pattern whatever theta is."""
-        return self.structure.prior_precision(theta)
-
-    # -- predictors -------------------------------------------------------
+        """Joint prior precision over the latent vector as a csc matrix
+        and its generalized log-determinant, at natural hyper values theta.
+        The matrix keeps the structural pattern whatever theta is."""
+        data, log_gdet = self.structure.prior_values(theta)
+        P = self.structure.prior
+        Q = sparse.csc_array((data, P.indices, P.indptr), shape=P.shape)
+        return Q, log_gdet
 
     def block_matrix(self, block_name: str, theta: dict) -> sparse.csr_array:
         """A_b(theta): observation-by-latent matrix with all scale hypers
         multiplied in, so eta_b = A_b w.  The matrix keeps the union pattern
         of the block's terms whatever theta is."""
-        return self.structure.blocks[block_name].matrix(theta)
-
-    def predictor(self, block_name: str, w: np.ndarray, theta: dict) -> np.ndarray:
-        return terms_predictor(self.blocks[block_name].terms, w, theta)
+        pat = self.structure.blocks[block_name]
+        values = pat._combine([term.factor(theta) for term in pat.terms])
+        P = pat.pattern
+        return sparse.csr_array((values, P.indices, P.indptr), shape=P.shape)
 
 
 def _pattern(keys, shape, fmt):
@@ -416,10 +417,6 @@ class _BlockPattern:
             data = coef * factor if data is None else data + coef * factor
         return data
 
-    def values(self, theta):
-        """A_b(theta)'s stored values in pattern order."""
-        return self._combine([term.factor(theta) for term in self.terms])
-
     def design(self, theta):
         """A_b(theta)'s stored values and pair products, both read-only.
 
@@ -438,12 +435,6 @@ class _BlockPattern:
             data.flags.writeable = products.flags.writeable = False
             memo = self._design = (key, data, products)
         return memo[1], memo[2]
-
-    def matrix(self, theta):
-        P = self.pattern
-        return sparse.csr_array(
-            (self.values(theta), P.indices, P.indptr), shape=P.shape
-        )
 
 
 def _component_pattern(model, comp):
@@ -547,7 +538,6 @@ class ModelStructure:
         n_body = n - n_arrow
         rows = Q.indices.astype(np.int64)
         cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(Q.indptr))
-        self.diag_pos = np.flatnonzero(rows == cols)
         # each stored entry's mirror image in the lower triangle
         self.lower_twin = np.searchsorted(
             q_keys, np.minimum(rows, cols) * n + np.maximum(rows, cols)
@@ -603,17 +593,6 @@ class ModelStructure:
             parts.append(self.effect_prec)
             log_gdet += self.effect_log_gdet
         return np.concatenate(parts), float(log_gdet)
-
-    def prior_precision(self, theta):
-        data, log_gdet = self.prior_values(theta)
-        P = self.prior
-        Q = sparse.csc_array((data, P.indices, P.indptr), shape=P.shape)
-        return Q, log_gdet
-
-    def qstar_matrix(self, data):
-        """Q* as a csc matrix from its stored values."""
-        P = self.qstar
-        return sparse.csc_matrix((data, P.indices, P.indptr), shape=P.shape)
 
     def band_arrow(self, data):
         """Q*'s values split into new column-major arrays (band, cross,
@@ -1052,11 +1031,6 @@ def build_model(spec: ModelSpec) -> AssembledModel:
                 f"block {blk.name!r} has no predictor terms"
             )
     return model
-
-
-def predictor_values(model: AssembledModel, w: np.ndarray, theta: dict) -> dict:
-    """Per-block predictor vectors at latent w and natural hyper values."""
-    return {name: model.predictor(name, w, theta) for name in model.blocks}
 
 
 def classical_sincos_spec(y, x, tau_prior=None) -> ModelSpec:

@@ -142,8 +142,8 @@ def sample_posterior(fit, n, rng):
     out = []
     for theta_internal, theta, latents in _point_batches(fit, n, rng):
         etas = {
-            name: model.predictor(name, latents, theta)
-            for name in model.blocks
+            name: terms_predictor(blk.terms, latents, theta)
+            for name, blk in model.blocks.items()
         }
         for i, w in enumerate(latents):
             out.append(
@@ -503,7 +503,7 @@ def cpo(fit, n_draws=4000, rng=None, joint=None):
     for _, theta, latents in _point_batches(fit, n_draws, rng):
         rows = slice(row, row + latents.shape[0])
         for name, blk in model.blocks.items():
-            eta = model.predictor(name, latents, theta)
+            eta = terms_predictor(blk.terms, latents, theta)
             hyper = theta[blk.hyper] if blk.hyper else None
             value = _log_density(
                 blk.family, blk.responses, eta, hyper, responses[name]

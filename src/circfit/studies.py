@@ -645,10 +645,6 @@ class StudyResult:
                 out[p.name] = got + int(p.covered)
         return {k: (v, len(self.records)) for k, v in out.items()}
 
-    def pvalue_pass_rate(self, key, threshold=0.01) -> tuple:
-        hits = sum(1 for r in self.records if r.pvalues.get(key, 1.0) > threshold)
-        return hits, len(self.records)
-
 
 def _latent_record(fit, name, truth):
     node = fit.model.effect_nodes[name]

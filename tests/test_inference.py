@@ -1,8 +1,10 @@
 """Tests for the Laplace-approximation engine.
 
 Gaussian-likelihood models are exact under the approximation, so generalized
-least squares computed densely with numpy/scipy serves as the reference for
-modes, marginal standard deviations and evidence values.  The non-Gaussian
+least squares computed densely with numpy/scipy (``dense_reference``) serves
+as the reference for modes, marginal standard deviations and evidence
+values; the same module's dense prior, design and Newton matrices are the
+reference for the engine's value arrays.  The non-Gaussian
 checks use scalar models whose mode equations have closed forms or can be
 solved by bracketing.
 """
@@ -12,12 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, null_space
+from scipy.linalg import null_space
 from scipy.sparse._compressed import _cs_matrix
 from scipy.optimize import minimize_scalar
-from scipy.stats import multivariate_normal, norm
+from scipy.stats import norm
 
 import circfit
+import dense_reference as dref
 from circfit import inference
 from circfit.circular import lavm_sample
 from circfit.inference import (
@@ -329,55 +332,13 @@ def kappa_free_model(n=60, seed=21):
     return build_model(spec)
 
 
-def gls_reference(model, theta):
-    """Dense constrained generalized least squares for a Gaussian-only model:
-    posterior mean, marginal sds and the data log evidence."""
-    Qp, _ = model.prior_precision(theta)
-    Qp = np.asarray(Qp.todense())
-    n = model.latent_dim
-    Q_star = Qp.copy()
-    rhs = np.zeros(n)
-    obs = []
-    for name, blk in model.blocks.items():
-        A = np.asarray(model.block_matrix(name, theta).todense())
-        tau = theta[blk.hyper]
-        Q_star += tau * A.T @ A
-        rhs += tau * A.T @ blk.responses
-        obs.append((A, tau, blk.responses))
-    cov = np.linalg.inv(Q_star)
-    mean = cov @ rhs
-    C = model.constraints
-    if C.shape[0]:
-        CS = C @ cov
-        K = np.linalg.solve(CS @ C.T, CS)
-        mean = mean - K.T @ (C @ mean)
-        cov = cov - CS.T @ K
-    return mean, np.sqrt(np.diag(cov))
-
-
-def evidence_reference(model, theta):
-    """log p(y | theta) marginalized densely over the latent vector,
-    restricted to the constraint set when the model carries one."""
-    Qp, _ = model.prior_precision(theta)
-    Qp = np.asarray(Qp.todense())
-    C = model.constraints
-    B = null_space(C) if C.shape[0] else np.eye(model.latent_dim)
-    K = np.linalg.inv(B.T @ Qp @ B)
-    total = 0.0
-    for name, blk in model.blocks.items():
-        A = np.asarray(model.block_matrix(name, theta).todense())
-        M = A @ B
-        Sigma = M @ K @ M.T + np.eye(blk.size) / theta[blk.hyper]
-        total += multivariate_normal.logpdf(blk.responses, cov=Sigma)
-    return total
-
-
 class TestScalarModes:
     def test_conjugate_gaussian_is_exact_in_one_iteration(self):
         m = conjugate_scalar_model(y=2.0, tau=1.0, prior_sd=1.0)
         approx = gaussian_approx(m, m.theta_natural(m.initial_internal()))
         assert approx.mode[0] == pytest.approx(1.0, abs=1e-12)
-        assert approx.Q.toarray()[0, 0] == pytest.approx(2.0, abs=1e-12)
+        # the factored Q* is the 1 x 1 matrix [2]
+        assert approx.det_half == pytest.approx(0.5 * np.log(2.0), abs=1e-12)
         assert approx.marginal_sd()[0] == pytest.approx(2.0**-0.5, abs=1e-12)
         assert approx.iterations == 1
 
@@ -397,8 +358,8 @@ class TestScalarModes:
         w = approx.mode[0]
         assert w == pytest.approx(root, abs=1e-9)
         # posterior precision is the prior unit plus the rate curvature
-        assert approx.Q.toarray()[0, 0] == pytest.approx(
-            1.0 + np.exp(w), abs=1e-9
+        assert approx.det_half == pytest.approx(
+            0.5 * np.log(1.0 + np.exp(w)), abs=1e-9
         )
         assert approx.marginal_sd()[0] == pytest.approx(
             (1.0 + np.exp(w)) ** -0.5, abs=1e-9
@@ -425,6 +386,30 @@ class TestScalarModes:
             )
         assert err.value.best is not None
         assert err.value.diagnostics["iterations"] == 24
+
+    def test_newton_step_without_ascent_raises_with_the_last_iterate(
+        self, monkeypatch
+    ):
+        # d1 of the wrong sign makes the Newton step a descent direction:
+        # no halving raises the objective while the predicted gain is far
+        # above roundoff, so the solve fails where it stands
+        original = inference._curvatures
+
+        def wrong_sign(*args, **kwargs):
+            value, d1, c = original(*args, **kwargs)
+            return value, -d1, c
+
+        monkeypatch.setattr(inference, "_curvatures", wrong_sign)
+        m = conjugate_scalar_model()
+        start = np.array([0.25])
+        with pytest.raises(
+            InferenceError, match="Newton iteration stalled"
+        ) as err:
+            gaussian_approx(
+                m, m.theta_natural(m.initial_internal()), init_w=start
+            )
+        np.testing.assert_array_equal(err.value.best, start)
+        assert err.value.diagnostics["iterations"] == 1
 
 
 def mixed_family_model(n=20, seed=23):
@@ -484,33 +469,22 @@ class TestAssembly:
     def test_newton_matrix_equals_dense_sum_at_the_mode(self):
         m = mixed_family_model()
         assert m.constraints.shape[0] == 2
+        S = m.structure
         theta = m.theta_natural(m.initial_internal())
         approx = gaussian_approx(m, theta)
-        w = approx.mode
-        parts = [m.component_precision(c, theta).matrix.toarray() for c in m.spec.components]
-        parts.append(np.eye(len(m.spec.fixed_effects)))
-        Q_ref = block_diag(*parts)
-        for name, blk in m.blocks.items():
-            A = np.zeros((blk.size, m.latent_dim))
-            for t in blk.terms:
-                M = np.zeros_like(A)
-                M[np.arange(blk.size), t.nodes] = t.coef
-                A += M * np.prod([theta[h] for h in t.chain])
-            eta = A @ w
-            hyper = theta[blk.hyper] if blk.hyper else None
-            _, _, d2 = loglik(blk.family, blk.responses, eta, hyper)
-            c = -d2
-            floor = (
-                -lavm_curvature_floor(eta, hyper) if blk.family == "lavm"
-                else np.full_like(c, 1e-12)
-            )
-            c = np.where(c < 1e-12, floor, c)
-            Q_ref += A.T @ (c[:, None] * A)
+        curvature = dref.curvatures(m, theta, approx.mode)
+        Q_ref = dref.newton_matrix(m, theta, curvature)
+        data = NewtonSystem(S, theta).values(curvature)
         np.testing.assert_allclose(
-            approx.Q.toarray(), Q_ref, rtol=1e-12, atol=1e-12 * np.abs(Q_ref).max()
+            qstar_dense(S, data), Q_ref,
+            rtol=1e-12, atol=1e-12 * np.abs(Q_ref).max(),
         )
-        assert approx.Q.format == "csc"
-
+        # the approximation's factor is that matrix's
+        sign, logdet = np.linalg.slogdet(Q_ref)
+        assert sign == 1.0
+        assert approx.factor.half_logdet == pytest.approx(0.5 * logdet, rel=1e-10)
+        b = np.random.default_rng(3).normal(size=m.latent_dim)
+        _assert_close(approx.factor.solve(b), np.linalg.solve(Q_ref, b))
 
     def test_newton_values_equal_the_ordered_pair_sums(self):
         # Q* is formed from the lower-triangle pairs and mirrored; the
@@ -524,19 +498,19 @@ class TestAssembly:
             name: rng.uniform(0.1, 5.0, blk.size)
             for name, blk in m.blocks.items()
         }
-        Q_ref = S.prior_precision(theta)[0].toarray()
-        for name, pat in S.blocks.items():
-            A = pat.values(theta)
+        Q_ref, _ = dref.prior(m, theta)
+        for name in m.blocks:
+            A = dref.design(m, name, theta)
             acc = np.zeros_like(Q_ref)
             c = curvatures[name]
-            for i in range(pat.pattern.shape[0]):
-                row = range(pat.pattern.indptr[i], pat.pattern.indptr[i + 1])
-                for a in row:
-                    for b in row:
-                        acc[pat.cols[a], pat.cols[b]] += c[i] * (A[a] * A[b])
+            for i, row in enumerate(A):
+                nodes = np.flatnonzero(row)
+                for a in nodes:
+                    for b in nodes:
+                        acc[a, b] += c[i] * (row[a] * row[b])
             Q_ref += acc
         data = NewtonSystem(S, theta).values(curvatures)
-        np.testing.assert_array_equal(S.qstar_matrix(data).toarray(), Q_ref)
+        np.testing.assert_array_equal(qstar_dense(S, data), Q_ref)
 
 
 class TestResponseTerms:
@@ -643,11 +617,17 @@ def _pattern_entries(structure):
     return P.indices, cols
 
 
+def qstar_dense(structure, data):
+    """Q*'s stored values placed on its pattern, as a dense matrix."""
+    rows, cols = _pattern_entries(structure)
+    return dref.dense(rows, cols, data, structure.qstar.shape)
+
+
 def random_spd_values(structure, rng):
     """Random symmetric values on Q*'s pattern, made positive definite by
     strict diagonal dominance."""
     rows, cols = _pattern_entries(structure)
-    M = structure.qstar_matrix(rng.uniform(-1.0, 1.0, rows.size)).toarray()
+    M = qstar_dense(structure, rng.uniform(-1.0, 1.0, rows.size))
     M = 0.5 * (M + M.T)
     data = M[rows, cols]
     diag = rows == cols
@@ -672,7 +652,7 @@ class TestBandArrowFactor:
         rng = np.random.default_rng(3)
         for _ in range(3):
             data = random_spd_values(S, rng)
-            dense = S.qstar_matrix(data).toarray()
+            dense = qstar_dense(S, data)
             factor = _factor_spd(S, data)
             assert factor.QinvCt is None and factor.S_chol is None
             sign, logdet = np.linalg.slogdet(dense)
@@ -682,7 +662,6 @@ class TestBandArrowFactor:
             _assert_close(factor.solve(b), np.linalg.solve(dense, b))
             B = rng.normal(size=(n, 4))
             _assert_close(factor.solve(B), np.linalg.solve(dense, B))
-            np.testing.assert_array_equal(factor.matrix().toarray(), dense)
             U = factor.solve_lt(np.eye(n))
             _assert_close(U @ U.T, np.linalg.inv(dense))
 
@@ -706,7 +685,7 @@ class TestBandArrowFactor:
         theta = m.theta_natural(m.initial_internal())
         n_rw2 = m.components["w"].dimension
         q_data = NewtonSystem(S, theta).base
-        rw2 = S.qstar_matrix(q_data).toarray()[:n_rw2, :n_rw2]
+        rw2 = qstar_dense(S, q_data)[:n_rw2, :n_rw2]
         shift = 0.5 * np.sort(np.linalg.eigvalsh(rw2))[2]
         rows, cols = _pattern_entries(S)
         q_data[(rows == cols) & (rows < n_rw2)] -= shift
@@ -739,7 +718,7 @@ class TestBandArrowFactor:
         q_data = NewtonSystem(S, theta).values({"y": tau})
         factor = _factor_spd(S, q_data, C)
         N = null_space(C)
-        Q = S.qstar_matrix(q_data).toarray()
+        Q = dref.newton_matrix(m, theta, {"y": tau})
         sign, logdet = np.linalg.slogdet(N.T @ Q @ N)
         assert sign == 1.0
         assert factor.det_half == pytest.approx(0.5 * logdet, rel=1e-10)
@@ -752,11 +731,16 @@ class TestBandArrowFactor:
         data = random_spd_values(S, np.random.default_rng(5))
         with pytest.raises(InferenceError, match="not positive definite"):
             _factor_spd(S, -data, m.constraints)
-        data[S.diag_pos[0]] = np.nan
+        rows, cols = _pattern_entries(S)
+        data[np.flatnonzero(rows == cols)[0]] = np.nan
         with pytest.raises(InferenceError, match="not positive definite"):
             _factor_spd(S, data)
 
-    def test_one_fit_builds_the_newton_matrix_at_most_once(self, monkeypatch):
+    def test_newton_solve_sds_and_draws_build_no_latent_square_matrix(
+        self, monkeypatch
+    ):
+        # the Newton steps work on value arrays and the sds and the draws
+        # come from the band + arrow factor
         m = mixed_family_model()
         m.structure  # built before counting
         n = m.latent_dim
@@ -765,19 +749,15 @@ class TestBandArrowFactor:
 
         def counting(self, *args, **kwargs):
             original(self, *args, **kwargs)
-            if self.format == "csc" and self.shape == (n, n):
+            if self.shape == (n, n):
                 built.append(self)
 
         monkeypatch.setattr(_cs_matrix, "__init__", counting)
         approx = gaussian_approx(m, m.theta_natural(m.initial_internal()))
         assert approx.iterations >= 3
-        assert len(built) <= 1
-        # the sds and the draws come from the band + arrow factor
         approx.marginal_sd()
         approx.sample(np.random.default_rng(0), 5)
         assert built == []
-        Q = approx.Q
-        assert approx.Q is Q and len(built) <= 1
 
     @pytest.mark.parametrize("n", [100, 200])
     def test_constrained_sds_and_draws_match_the_null_space_reference(self, n):
@@ -785,8 +765,9 @@ class TestBandArrowFactor:
         # draws are a linear map of standard normals, so feeding the
         # identity in their place exposes that map's covariance exactly
         m = _study_model(generate_sim2, sim2_spec, SIM2_TRUTH, n)
-        approx = gaussian_approx(m, m.theta_natural(m.initial_internal()))
-        Q = approx.Q.toarray()
+        theta = m.theta_natural(m.initial_internal())
+        approx = gaussian_approx(m, theta)
+        Q = dref.newton_matrix(m, theta, dref.curvatures(m, theta, approx.mode))
         N = null_space(m.constraints)
         cov = N @ np.linalg.solve(N.T @ Q @ N, N.T)
         sd_ref = np.sqrt(np.diag(cov))
@@ -863,7 +844,7 @@ class TestGaussianExactness:
     def test_latent_summary_matches_dense_gls(self, factory):
         m = factory()
         theta_internal = m.initial_internal()
-        mean_ref, sd_ref = gls_reference(m, m.theta_natural(theta_internal))
+        mean_ref, sd_ref = dref.gls(m, m.theta_natural(theta_internal))
         points = explore_theta(m, theta_internal, np.zeros((0, 0)))
         assert len(points) == 1
         assert points[0].weight == pytest.approx(1.0, abs=1e-15)
@@ -879,7 +860,7 @@ class TestGaussianExactness:
 
     def test_full_pipeline_on_pinned_model_matches_gls(self):
         m = rw2_fixed_model()
-        mean_ref, sd_ref = gls_reference(m, m.theta_natural(m.initial_internal()))
+        mean_ref, sd_ref = dref.gls(m, m.theta_natural(m.initial_internal()))
         fit = fit_model(m)
         np.testing.assert_allclose(fit.latent_summary["mean"], mean_ref, atol=1e-8)
         np.testing.assert_allclose(fit.latent_summary["sd"], sd_ref, atol=1e-8)
@@ -893,7 +874,7 @@ class TestEvidence:
         for tau in (0.8, 3.0, 7.5):
             m = iid_fixed_model(tau=tau)
             lp, _ = log_posterior_theta(m, m.initial_internal())
-            ref = evidence_reference(m, m.theta_natural(m.initial_internal()))
+            ref = dref.log_evidence(m, m.theta_natural(m.initial_internal()))
             assert lp == pytest.approx(ref, abs=1e-8)
 
     def test_constrained_evidence_differences_are_exact(self):
@@ -903,7 +884,7 @@ class TestEvidence:
             m = rw2_fixed_model(tau=tau)
             lp, _ = log_posterior_theta(m, m.initial_internal())
             lps.append(lp)
-            refs.append(evidence_reference(m, m.theta_natural(m.initial_internal())))
+            refs.append(dref.log_evidence(m, m.theta_natural(m.initial_internal())))
         dl = np.diff(np.array(lps))
         dr = np.diff(np.array(refs))
         np.testing.assert_allclose(dl, dr, atol=1e-8)
@@ -942,13 +923,13 @@ class TestEvidence:
         m = tau_free_model()
         t = np.log(4.0)
         lp, _ = log_posterior_theta(m, np.array([t]))
-        ref = evidence_reference(m, m.theta_natural(np.array([t])))
+        ref = dref.log_evidence(m, m.theta_natural(np.array([t])))
         offset = lp - ref
         # the leftover is the hyper prior on the internal scale: it must move
         # with theta the way the prior density does
         t2 = np.log(7.0)
         lp2, _ = log_posterior_theta(m, np.array([t2]))
-        ref2 = evidence_reference(m, m.theta_natural(np.array([t2])))
+        ref2 = dref.log_evidence(m, m.theta_natural(np.array([t2])))
         dp = m.logprior_internal(np.array([t2])) - m.logprior_internal(
             np.array([t])
         )

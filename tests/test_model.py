@@ -2,7 +2,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import sparse
 from scipy.sparse._compressed import _cs_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +18,28 @@ from circfit.model import (
     TermSpec,
     build_model,
     classical_sincos_spec,
-    predictor_values,
     terms_predictor,
 )
 from circfit.priors import ConfigurationError, PriorSpec
 from circfit.studies import SIM1_TRUTH, generate_sim1, sim1_spec
+from dense_reference import component_precision, dense, design, prior
+
+
+def block_predictor(m, name, w, theta):
+    """Block ``name``'s predictor at latent w, from its expanded terms."""
+    return terms_predictor(m.blocks[name].terms, w, theta)
+
+
+def all_predictors(m, w, theta):
+    return {name: block_predictor(m, name, w, theta) for name in m.blocks}
+
+
+def engine_prior(m, theta):
+    """The engine's prior values placed on its prior pattern, dense, and
+    its log generalized determinant."""
+    S = m.structure
+    data, log_gdet = S.prior_values(theta)
+    return dense(S.prior_rows, S.prior_cols, data, S.prior.shape), log_gdet
 
 
 def intercept_only_spec(n=20, seed=3):
@@ -148,7 +164,7 @@ class TestPredictors:
     def test_zero_latent_gives_zero_predictor(self):
         m = build_model(coupled_spec())
         th = m.theta_natural(m.initial_internal())
-        etas = predictor_values(m, np.zeros(m.latent_dim), th)
+        etas = all_predictors(m, np.zeros(m.latent_dim), th)
         for eta in etas.values():
             np.testing.assert_array_equal(eta, 0.0)
 
@@ -171,7 +187,7 @@ class TestPredictors:
         )
         m = build_model(spec)
         th = m.theta_natural(m.initial_internal())
-        eta = m.predictor("y", np.array([2.0]), th)
+        eta = block_predictor(m, "y", np.array([2.0]), th)
         np.testing.assert_allclose(eta, 6.0)
 
     def test_shared_predictor_composition(self):
@@ -182,7 +198,7 @@ class TestPredictors:
         w[m.effect_nodes["b0"]] = 1.0
         th = m.theta_natural(m.initial_internal())
         th["a1"], th["b1"] = 1.0, 0.5
-        etas = predictor_values(m, w, th)
+        etas = all_predictors(m, w, th)
         np.testing.assert_allclose(etas["x"], 2.0)
         np.testing.assert_allclose(etas["y"], 1.0 + 0.5 * 2.0)
 
@@ -193,11 +209,11 @@ class TestPredictors:
         w = rng.normal(size=m.latent_dim)
         th = m.theta_natural(m.initial_internal())
         th["b1"] = -1.7
-        inner = m.predictor("x", w, th)
-        outer = m.predictor("y", w, th)
+        inner = block_predictor(m, "x", w, th)
+        outer = block_predictor(m, "y", w, th)
         base = dict(th, b1=0.0)
         np.testing.assert_allclose(
-            outer, m.predictor("y", w, base) - 1.7 * inner, atol=1e-12
+            outer, block_predictor(m, "y", w, base) - 1.7 * inner, atol=1e-12
         )
 
     @given(st.integers(0, 2**32 - 1))
@@ -209,10 +225,10 @@ class TestPredictors:
         w2 = rng.normal(size=m.latent_dim)
         th = m.theta_natural(m.initial_internal())
         th["a1"], th["b1"] = 0.8, -0.3
-        zero = predictor_values(m, np.zeros(m.latent_dim), th)
-        lhs = predictor_values(m, w1 + w2, th)
-        p1 = predictor_values(m, w1, th)
-        p2 = predictor_values(m, w2, th)
+        zero = all_predictors(m, np.zeros(m.latent_dim), th)
+        lhs = all_predictors(m, w1 + w2, th)
+        p1 = all_predictors(m, w1, th)
+        p2 = all_predictors(m, w2, th)
         for name in lhs:
             np.testing.assert_allclose(
                 lhs[name], p1[name] + p2[name] - zero[name], atol=1e-10
@@ -226,14 +242,14 @@ class TestPredictors:
         th = m.theta_natural(m.initial_internal())
         th["a1"], th["b1"] = 0.6, -1.1
         for name in m.blocks:
-            eta = m.predictor(name, w, th)
+            eta = block_predictor(m, name, w, th)
             assert eta.flags.f_contiguous
             np.testing.assert_array_equal(
-                eta, m.predictor(name, np.ascontiguousarray(w), th)
+                eta, block_predictor(m, name, np.ascontiguousarray(w), th)
             )
             for i in (0, 17, 39):
                 np.testing.assert_array_equal(
-                    eta[i], m.predictor(name, w[i].copy(), th)
+                    eta[i], block_predictor(m, name, w[i].copy(), th)
                 )
 
     @pytest.mark.parametrize("layout", ["1-d", "transposed 2-d"])
@@ -271,7 +287,7 @@ class TestPredictors:
         th["a1"], th["b1"] = 0.4, 1.2
         for name in m.blocks:
             A = m.block_matrix(name, th)
-            np.testing.assert_allclose(A @ w, m.predictor(name, w, th))
+            np.testing.assert_allclose(A @ w, block_predictor(m, name, w, th))
 
     def test_cyclic_component_maps_observations_by_period(self):
         n, p = 50, 24
@@ -290,7 +306,7 @@ class TestPredictors:
         m = build_model(spec)
         w = np.arange(p, dtype=float)
         th = {"a2": 1.0}
-        eta = m.predictor("y", w, th)
+        eta = block_predictor(m, "y", w, th)
         np.testing.assert_array_equal(eta, np.arange(n) % p)
 
 
@@ -299,19 +315,18 @@ class TestPriorPrecision:
         n = 16
         m = build_model(coupled_spec(n))
         th = m.theta_natural(m.initial_internal())
-        Q, log_gdet = m.prior_precision(th)
-        dense = Q.toarray()
-        assert np.all(dense[:n, n:] == 0.0)
-        assert np.all(dense[n:, :n] == 0.0)
+        Q, log_gdet = engine_prior(m, th)
+        assert np.all(Q[:n, n:] == 0.0)
+        assert np.all(Q[n:, :n] == 0.0)
         # fixed effects carry their own Gaussian precisions
-        np.testing.assert_allclose(np.diag(dense[n:, n:]), 1.0)
+        np.testing.assert_allclose(np.diag(Q[n:, n:]), 1.0)
 
     def test_gdet_adds_over_blocks(self):
         n = 16
         m = build_model(coupled_spec(n))
         th = m.theta_natural(m.initial_internal())
-        _, log_gdet = m.prior_precision(th)
-        comp = m.component_precision(m.components["w"], th)
+        _, log_gdet = engine_prior(m, th)
+        comp = component_precision(m.components["w"], th)
         assert log_gdet == pytest.approx(comp.log_gdet + 3 * np.log(1.0), abs=1e-12)
 
     def test_precision_hyper_scales_component(self):
@@ -342,10 +357,10 @@ class TestPriorPrecision:
         )
         m = build_model(spec)
         th = {"tau_s": 4.0, "p1": 0.3, "p2": -0.2}
-        Q, _ = m.prior_precision(th)
+        Q, _ = engine_prior(m, th)
         th1 = dict(th, tau_s=1.0)
-        Q1, _ = m.prior_precision(th1)
-        np.testing.assert_allclose(Q.toarray(), 4.0 * Q1.toarray(), atol=1e-12)
+        Q1, _ = engine_prior(m, th1)
+        np.testing.assert_allclose(Q, 4.0 * Q1, atol=1e-12)
 
     def test_ar2_precision_tracks_pacf_hypers(self):
         n = 12
@@ -367,9 +382,9 @@ class TestPriorPrecision:
             },
         )
         m = build_model(spec)
-        Qa, _ = m.prior_precision({"p1": 0.5, "p2": 0.1})
-        Qb, _ = m.prior_precision({"p1": -0.5, "p2": 0.1})
-        assert not np.allclose(Qa.toarray(), Qb.toarray())
+        Qa, _ = engine_prior(m, {"p1": 0.5, "p2": 0.1})
+        Qb, _ = engine_prior(m, {"p1": -0.5, "p2": 0.1})
+        assert not np.allclose(Qa, Qb)
 
     def test_mv_component_matches_direct_build(self):
         n, d = 6, 3
@@ -413,12 +428,12 @@ class TestPriorPrecision:
         assert m.hyper_dim == 1 + 3 + 3
         th = {"tau": 1.0, "t1": 4.0, "t2": 1.0, "t3": 0.25,
               "R[0]": 0.5, "R[1]": 0.0, "R[2]": -0.3}
-        got = m.component_precision(m.components["w"], th)
+        got, _ = engine_prior(m, th)
         from circfit.priors import partials_to_correlation
 
         R = partials_to_correlation(np.array([0.5, 0.0, -0.3]), d)
         want = build_mv_iid(n, np.array([0.5, 1.0, 2.0]), R)
-        np.testing.assert_allclose(got.matrix.toarray(), want.matrix.toarray(), atol=1e-12)
+        np.testing.assert_allclose(got, want.matrix.toarray(), atol=1e-12)
 
 
 def structure_spec(n=12, seed=19):
@@ -491,77 +506,56 @@ GENERIC_THETA = {"tau": 2.0, "lam_s": 3.0, "p1": 0.6, "p2": -0.3, "t1": 4.0,
 SPECIAL_THETA = dict(GENERIC_THETA, p2=0.0, **{"R[0]": 0.0}, g=0.0)
 
 
-def reference_prior(m, theta):
-    """Block diagonal of the component precisions and effect precisions."""
-    parts = [m.component_precision(c, theta).matrix for c in m.spec.components]
-    parts.append(
-        sparse.diags_array([e.prior_sd**-2.0 for e in m.spec.fixed_effects])
-    )
-    log_gdet = sum(m.component_precision(c, theta).log_gdet
-                   for c in m.spec.components)
-    log_gdet += float(np.sum(np.log([e.prior_sd**-2.0
-                                     for e in m.spec.fixed_effects])))
-    return sparse.block_diag(parts, format="csc"), log_gdet
-
-
-def reference_block(m, name, theta):
-    """Sum over the block's terms of M times its scale-chain product, M the
-    term's observation-by-latent matrix."""
-    A = None
-    for t in m.blocks[name].terms:
-        factor = 1.0
-        for h in t.chain:
-            factor *= theta[h]
-        M = sparse.csr_array(
-            (t.coef, t.nodes, np.arange(t.nodes.size + 1)),
-            shape=(t.nodes.size, m.latent_dim),
-        )
-        A = M * factor if A is None else A + M * factor
-    return sparse.csr_array(A)
-
-
 class TestFixedStructure:
     def test_patterns_do_not_depend_on_theta(self):
+        # the value arrays fill the patterns fixed at build time
         m = build_model(structure_spec())
-        Qa, _ = m.prior_precision(GENERIC_THETA)
-        Qb, _ = m.prior_precision(SPECIAL_THETA)
-        np.testing.assert_array_equal(Qa.indices, Qb.indices)
-        np.testing.assert_array_equal(Qa.indptr, Qb.indptr)
-        for name in m.blocks:
-            Aa = m.block_matrix(name, GENERIC_THETA)
-            Ab = m.block_matrix(name, SPECIAL_THETA)
-            np.testing.assert_array_equal(Aa.indices, Ab.indices)
-            np.testing.assert_array_equal(Aa.indptr, Ab.indptr)
+        S = m.structure
+        for theta in (GENERIC_THETA, SPECIAL_THETA):
+            assert S.prior_values(theta)[0].shape == (S.prior.nnz,)
+            for pat in S.blocks.values():
+                values, products = pat.design(theta)
+                assert values.shape == (pat.pattern.nnz,)
+                assert products.shape == pat.nz_a.shape
 
     def test_special_theta_keeps_vanishing_entries_stored(self):
         # a value-based pattern would shrink at these hyper values
         m = build_model(structure_spec())
-        Q, _ = m.prior_precision(SPECIAL_THETA)
-        assert reference_prior(m, SPECIAL_THETA)[0].nnz < Q.nnz
-        A = m.block_matrix("c", SPECIAL_THETA)
-        assert reference_block(m, "c", SPECIAL_THETA).nnz < A.nnz
+        S = m.structure
+        assert np.count_nonzero(prior(m, SPECIAL_THETA)[0]) < S.prior.nnz
+        pat = S.blocks["c"]
+        assert np.count_nonzero(design(m, "c", SPECIAL_THETA)) < pat.pattern.nnz
         # observation 2 has a zero covariate and still stores all 5 terms
-        assert m.block_matrix("y", GENERIC_THETA)[[2], :].nnz == 5
+        assert np.sum(S.blocks["y"].rows == 2) == 5
 
     @pytest.mark.parametrize("theta", [GENERIC_THETA, SPECIAL_THETA])
     def test_values_equal_the_reference_loops(self, theta):
         m = build_model(structure_spec())
-        Q, log_gdet = m.prior_precision(theta)
-        Q_ref, log_gdet_ref = reference_prior(m, theta)
-        np.testing.assert_array_equal(Q.toarray(), Q_ref.toarray())
+        S = m.structure
+        Q_ref, log_gdet_ref = prior(m, theta)
+        Q, log_gdet = engine_prior(m, theta)
+        np.testing.assert_array_equal(Q, Q_ref)
         assert log_gdet == log_gdet_ref
+        for name, pat in S.blocks.items():
+            values, _ = pat.design(theta)
+            np.testing.assert_array_equal(
+                dense(pat.rows, pat.cols, values, pat.pattern.shape),
+                design(m, name, theta),
+            )
+        # the matrix views the benchmark tracer wraps show the same values
+        Q_view, log_gdet_view = m.prior_precision(theta)
+        np.testing.assert_array_equal(Q_view.toarray(), Q_ref)
+        assert log_gdet_view == log_gdet_ref
         for name in m.blocks:
             np.testing.assert_array_equal(
-                m.block_matrix(name, theta).toarray(),
-                reference_block(m, name, theta).toarray(),
+                m.block_matrix(name, theta).toarray(), design(m, name, theta)
             )
 
     def test_structure_is_built_once_on_first_use(self):
         m = build_model(structure_spec())
         assert m._structure is None
-        m.prior_precision(GENERIC_THETA)
-        built = m._structure
-        m.block_matrix("y", SPECIAL_THETA)
+        built = m.structure
+        assert m._structure is built
         assert m.structure is built
 
     def test_build_model_constructs_no_compressed_sparse_matrix(
@@ -592,7 +586,7 @@ class TestFixedStructure:
             (dict(GENERIC_THETA, g=0.3), True),
         ):
             values, products = pat.design(theta)
-            fresh = pat.values(theta)
+            fresh = design(m, "c", theta)[pat.rows, pat.cols]
             np.testing.assert_array_equal(values, fresh)
             np.testing.assert_array_equal(
                 products, fresh[pat.nz_a] * fresh[pat.nz_b]
@@ -614,7 +608,7 @@ class TestFixedStructure:
     def test_nonpositive_precision_hyper_still_rejected(self):
         m = build_model(structure_spec())
         with pytest.raises(ConfigurationError, match="positive"):
-            m.prior_precision(dict(GENERIC_THETA, lam_i=0.0))
+            m.structure.prior_values(dict(GENERIC_THETA, lam_i=0.0))
 
 
 EVERY_NODE = tuple(np.arange(20) % 8)
@@ -945,7 +939,7 @@ class TestClassicalSpec:
         w[m.effect_nodes["alpha1"]] = 2.0
         w[m.effect_nodes["alpha2"]] = -0.5
         th = m.theta_natural(m.initial_internal())
-        np.testing.assert_allclose(m.predictor("y", w, th), y, atol=1e-12)
+        np.testing.assert_allclose(block_predictor(m, "y", w, th), y, atol=1e-12)
 
     def test_nan_response_fails_the_fit_with_its_index(self):
         # it used to end the fit on "no successful Laplace evaluation"
@@ -1016,8 +1010,7 @@ class TestHyperPlumbing:
         # dense pseudo-inverse, the field's covariance under its constraints
         for n in (100, 500, 1000):
             m = build_model(coupled_spec(n))
-            built = m.component_precision(m.spec.components[0], {})
-            Q_std = built.matrix.toarray()
+            Q_std = engine_prior(m, {})[0][:n, :n]
             pinv = np.linalg.pinv(Q_std, hermitian=True)
             assert np.sqrt(np.mean(np.diag(pinv))) == pytest.approx(1.0, rel=1e-6)
             raw = rw2_reference_sd(n)

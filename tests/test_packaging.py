@@ -1,6 +1,8 @@
-"""Tests for the package metadata in pyproject.toml."""
+"""Tests for the package metadata in pyproject.toml, the console script and
+the names the benchmark's tracer wraps."""
 
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -12,12 +14,13 @@ import pytest
 
 import circfit
 
-tomllib = pytest.importorskip("tomllib")
-
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_every_console_script_target_imports():
+    # tomllib is in the standard library from Python 3.11 on
+    tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads(PYPROJECT.read_text())["project"]
     for name, target in project.get("scripts", {}).items():
         module, _, attr = target.partition(":")
@@ -74,3 +77,15 @@ def test_console_script_reports_a_bad_study_setup_as_a_usage_error(
     assert out.stdout == ""
     assert "Traceback" not in out.stderr
     assert out.stderr.splitlines()[-1] == f"circfit: error: {message}"
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # the tracer replaces these attributes by name: deleting one breaks
+    # the traced benchmark runs, so it fails here as well
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for owner, attr, span, _ in tracer.TARGETS:
+        assert callable(getattr(owner, attr)), span

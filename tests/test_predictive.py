@@ -35,6 +35,7 @@ from circfit.predictive import (
 )
 from circfit.priors import ConfigurationError, PriorSpec
 from circfit.studies import SIM2_TRUTH, generate_sim2, sim2_spec
+from dense_reference import design, prior
 
 
 def diagonal_model(n=20, seed=3, lam=2.0, tau=3.0):
@@ -202,7 +203,7 @@ class TestSamplePosterior:
         fit = fit_model(m)
         samples = sample_posterior(fit, 3, np.random.default_rng(0))
         for s in samples:
-            A = m.block_matrix("y", s.theta)
+            A = design(m, "y", s.theta)
             np.testing.assert_array_equal(s.predictors["y"], A @ s.latent)
 
 
@@ -704,8 +705,8 @@ class TestCpo:
         fit = fit_model(m)
         res = cpo(fit, n_draws=30_000, rng=np.random.default_rng(17))
 
-        Qp = np.asarray(m.prior_precision(theta)[0].todense())
-        A = np.asarray(m.block_matrix("y", theta).todense())
+        Qp, _ = prior(m, theta)
+        A = design(m, "y", theta)
         tau = theta["tau"]
         y = m.blocks["y"].responses
         ref = np.empty(20)
