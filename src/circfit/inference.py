@@ -38,14 +38,30 @@ __all__ = [
 
 CURVATURE_MIN = 1e-12
 
+# fit-stage settings: Newton's gradient tolerance and iteration limit; the
+# mode search's gradient step, |grad lp| tolerance and Hessian stencil
+# step; the exploration's lp drop, steps per axis and CCD radius; the
+# marginal scans' step in posterior sds, lp drop and steps per direction
+NEWTON_TOL = 1e-8
+NEWTON_MAX_ITER = 100
+GRAD_STEP = 1e-4
+GRAD_TOL = 1e-5
+HESSIAN_STEP = 0.05
+EXPLORE_DROP = 5.0
+EXPLORE_MAX_STEPS = 10
+CCD_RADIUS = 1.1
+SCAN_STEP = 0.5
+SCAN_DROP = 6.0
+SCAN_MAX_STEPS = 14
+
 
 class _BandArrowFactor:
     """Cholesky factor of Q* in the band + arrow layout of
     ``ModelStructure``, conditioned on the model's constraints C w = 0 by
     kriging (Rue & Held 2005, 2.3.3).
 
-    Q* = [[A, B], [B', D]] with A the banded component block in band order,
-    B the cross block and D the fixed-effect arrow.  Holds the band factor
+    In factor order (``perm``) Q* = [[A, B], [B', D]] with A the band, B
+    the cross block and D the fixed-effect arrow.  Holds the band factor
     L_A of A, X = A^{-1} B and the Cholesky factor L_S of the Schur
     complement D - B'X, so the factored matrix is L L' with
     L = [[L_A, 0], [X' L_A, L_S]] and ``half_logdet`` = log det L.  When C
@@ -64,19 +80,20 @@ class _BandArrowFactor:
 
     def solve(self, b):
         """The factored matrix's inverse applied to a vector or to the
-        columns of a matrix."""
-        order = self.structure.order
-        n_body = order.size
+        columns of a matrix, returned in the memory order of b."""
+        perm, n_body = self.structure.perm, self.structure.n_body
         b = np.asarray(b, dtype=float)
+        # allocated before b is permuted, so a column-major C' gives a
+        # column-major QinvCt, whose products round as that layout does
         x = np.empty_like(b)
-        head = b[order]
+        head = b[perm[:n_body]]
         y = dpbtrs(self.band, head, lower=1)[0] if n_body else head
         if self.schur.shape[0]:
-            rhs = b[n_body:] - self.X.T @ head
+            rhs = b[perm[n_body:]] - self.X.T @ head
             tail = dpotrs(self.schur, rhs, lower=1)[0]
             y = y - self.X @ tail
-            x[n_body:] = tail
-        x[order] = y
+            x[perm[n_body:]] = tail
+        x[perm[:n_body]] = y
         return x
 
     def solve_lt(self, z):
@@ -87,8 +104,7 @@ class _BandArrowFactor:
         columns map to draws with that covariance (Rue & Held 2005, ch. 2).
         The tail solves L_S' t = z_tail; the head is L_A^{-T} z_head - X t.
         """
-        order = self.structure.order
-        n_body = order.size
+        perm, n_body = self.structure.perm, self.structure.n_body
         x = np.empty_like(z, dtype=float)
         head = z[:n_body]
         if n_body:
@@ -96,8 +112,8 @@ class _BandArrowFactor:
         if self.schur.shape[0]:
             tail = dtrtrs(self.schur, z[n_body:], lower=1, trans=1)[0]
             head -= self.X @ tail
-            x[n_body:] = tail
-        x[order] = head
+            x[perm[n_body:]] = tail
+        x[perm[:n_body]] = head
         return x
 
     def _s_solve(self, b):
@@ -123,7 +139,7 @@ class _BandArrowFactor:
     def marginal_sd(self):
         """Standard deviations of the constrained conditional, node-wise:
         the row norms of L^{-T} less the kriging term of the constraints."""
-        U = self.solve_lt(np.eye(self.structure.qstar.shape[0]))
+        U = self.solve_lt(np.eye(self.structure.perm.size))
         var = np.einsum("ij,ij->i", U, U)
         if self.C is not None:
             corr = self._s_solve(self.QinvCt.T)
@@ -131,40 +147,18 @@ class _BandArrowFactor:
         return np.sqrt(np.maximum(var, 0.0))
 
 
-def _cholesky(band, cross, arrow):
-    """Band + arrow Cholesky of pieces laid out by
-    ``ModelStructure.band_arrow``, overwriting band, as (band factor, X,
-    Schur factor, half log determinant); None when the matrix is not
-    numerically positive definite."""
-    X, half_logdet = cross, 0.0
-    if band.shape[1]:
-        band, info = dpbtrf(band, lower=1, overwrite_ab=1)
-        if info:
-            return None
-        half_logdet += float(np.sum(np.log(band[0])))
-        if arrow.shape[0]:
-            X = dpbtrs(band, cross, lower=1)[0]
-            arrow = arrow - cross.T @ X
-    if arrow.shape[0]:
-        arrow, info = dpotrf(arrow, lower=1, overwrite_a=1)
-        if info:
-            return None
-        half_logdet += float(np.sum(np.log(np.diag(arrow))))
-    if not np.isfinite(half_logdet):
-        return None
-    return band, X, arrow, half_logdet
-
-
 def _factor_spd(structure, data, C=None):
     """The ``_BandArrowFactor`` of the symmetric positive definite Q* given
-    by its stored values on the model's fixed pattern (``structure`` is
-    ``AssembledModel.structure``), conditioned on C w = 0 when C has rows.
+    by its values in the flat storage of ``structure`` (as
+    ``NewtonSystem.values`` returns them), conditioned on C w = 0 when C
+    has rows.  ``data`` is never written: views of one copy are factored.
 
     The component block is a band in the structure's reverse Cuthill-McKee
     order, factored by LAPACK's band Cholesky (dpbtrf); the fixed-effect
     arrow is eliminated by a dense Cholesky (dpotrf) of its Schur
-    complement (Rue & Held 2005, ch. 2).  A non-positive pivot reported by
-    LAPACK or a non-finite log determinant means not positive definite.
+    complement (Rue & Held 2005, ch. 2).  Both read only the lower
+    triangle.  A non-positive pivot reported by LAPACK or a non-finite log
+    determinant means not positive definite.
 
     With constraints the kriging pieces Q^{-1}C' and chol(C Q^{-1} C') are
     validated as part of the positive definiteness test.  C must be the
@@ -175,10 +169,29 @@ def _factor_spd(structure, data, C=None):
     (a scale hyper at or near 0, so that an intrinsic component's null
     space meets no likelihood curvature) is a failed evaluation.
     """
-    factored = _cholesky(*structure.band_arrow(data))
-    if factored is None:
+    n_body, width = structure.n_body, structure.bandwidth + 1
+    n_arrow = structure.perm.size - n_body
+    # the three column-major pieces of one copy
+    data = np.array(data, dtype=float)
+    band = data[:width * n_body].reshape(n_body, width).T
+    cross = data[width * n_body:(width + n_arrow) * n_body]
+    cross = cross.reshape(n_arrow, n_body).T
+    arrow = data[(width + n_arrow) * n_body:].reshape(n_arrow, n_arrow).T
+    X, info, half_logdet = cross, 0, np.nan
+    if n_body:
+        band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if n_arrow and not info:
+            X = dpbtrs(band, cross, lower=1)[0]
+            arrow = arrow - cross.T @ X
+    if n_arrow and not info:
+        arrow, info = dpotrf(arrow, lower=1, overwrite_a=1)
+    if not info:
+        # the pivots: band storage holds the diagonal in its first row
+        half_logdet = float(np.sum(np.log(band[0])))
+        half_logdet += float(np.sum(np.log(np.diag(arrow))))
+    if not np.isfinite(half_logdet):
         raise InferenceError("conditional precision is not positive definite")
-    factor = _BandArrowFactor(structure, *factored)
+    factor = _BandArrowFactor(structure, band, X, arrow, half_logdet)
     if C is None or C.shape[0] == 0:
         return factor
     QinvCt = factor.solve(np.asarray(C.T, dtype=float))
@@ -269,15 +282,15 @@ class GaussianApprox:
         return u.T
 
 
-def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
+def gaussian_approx(model, theta, init_w=None):
     """Newton iteration for the conditional latent mode at natural hyper
     values theta, with step halving and kriging-corrected constraints.
 
     Each step works on value arrays over the model's fixed patterns
     (``AssembledModel.structure``, through ``NewtonSystem``): predictors
     and gradients are bincount matrix-vector products, Q*'s values are
-    filled into its fixed pattern, and ``_factor_spd`` factorizes them in
-    the band + arrow layout.  No sparse matrix is built.  The converged
+    summed straight into the flat band + arrow storage, and ``_factor_spd``
+    factorizes views of it.  No sparse matrix is built.  The converged
     iterate's values, factor and log-likelihood sum are the ones returned;
     they are recomputed only when the final constraint projection moves the
     mode.
@@ -302,7 +315,7 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
       the objective's scale.  With Q* positive definite the step is an
       ascent direction, so this exit means derivatives that do not match
       the objective, or roundoff beyond that threshold;
-    - iteration limit: no convergence within ``max_iter`` iterations.
+    - iteration limit: no convergence in ``NEWTON_MAX_ITER`` iterations.
 
     ``_factor_spd`` raises it too when the conditional precision is not
     positive definite.
@@ -349,11 +362,11 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
     f_w, at_w = evaluate(w)
     iterations = 0
     dec_hist, f_hist = [], []
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, NEWTON_MAX_ITER + 1):
         grad, q_data = assemble(at_w)
         factor = None
         g_proj = project(grad) if k else grad
-        if np.abs(g_proj).max() < tol:
+        if np.abs(g_proj).max() < NEWTON_TOL:
             iterations -= 1
             break
         factor = _factor_spd(structure, q_data, C)
@@ -405,7 +418,7 @@ def gaussian_approx(model, theta, init_w=None, tol=1e-8, max_iter=100):
         raise InferenceError(
             "Newton did not converge within the iteration limit",
             best=w,
-            diagnostics={"iterations": max_iter},
+            diagnostics={"iterations": NEWTON_MAX_ITER},
         )
 
     if k:
@@ -553,8 +566,7 @@ class _HyperEvaluator:
         return steps
 
 
-def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
-                   max_evals=200, hessian_step=0.05):
+def optimize_theta(model, init=None, max_evals=200):
     """Quasi-Newton search for the hyper posterior mode with central
     difference gradients; returns (theta_mode_internal, hessian_u, info).
 
@@ -564,9 +576,10 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
     scaling costs none).  Its first step goes to the Cauchy point of a
     unit-Hessian model, so scaling bounds that step to one internal unit
     per coordinate instead of |grad lp(u0)|, which otherwise lands on the
-    +-30 box corner.  ``tol`` is divided by s, so the projected-gradient
-    test still reads |grad lp| <= tol.  A failed evaluation, a gradient
-    probe outside the box included, reads as a -1e10 wall.
+    +-30 box corner.  ``GRAD_TOL`` is divided by s, so the
+    projected-gradient test still reads |grad lp| <= GRAD_TOL.  A failed
+    evaluation, a gradient probe outside the box included, reads as a
+    -1e10 wall.
 
     The mode is the best point evaluated.  The Hessian, in the
     free-coordinate basis, is a central-difference stencil around it: its
@@ -603,8 +616,8 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
         g = np.zeros(m)
         for i in range(m):
             e = np.zeros(m)
-            e[i] = grad_step
-            g[i] = (neg(u + e) - neg(u - e)) / (2.0 * grad_step)
+            e[i] = GRAD_STEP
+            g[i] = (neg(u + e) - neg(u - e)) / (2.0 * GRAD_STEP)
         return f, g
 
     f_start, g_start = neg_and_grad(u0)
@@ -624,7 +637,7 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
         jac=True,
         method="L-BFGS-B",
         bounds=[(-hyper.BOX, hyper.BOX)] * m,
-        options={"gtol": tol / scale, "maxiter": 1000, "ftol": 1e-12},
+        options={"gtol": GRAD_TOL / scale, "maxiter": 1000, "ftol": 1e-12},
     )
     lp_mode, theta_mode, approx_mode = hyper.best
     if theta_mode is None:
@@ -652,7 +665,7 @@ def optimize_theta(model, init=None, grad_step=1e-4, tol=1e-5,
             )
         return -lp
 
-    h = hessian_step
+    h = HESSIAN_STEP
     H = np.zeros((m, m))
     f0 = -lp_mode
     fp = np.zeros(m)
@@ -691,21 +704,20 @@ def _spd_directions(H, step):
     return vecs * (step / np.sqrt(vals)), vals, vecs
 
 
-def explore_theta(model, theta_mode_internal, hessian, step=0.75, drop=5.0,
-                  ccd_radius=1.1, max_steps=10, center=None):
+def explore_theta(model, theta_mode_internal, hessian, step=0.75, center=None):
     """Weighted hyper-space point set around the mode.
 
     Free dimension up to 2: centered product grid in the Hessian eigenbasis
     (spacing `step` standard deviations).  Each axis is walked both ways
-    from the mode until the log posterior falls `drop` below the mode's, and
-    spans the longer walk's extent on both sides.  The probes that set the
-    extents are kept by integer offset and reused as grid points, each
-    reused point's latent mode becoming the next warm start, so a grid point
-    is evaluated only when no probe reached it.  Higher dimensions: a
-    spherical central-composite design with axial (and, up to dimension 6,
-    corner) points at radius ccd_radius * sqrt(dim).  A point outside the
-    hyper box counts as a failed evaluation: it ends a grid axis, or leaves
-    the CCD.
+    from the mode until the log posterior falls ``EXPLORE_DROP`` below the
+    mode's, and spans the longer walk's extent on both sides.  The probes
+    that set the extents are kept by integer offset and reused as grid
+    points, each reused point's latent mode becoming the next warm start,
+    so a grid point is evaluated only when no probe reached it.  Higher
+    dimensions: a spherical central-composite design with axial (and, up
+    to dimension 6, corner) points at radius CCD_RADIUS * sqrt(dim).  A
+    point outside the hyper box counts as a failed evaluation: it ends a
+    grid axis, or leaves the CCD.
 
     ``center``, when given, is the ``GaussianApprox`` at the mode (as
     ``optimize_theta`` returns it in ``info["mode_approx"]``); it is used
@@ -740,12 +752,13 @@ def explore_theta(model, theta_mode_internal, hessian, step=0.75, drop=5.0,
             for sign in (1, -1):
                 steps = hyper.walk(
                     lambda k: u_mode + axes @ (sign * k * unit[i]),
-                    lp0, drop, max_steps, approx0.mode,
+                    lp0, EXPLORE_DROP, EXPLORE_MAX_STEPS, approx0.mode,
                 )
                 for k, probe in enumerate(steps, 1):
                     reached[tuple((sign * k * unit[i]).tolist())] = probe
                 # the walk ends on its first drop: the steps before it reach
-                ext = max(ext, sum(not lp < lp0 - drop for _, lp, _ in steps))
+                reach = [not lp < lp0 - EXPLORE_DROP for _, lp, _ in steps]
+                ext = max(ext, sum(reach))
             extents.append(ext)
         grids = [np.arange(-e, e + 1) for e in extents]
         mesh = np.meshgrid(*grids, indexing="ij")
@@ -767,14 +780,14 @@ def explore_theta(model, theta_mode_internal, hessian, step=0.75, drop=5.0,
             corners = np.array(
                 np.meshgrid(*([[-1.0, 1.0]] * m), indexing="ij")
             ).reshape(m, -1).T
-            zs.extend(ccd_radius * corners)
-        r = ccd_radius * np.sqrt(m)
+            zs.extend(CCD_RADIUS * corners)
+        r = CCD_RADIUS * np.sqrt(m)
         for i in range(m):
             e = np.zeros(m)
             e[i] = r
             zs.extend([e, -e])
         np_pts = len(zs)
-        w0 = np_pts * (ccd_radius**2 - 1.0) * np.exp(-0.5 * m * ccd_radius**2)
+        w0 = np_pts * (CCD_RADIUS**2 - 1.0) * np.exp(-0.5 * m * CCD_RADIUS**2)
         points[0][2] = w0
         for z in zs:
             th, lp, approx = hyper(u_mode + axes @ (z / step))
@@ -890,8 +903,7 @@ def _natural_grid_summary(theta_grid_internal, logpost, coord):
     }
 
 
-def hyper_marginals(model, points, theta_mode_internal, hessian,
-                    scan_step=0.5, scan_drop=6.0, max_steps=14):
+def hyper_marginals(model, points, theta_mode_internal, hessian):
     """Per-hyper marginal grids on the natural scale.
 
     One free hyper: the exploration grid itself.  Several: profile scans
@@ -973,8 +985,8 @@ def hyper_marginals(model, points, theta_mode_internal, hessian,
             us, lps = [u_mode[j]], [lp0]
             for sign in (1.0, -1.0):
                 steps = hyper.walk(
-                    lambda k: on_ridge(sign * k * scan_step * sd_j),
-                    lp0, scan_drop, max_steps, w_mode,
+                    lambda k: on_ridge(sign * k * SCAN_STEP * sd_j),
+                    lp0, SCAN_DROP, SCAN_MAX_STEPS, w_mode,
                 )
                 for th, lp, _ in steps:
                     if np.isfinite(lp):
@@ -989,7 +1001,7 @@ def fit_model(model, *, max_evals=200, explore_step=0.75):
 
     ``max_evals`` is ``optimize_theta``'s evaluation budget and
     ``explore_step`` ``explore_theta``'s grid spacing; every other setting
-    is its stage function's default.
+    is a module constant.
     """
     timings = {}
     t0 = time.perf_counter()

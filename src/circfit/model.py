@@ -14,8 +14,9 @@ coefficient per observation; ``terms_predictor`` sums such records, fitted
 or copied with the nodes and coefficients of new inputs.
 
 A fit works on value arrays over the patterns ``ModelStructure`` fixes once
-per model and builds no matrix from them; ``AssembledModel.prior_precision``
-and ``block_matrix`` are sparse views of those arrays that no fit reads.
+per model and builds no matrix from them; Q*'s values go straight into the
+storage its factor reads.  ``AssembledModel.prior_precision`` and
+``block_matrix`` are sparse views of value arrays that no fit reads.
 """
 
 import warnings
@@ -459,26 +460,26 @@ class ModelStructure:
     once the model is built, and each block's checked response terms.
 
     Holds each block's union pattern (``_BlockPattern``, which also keeps
-    its last design values and pair products), the block-diagonal pattern
-    of the prior precision, the pattern of the Newton matrix
-    Q* = Q_p + sum_b A_b' diag(c_b) A_b, and per block the scatter map
-    (obs, pos): observation i adds c_i A[i, a] A[i, b] at position pos of
-    Q*'s data for every pair (nz_a, nz_b) of stored entries a, b of row i
-    in the lower triangle, and ``lower_twin`` copies each lower entry's
-    sum to its mirror image: the products and the sums are symmetric.
-    ``responses`` holds each block's ``response_terms``, so a response
-    outside its family's domain raises ``ObservationError`` when the
-    structure is built, at the start of the first fit.  Per theta and per
-    Newton step only values are computed (``NewtonSystem``).
+    its last design values and pair products) and the block-diagonal csc
+    pattern of the prior precision.  ``responses`` holds each block's
+    ``response_terms``, so a response outside its family's domain raises
+    ``ObservationError`` when the structure is built, at the start of the
+    first fit.  Per theta and per Newton step only values are computed
+    (``NewtonSystem``).
 
-    Q* is factorized in a band + arrow layout (Rue & Held 2005, ch. 2),
-    fixed here too.  The component nodes in reverse Cuthill-McKee order
-    (``order`` lists the node at each band position) form a band of
-    half-width ``bandwidth``; the trailing fixed effects form a dense
-    arrow, coupled to every band node they share an observation with.
-    Scatter maps take Q*'s values straight into LAPACK lower band storage
-    for the band, a dense (band, arrow) cross block and the dense arrow
-    block.  ``constraint_cct`` and ``constraint_cct_logdet`` hold C C' and
+    The Newton matrix Q* = Q_p + sum_b A_b' diag(c_b) A_b is stored as its
+    band + arrow factor reads it (Rue & Held 2005, ch. 2).  ``perm`` gives
+    the latent node at each factor position: the ``n_body`` component
+    nodes in reverse Cuthill-McKee order, a band of half-width
+    ``bandwidth``, then the fixed effects, a dense arrow.  Each node pair
+    of Q*'s lower triangle in that order has one slot in a flat array of
+    ``size`` values: the band in LAPACK lower band storage, the
+    (n_body, n_arrow) cross block and the arrow block, each column-major.
+    ``prior_slots`` holds (entries, slots) for the prior entries at or
+    below the diagonal in factor order, and ``pairs`` per block
+    (obs, slots): observation i adds c_i A[i, a] A[i, b] at the slot of
+    the nodes of a and b for every pair (nz_a, nz_b) of stored entries of
+    row i.  ``constraint_cct`` and ``constraint_cct_logdet`` hold C C' and
     its log determinant, C the model's constraints."""
 
     def __init__(self, model):
@@ -515,52 +516,52 @@ class ModelStructure:
         self.prior_rows = self.prior.indices
         self.prior_cols = np.repeat(np.arange(n), np.diff(self.prior.indptr))
 
-        # Newton matrix: the prior pattern plus every block's A'A pattern,
-        # whose entries are the pairs of stored entries of a row of A and
-        # their mirror images
-        self.pairs = {}
-        keys = [_keys(self.prior)]
-        for name, pat in self.blocks.items():
-            # Q* is csc: entry (row pat.cols[nz_a], column pat.cols[nz_b])
-            row, col = pat.cols[pat.nz_a], pat.cols[pat.nz_b]
-            self.pairs[name] = (pat.rows[pat.nz_a], col * n + row)
-            keys += [col * n + row, row * n + col]
-        self.qstar = _pattern(np.concatenate(keys), (n, n), "csc")
-        q_keys = _keys(self.qstar)
-        self.prior_in_qstar = _positions(q_keys, self.prior)
-        # each pair's key becomes its position in Q*'s data
-        for name, (obs, keys) in self.pairs.items():
-            self.pairs[name] = (obs, np.searchsorted(q_keys, keys))
-
-        # band + arrow layout of Q*; rank is a node's band or arrow index
-        Q = self.qstar
+        # the node pairs Q* stores: the prior's entries, then each block's
+        # A'A pairs; reverse Cuthill-McKee orders their component block
+        pair_nodes = [(self.prior_rows, self.prior_cols)] + [
+            (pat.cols[pat.nz_a], pat.cols[pat.nz_b])
+            for pat in self.blocks.values()
+        ]
+        rows, cols = (
+            np.concatenate(x).astype(np.int64) for x in zip(*pair_nodes)
+        )
         n_arrow = self.effect_prec.size
-        n_body = n - n_arrow
-        rows = Q.indices.astype(np.int64)
-        cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(Q.indptr))
-        # each stored entry's mirror image in the lower triangle
-        self.lower_twin = np.searchsorted(
-            q_keys, np.minimum(rows, cols) * n + np.maximum(rows, cols)
-        )
-        self.order = np.zeros(0, dtype=np.int64)
+        self.n_body = n_body = n - n_arrow
+        body = (rows < n_body) & (cols < n_body)
+        rows, cols = rows[body], cols[body]
+        self.perm = np.arange(n, dtype=np.int64)
         if n_body:
-            self.order = reverse_cuthill_mckee(
-                sparse.csr_matrix(Q[:n_body, :n_body]), symmetric_mode=True
-            ).astype(np.int64)
-        rank = np.arange(n, dtype=np.int64) - n_body
-        rank[self.order] = np.arange(n_body)
-        r, c = rank[rows], rank[cols]
-        in_band = (rows < n_body) & (cols < n_body) & (r >= c)
-        self.bandwidth = int(np.max(r[in_band] - c[in_band])) if n_body else 0
-        cross = (rows < n_body) & (cols >= n_body)
-        arrow = (rows >= n_body) & (cols >= n_body)
-        # destinations in the column-major storage of each piece
-        self.band_map = (
-            np.flatnonzero(in_band),
-            c[in_band] * (self.bandwidth + 1) + (r - c)[in_band],
-        )
-        self.cross_map = (np.flatnonzero(cross), c[cross] * n_body + r[cross])
-        self.arrow_map = (np.flatnonzero(arrow), c[arrow] * n_arrow + r[arrow])
+            B = _pattern(
+                np.concatenate([rows * n_body + cols, cols * n_body + rows]),
+                (n_body, n_body), "csr",
+            )
+            self.perm[:n_body] = reverse_cuthill_mckee(
+                sparse.csr_matrix(B), symmetric_mode=True
+            )
+        rank = np.argsort(self.perm)  # the factor position of each node
+        self.bandwidth = int(np.max(abs(rank[rows] - rank[cols]), initial=0))
+        band_size = (self.bandwidth + 1) * n_body
+        arrow_start = band_size + n_body * n_arrow
+        self.size = arrow_start + n_arrow * n_arrow
+
+        def slots(a, b):
+            """The slot of node pair (a, b) in the flat storage."""
+            r = np.maximum(rank[a], rank[b])
+            c = np.minimum(rank[a], rank[b])
+            band = c * (self.bandwidth + 1) + (r - c)
+            cross = band_size + (r - n_body) * n_body + c
+            arrow = arrow_start + (c - n_body) * n_arrow + (r - n_body)
+            return np.where(
+                r < n_body, band, np.where(c < n_body, cross, arrow)
+            )
+
+        rows, cols = self.prior_rows, self.prior_cols
+        entries = np.flatnonzero(rank[rows] >= rank[cols])
+        self.prior_slots = (entries, slots(rows[entries], cols[entries]))
+        self.pairs = {
+            name: (pat.rows[pat.nz_a], slots(a, b))
+            for (name, pat), (a, b) in zip(self.blocks.items(), pair_nodes[1:])
+        }
         C = model.constraints
         self.constraint_cct = C @ C.T
         self.constraint_cct_logdet = float(
@@ -594,23 +595,6 @@ class ModelStructure:
             log_gdet += self.effect_log_gdet
         return np.concatenate(parts), float(log_gdet)
 
-    def band_arrow(self, data):
-        """Q*'s values split into new column-major arrays (band, cross,
-        arrow): the band's lower half in LAPACK band storage, shape
-        (bandwidth + 1, n_body), the (n_body, n_arrow) cross block in band
-        order, and the (n_arrow, n_arrow) arrow block."""
-        n_body, n_arrow = self.order.size, self.effect_prec.size
-        pieces = []
-        for (src, dst), size in (
-            (self.band_map, (n_body, self.bandwidth + 1)),
-            (self.cross_map, (n_arrow, n_body)),
-            (self.arrow_map, (n_arrow, n_arrow)),
-        ):
-            flat = np.zeros(size[0] * size[1])
-            flat[dst] = data[src]
-            pieces.append(flat.reshape(size).T)
-        return tuple(pieces)
-
 
 class NewtonSystem:
     """The Newton problem at one theta on value arrays: the prior's and
@@ -620,18 +604,20 @@ class NewtonSystem:
     step.  No sparse matrix is built, and the per-step gathers use
     ``np.take``, which is quicker than fancy indexing at these sizes.
 
-    Per model ``ModelStructure`` holds the patterns, the scatter maps and
-    the response terms.  Per theta this object holds Q_p's values and log
-    generalized determinant and each block's design values and pair
-    products, which ``_BlockPattern.design`` recomputes only when the
-    block's chain factors move.  Per step only the predictors, the
-    gradient and ``values`` are computed."""
+    Per model ``ModelStructure`` holds the patterns, the slots of Q*'s
+    storage and the response terms.  Per theta this object holds Q_p's
+    values, also placed in their slots (``base``), its log generalized
+    determinant and each block's design values and pair products, which
+    ``_BlockPattern.design`` recomputes only when the block's chain
+    factors move.  Per step only the predictors, the gradient and
+    ``values`` are computed."""
 
     def __init__(self, structure, theta):
         self.structure = structure
         self.prior_data, self.prior_log_gdet = structure.prior_values(theta)
-        self.base = np.zeros(structure.qstar.nnz)
-        self.base[structure.prior_in_qstar] = self.prior_data
+        entries, slots = structure.prior_slots
+        self.base = np.zeros(structure.size)
+        self.base[slots] = self.prior_data[entries]
         self.designs, self.products = {}, {}
         for name, pat in structure.blocks.items():
             self.designs[name], self.products[name] = pat.design(theta)
@@ -661,16 +647,15 @@ class NewtonSystem:
         )
 
     def values(self, curvatures):
-        """Q*'s stored values for per-block curvature vectors c_b."""
-        S = self.structure
+        """Q*'s values in the structure's flat band + arrow storage, for
+        per-block curvature vectors c_b."""
         data = self.base.copy()
-        for name, (obs, pos) in S.pairs.items():
-            lower = np.bincount(
-                pos,
+        for name, (obs, slots) in self.structure.pairs.items():
+            data += np.bincount(
+                slots,
                 weights=np.take(curvatures[name], obs) * self.products[name],
                 minlength=data.size,
             )
-            data += lower[S.lower_twin]
         return data
 
 

@@ -800,6 +800,8 @@ def run_study(study, n=None, reps=100, seed=1, threads=1, truth=None):
     design = _STUDIES[study]
     if n is None:
         n = design["default_n"]
+    if n < 1:
+        raise ConfigurationError(f"need at least one observation, got {n}")
     if reps < 1:
         raise ConfigurationError(f"need at least one replicate, got {reps}")
     merged = dict(design["truth"])

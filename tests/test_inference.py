@@ -487,9 +487,9 @@ class TestAssembly:
         _assert_close(approx.factor.solve(b), np.linalg.solve(Q_ref, b))
 
     def test_newton_values_equal_the_ordered_pair_sums(self):
-        # Q* is formed from the lower-triangle pairs and mirrored; the
-        # reference adds every ordered pair of a row, observation by
-        # observation, as a sum over all pairs would
+        # Q* is stored as its lower triangle, summed from the lower-triangle
+        # pairs; the reference adds every ordered pair of a row,
+        # observation by observation, as a sum over all pairs would
         m = mixed_family_model()
         S = m.structure
         theta = m.theta_natural(m.initial_internal())
@@ -511,6 +511,9 @@ class TestAssembly:
             Q_ref += acc
         data = NewtonSystem(S, theta).values(curvatures)
         np.testing.assert_array_equal(qstar_dense(S, data), Q_ref)
+        # nothing is written outside the lower triangle's slots
+        slots, _, _ = _storage_entries(S)
+        assert not np.delete(data, slots).any()
 
 
 class TestResponseTerms:
@@ -610,29 +613,51 @@ LAYOUTS = {
 }
 
 
-def _pattern_entries(structure):
-    """Row and column of each stored entry of Q*'s pattern."""
-    P = structure.qstar
-    cols = np.repeat(np.arange(P.shape[1]), np.diff(P.indptr))
-    return P.indices, cols
+def _storage_entries(structure):
+    """Slot, latent row and latent column of every entry of Q*'s lower
+    triangle, in factor order, that the flat band + arrow storage holds.
+    LAPACK's lower band storage keeps band entry (r, c), r - c <= bandwidth,
+    at [r - c, c] of a column-major (bandwidth + 1, n_body) array; the
+    column-major cross block and the arrow's lower triangle follow."""
+    S = structure
+    n, n_body, width = S.perm.size, S.n_body, S.bandwidth + 1
+    n_arrow = n - n_body
+    r, c = np.tril_indices(n)
+    slot = np.full(r.size, -1)
+    band = (r < n_body) & (r - c < width)
+    slot[band] = c[band] * width + (r - c)[band]
+    cross = (r >= n_body) & (c < n_body)
+    slot[cross] = width * n_body + (r[cross] - n_body) * n_body + c[cross]
+    arrow = c >= n_body
+    slot[arrow] = (
+        (width + n_arrow) * n_body
+        + (c[arrow] - n_body) * n_arrow + r[arrow] - n_body
+    )
+    held = slot >= 0
+    return slot[held], S.perm[r[held]], S.perm[c[held]]
 
 
 def qstar_dense(structure, data):
-    """Q*'s stored values placed on its pattern, as a dense matrix."""
-    rows, cols = _pattern_entries(structure)
-    return dref.dense(rows, cols, data, structure.qstar.shape)
+    """Q* in latent order from its flat storage: the stored lower triangle
+    placed through the permutation, and its mirror image."""
+    slots, rows, cols = _storage_entries(structure)
+    M = dref.dense(rows, cols, data[slots], (structure.perm.size,) * 2)
+    M[cols, rows] = data[slots]
+    return M
 
 
 def random_spd_values(structure, rng):
-    """Random symmetric values on Q*'s pattern, made positive definite by
-    strict diagonal dominance."""
-    rows, cols = _pattern_entries(structure)
-    M = qstar_dense(structure, rng.uniform(-1.0, 1.0, rows.size))
-    M = 0.5 * (M + M.T)
-    data = M[rows, cols]
+    """Random values at every slot the storage holds, made positive
+    definite by strict diagonal dominance."""
+    slots, rows, cols = _storage_entries(structure)
+    data = np.zeros(structure.size)
+    data[slots] = rng.uniform(-1.0, 1.0, slots.size)
+    M = qstar_dense(structure, data)
     diag = rows == cols
     dominance = np.abs(M).sum(axis=1) - np.abs(np.diag(M))
-    data[diag] = dominance[rows[diag]] + rng.uniform(0.1, 2.0, diag.sum())
+    data[slots[diag]] = (
+        dominance[rows[diag]] + rng.uniform(0.1, 2.0, diag.sum())
+    )
     return data
 
 
@@ -647,8 +672,9 @@ class TestBandArrowFactor:
         S = m.structure
         n = m.latent_dim
         n_arrow = len(m.spec.fixed_effects)
-        assert S.order.size == n - n_arrow
-        assert np.array_equal(np.sort(S.order), np.arange(n - n_arrow))
+        assert S.n_body == n - n_arrow
+        assert np.array_equal(np.sort(S.perm[:S.n_body]), np.arange(S.n_body))
+        assert np.array_equal(S.perm[S.n_body:], np.arange(S.n_body, n))
         rng = np.random.default_rng(3)
         for _ in range(3):
             data = random_spd_values(S, rng)
@@ -667,7 +693,7 @@ class TestBandArrowFactor:
 
     def test_layouts_split_band_and_arrow(self):
         sim1 = LAYOUTS["sim1"]().structure
-        assert sim1.order.size == 0 and sim1.effect_prec.size == 3
+        assert sim1.n_body == 0 and sim1.effect_prec.size == 3
         iid = iid_only_model().structure
         assert iid.effect_prec.size == 0 and iid.bandwidth == 0
         # rw2 has half-width 2 and ar2 half-width 2; the shared lavm
@@ -687,8 +713,8 @@ class TestBandArrowFactor:
         q_data = NewtonSystem(S, theta).base
         rw2 = qstar_dense(S, q_data)[:n_rw2, :n_rw2]
         shift = 0.5 * np.sort(np.linalg.eigvalsh(rw2))[2]
-        rows, cols = _pattern_entries(S)
-        q_data[(rows == cols) & (rows < n_rw2)] -= shift
+        slots, rows, cols = _storage_entries(S)
+        q_data[slots[(rows == cols) & (rows < n_rw2)]] -= shift
         for C in (None, m.constraints):
             with pytest.raises(InferenceError, match="not positive definite"):
                 _factor_spd(S, q_data, C)
@@ -731,10 +757,38 @@ class TestBandArrowFactor:
         data = random_spd_values(S, np.random.default_rng(5))
         with pytest.raises(InferenceError, match="not positive definite"):
             _factor_spd(S, -data, m.constraints)
-        rows, cols = _pattern_entries(S)
-        data[np.flatnonzero(rows == cols)[0]] = np.nan
+        slots, rows, cols = _storage_entries(S)
+        data[slots[(rows == 0) & (cols == 0)]] = np.nan
         with pytest.raises(InferenceError, match="not positive definite"):
             _factor_spd(S, data)
+
+    def test_factor_leaves_its_values_unchanged(self):
+        # the pieces are factored in place on a copy, so the same values
+        # factor again to the same factor
+        m = mixed_family_model()
+        S = m.structure
+        data = random_spd_values(S, np.random.default_rng(7))
+        kept = data.copy()
+        first = _factor_spd(S, data, m.constraints)
+        np.testing.assert_array_equal(data, kept)
+        second = _factor_spd(S, data, m.constraints)
+        for name in ("band", "X", "schur", "QinvCt", "det_half"):
+            np.testing.assert_array_equal(
+                getattr(first, name), getattr(second, name)
+            )
+
+    def test_solve_keeps_the_memory_order_of_its_argument(self):
+        # QinvCt = solve(C') is column-major because C' is; a matrix
+        # product rounds differently on a row-major copy of an operand, so
+        # the corrections QinvCt @ s of every constrained fit would move
+        m = mixed_family_model()
+        S = m.structure
+        rng = np.random.default_rng(9)
+        factor = _factor_spd(S, random_spd_values(S, rng), m.constraints)
+        assert factor.QinvCt.flags.f_contiguous
+        B = rng.normal(size=(m.latent_dim, 3))
+        assert factor.solve(B).flags.c_contiguous
+        assert factor.solve(np.asfortranarray(B)).flags.f_contiguous
 
     def test_newton_solve_sds_and_draws_build_no_latent_square_matrix(
         self, monkeypatch
@@ -811,7 +865,7 @@ class TestBandArrowFactor:
         # the structure keeps grows with the square of the body size
         m = _study_model(generate_sim2, sim2_spec, SIM2_TRUTH, n)
         S = m.structure
-        n_body = S.order.size
+        n_body = S.n_body
         assert n_body == n and m.constraints.shape[0] == 2
 
         def arrays(value):
@@ -1100,8 +1154,7 @@ class TestOptimizeTheta:
 
         monkeypatch.setattr(inference, "log_posterior_theta", recording)
         monkeypatch.setattr(inference, "minimize", minimize)
-        grad_step = 1e-4
-        optimize_theta(m, grad_step=grad_step)
+        optimize_theta(m)
         u = np.array(evaluated)
         assert np.max(np.abs(u)) < 30.0
         first = next(
@@ -1109,7 +1162,7 @@ class TestOptimizeTheta:
         )
         # the first iterate and its gradient stencil included
         head = u[: first + 1 + 2 * len(free)]
-        assert np.max(np.abs(head - u0)) <= 1.0 + grad_step
+        assert np.max(np.abs(head - u0)) <= 1.0 + inference.GRAD_STEP
 
 
 class TestExploreTheta:

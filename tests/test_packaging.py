@@ -57,7 +57,10 @@ def test_console_script_prints_the_study_result_as_json():
     "args, message",
     [
         (("sim1", "--reps", "0"), "need at least one replicate, got 0"),
-        (("sim1", "--n", "0", "--reps", "1"), "block 'y' has no responses"),
+        (("sim1", "--n", "0", "--reps", "1"),
+         "need at least one observation, got 0"),
+        (("sim1", "--n", "-1", "--reps", "1"),
+         "need at least one observation, got -1"),
     ],
 )
 def test_console_script_reports_a_bad_study_setup_as_a_usage_error(
