@@ -290,7 +290,8 @@ def gaussian_approx(model, theta, init_w=None):
     (``AssembledModel.structure``, through ``NewtonSystem``): predictors
     and gradients are bincount matrix-vector products, Q*'s values are
     summed straight into the flat band + arrow storage, and ``_factor_spd``
-    factorizes views of it.  No sparse matrix is built.  The converged
+    factorizes views of it.  No sparse matrix is built, for any component
+    kind.  The converged
     iterate's values, factor and log-likelihood sum are the ones returned;
     they are recomputed only when the final constraint projection moves the
     mode.
@@ -318,13 +319,17 @@ def gaussian_approx(model, theta, init_w=None):
     - iteration limit: no convergence in ``NEWTON_MAX_ITER`` iterations.
 
     ``_factor_spd`` raises it too when the conditional precision is not
-    positive definite.
+    positive definite, and so does an mv_iid correlation matrix that
+    saturated vine partials round to indefinite.
     """
     n = model.latent_dim
     C = model.constraints
     k = C.shape[0]
     structure = model.structure
-    system = NewtonSystem(structure, theta)
+    try:
+        system = NewtonSystem(structure, theta)
+    except np.linalg.LinAlgError as exc:
+        raise InferenceError(str(exc)) from exc
     hypers = {
         name: (theta[blk.hyper] if blk.hyper else None)
         for name, blk in model.blocks.items()

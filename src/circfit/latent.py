@@ -5,6 +5,8 @@ matrix together with its rank deficiency, the constraint vectors spanning its
 null space, and the log generalized determinant (product of nonzero
 eigenvalues).  Intrinsic components keep their exact singular precision; the
 inference engine enforces the constraints by conditioning, never by jitter.
+A fit reads the ar2 and mv_iid values from ``ar2_diagonals`` and
+``mv_iid_block``, the formulas their builders place in a sparse matrix.
 
 The intrinsic kinds have closed forms.  Their reference sd is the root mean
 of the marginal variances under the constraints, sqrt(trace(Q^+) / n) with Q^+
@@ -30,7 +32,9 @@ __all__ = [
     "build_cyclic_rw2",
     "cyclic_rw2_reference_sd",
     "pacf_to_ar2",
+    "ar2_diagonals",
     "build_ar2",
+    "mv_iid_block",
     "build_mv_iid",
     "scale_precision",
     "scaled_log_gdet",
@@ -57,7 +61,9 @@ class SparsePrecision:
 
 
 def _as_csc(M) -> sparse.csc_array:
+    """M in canonical csc, whose entry order a fit reads unit values in."""
     Q = sparse.csc_array(M)
+    Q.sum_duplicates()
     Q.eliminate_zeros()
     return Q
 
@@ -145,14 +151,9 @@ def pacf_to_ar2(pacf1: float, pacf2: float) -> tuple:
     return pacf1 * (1.0 - pacf2), pacf2
 
 
-def build_ar2(n: int, pacf1: float, pacf2: float) -> SparsePrecision:
-    """Stationary unit-marginal-variance AR(2) precision, bandwidth 2.
-
-    Q = pad(Gamma2^-1) + A'A / v with A the conditional-mean rows
-    (-a2, -a1, 1) and v = (1 - pacf1^2)(1 - pacf2^2) the innovation variance
-    that makes every marginal variance 1; the stationary initial block
-    Gamma2 supplies the boundary correction.
-    """
+def ar2_diagonals(n: int, pacf1: float, pacf2: float) -> tuple:
+    """The main, first and second diagonals of ``build_ar2``'s precision on
+    n nodes, and its log determinant."""
     if n < 3:
         raise ConfigurationError(f"ar2 component needs n >= 3, got {n}")
     a1, a2 = pacf_to_ar2(pacf1, pacf2)
@@ -171,19 +172,28 @@ def build_ar2(n: int, pacf1: float, pacf2: float) -> SparsePrecision:
     gamma2_inv = np.array([[1.0, -r1], [-r1, 1.0]]) / (1.0 - r1 * r1)
     main[:2] += np.diagonal(gamma2_inv)
     first[0] += gamma2_inv[0, 1]
+    log_det = -(n - 2) * np.log(v) - np.log1p(-r1 * r1)
+    return main, first, second, float(log_det)
+
+
+def build_ar2(n: int, pacf1: float, pacf2: float) -> SparsePrecision:
+    """Stationary unit-marginal-variance AR(2) precision, bandwidth 2.
+
+    Q = pad(Gamma2^-1) + A'A / v with A the conditional-mean rows
+    (-a2, -a1, 1) and v = (1 - pacf1^2)(1 - pacf2^2) the innovation variance
+    that makes every marginal variance 1; the stationary initial block
+    Gamma2 supplies the boundary correction.
+    """
+    main, first, second, log_det = ar2_diagonals(n, pacf1, pacf2)
     Q = _as_csc(sparse.diags_array(
         [second, first, main, first, second], offsets=[-2, -1, 0, 1, 2]
     ))
-    log_gdet = -(n - 2) * np.log(v) - np.log1p(-r1 * r1)
-    return SparsePrecision(matrix=Q, log_gdet=float(log_gdet))
+    return SparsePrecision(matrix=Q, log_gdet=log_det)
 
 
-def build_mv_iid(n: int, sigmas: np.ndarray, R: np.ndarray) -> SparsePrecision:
-    """n independent d-dimensional Gaussians with covariance
-    diag(sigmas) R diag(sigmas), laid out observation-major
-    (w_11..w_1d, w_21..w_2d, ...)."""
-    if n < 1:
-        raise ConfigurationError(f"mv_iid component needs n >= 1, got {n}")
+def mv_iid_block(sigmas: np.ndarray, R: np.ndarray) -> tuple:
+    """The d x d precision block (D R D)^-1, D = diag(sigmas), symmetrized,
+    and the log determinant of the covariance D R D."""
     sigmas = np.asarray(sigmas, dtype=float)
     R = np.asarray(R, dtype=float)
     d = sigmas.size
@@ -201,21 +211,30 @@ def build_mv_iid(n: int, sigmas: np.ndarray, R: np.ndarray) -> SparsePrecision:
     cov = R * np.outer(sigmas, sigmas)
     block = np.linalg.inv(cov)
     block = 0.5 * (block + block.T)
+    return block, logdet_R + 2.0 * float(np.sum(np.log(sigmas)))
+
+
+def build_mv_iid(n: int, sigmas: np.ndarray, R: np.ndarray) -> SparsePrecision:
+    """n independent d-dimensional Gaussians with covariance
+    diag(sigmas) R diag(sigmas), laid out observation-major
+    (w_11..w_1d, w_21..w_2d, ...)."""
+    if n < 1:
+        raise ConfigurationError(f"mv_iid component needs n >= 1, got {n}")
+    block, log_det_cov = mv_iid_block(sigmas, R)
     Q = _as_csc(sparse.kron(sparse.eye_array(n), block, format="csc"))
-    log_gdet = -n * (logdet_R + 2.0 * float(np.sum(np.log(sigmas))))
-    return SparsePrecision(matrix=Q, log_gdet=log_gdet)
+    return SparsePrecision(matrix=Q, log_gdet=-n * log_det_cov)
 
 
-def scaled_log_gdet(Q: SparsePrecision, tau: float) -> float:
-    """Generalized log-determinant of tau * Q: the unit value plus
-    (dimension - rank_deficiency) * log tau."""
+def scaled_log_gdet(log_gdet: float, rank: int, tau: float) -> float:
+    """Generalized log-determinant of tau * Q from Q's log_gdet and rank:
+    log_gdet + rank * log tau."""
     if tau <= 0:
         raise ConfigurationError(f"precision scale must be positive, got {tau}")
-    return Q.log_gdet + (Q.dimension - Q.rank_deficiency) * float(np.log(tau))
+    return log_gdet + rank * float(np.log(tau))
 
 
 def scale_precision(Q: SparsePrecision, tau: float) -> SparsePrecision:
     """Entrywise tau * Q, keeping constraints and adjusting the generalized
     determinant as ``scaled_log_gdet`` does."""
-    log_gdet = scaled_log_gdet(Q, tau)
+    log_gdet = scaled_log_gdet(Q.log_gdet, Q.dimension - Q.rank_deficiency, tau)
     return replace(Q, matrix=_as_csc(Q.matrix * tau), log_gdet=log_gdet)

@@ -14,9 +14,10 @@ coefficient per observation; ``terms_predictor`` sums such records, fitted
 or copied with the nodes and coefficients of new inputs.
 
 A fit works on value arrays over the patterns ``ModelStructure`` fixes once
-per model and builds no matrix from them; Q*'s values go straight into the
-storage its factor reads.  ``AssembledModel.prior_precision`` and
-``block_matrix`` are sparse views of value arrays that no fit reads.
+per model and builds no matrix from them: the prior's values are read from
+each component kind's closed form, and Q*'s go straight into the storage its
+factor reads.  ``AssembledModel.prior_precision`` and ``block_matrix`` are
+sparse views of value arrays that no fit reads.
 """
 
 import warnings
@@ -28,13 +29,12 @@ from scipy import sparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .latent import (
-    SparsePrecision,
-    build_ar2,
+    ar2_diagonals,
     build_cyclic_rw2,
     build_iid,
-    build_mv_iid,
     build_rw2,
     cyclic_rw2_reference_sd,
+    mv_iid_block,
     rw2_reference_sd,
     scale_precision,
     scaled_log_gdet,
@@ -308,28 +308,6 @@ class AssembledModel:
             self._structure = ModelStructure(self)
         return self._structure
 
-    def _base_precision(self, comp: ComponentSpec, theta: dict) -> SparsePrecision:
-        """The component's precision before its precision hyper scales it."""
-        if comp.kind == "ar2":
-            return build_ar2(
-                comp.size, theta[comp.pacf_hypers[0]], theta[comp.pacf_hypers[1]]
-            )
-        if comp.kind == "mv_iid":
-            d = comp.block_dim
-            sigmas = np.array([theta[h] ** -0.5 for h in comp.sigma_hypers])
-            if d == 1:
-                R = np.eye(1)
-            else:
-                gam = np.array(
-                    [
-                        theta[f"{comp.correlation_hyper}[{k}]"]
-                        for k in range(d * (d - 1) // 2)
-                    ]
-                )
-                R = partials_to_correlation(gam, d)
-            return build_mv_iid(comp.size, sigmas, R)
-        return self._unit[comp.name]
-
     # -- matrix views: no fit reads them; the perfbench tracer wraps both
     # by name ------------------------------------------------------------
 
@@ -373,11 +351,6 @@ def _keys(P):
     major = np.repeat(np.arange(P.indptr.size - 1, dtype=np.int64), np.diff(P.indptr))
     minor_dim = P.shape[1] if P.format == "csr" else P.shape[0]
     return major * minor_dim + P.indices
-
-
-def _positions(pattern_keys, P):
-    """Where P's stored entries sit in a canonical pattern with those keys."""
-    return np.searchsorted(pattern_keys, _keys(P))
 
 
 class _BlockPattern:
@@ -464,7 +437,8 @@ class ModelStructure:
     pattern of the prior precision.  ``responses`` holds each block's
     ``response_terms``, so a response outside its family's domain raises
     ``ObservationError`` when the structure is built, at the start of the
-    first fit.  Per theta and per Newton step only values are computed
+    first fit.  ``prior_parts`` holds each component and its pattern's
+    (rows, cols).  Per theta and per Newton step only values are computed
     (``NewtonSystem``).
 
     The Newton matrix Q* = Q_p + sum_b A_b' diag(c_b) A_b is stored as its
@@ -499,12 +473,8 @@ class ModelStructure:
         for comp in model.spec.components:
             P = _component_pattern(model, comp)
             patterns.append(P)
-            keys, unit_data = _keys(P), None
-            if comp.name in model._unit:
-                unit = model._unit[comp.name].matrix
-                unit_data = np.zeros(P.nnz)
-                unit_data[_positions(keys, unit)] = unit.data
-            self.prior_parts.append((comp, keys, unit_data))
+            cols = np.repeat(np.arange(P.shape[1]), np.diff(P.indptr))
+            self.prior_parts.append((comp, P.indices, cols))
         self.effect_prec = np.array(
             [e.prior_sd**-2.0 for e in model.spec.fixed_effects]
         )
@@ -570,25 +540,43 @@ class ModelStructure:
 
     def prior_values(self, theta):
         """Q_p(theta)'s stored values on the prior pattern, and its log
-        generalized determinant."""
+        generalized determinant, read at each component pattern's (rows,
+        cols) from the unit matrix, whose pattern it is, ar2's diagonals or
+        mv_iid's d x d block.  Raises ``np.linalg.LinAlgError`` where
+        saturated partials round R to indefinite."""
         model = self.model
         parts, log_gdet = [], 0
-        for comp, keys, unit_data in self.prior_parts:
-            tau = (
-                None if comp.precision_hyper is None
-                else theta[comp.precision_hyper]
-            )
-            if unit_data is None:
-                built = model._base_precision(comp, theta)
-                data = np.zeros(keys.size)
-                data[_positions(keys, built.matrix)] = built.matrix.data
+        for comp, rows, cols in self.prior_parts:
+            rank = comp.dimension
+            if comp.kind == "ar2":
+                band = np.zeros((3, comp.size))
+                band[0], band[1, :-1], band[2, :-2], comp_log_gdet = (
+                    ar2_diagonals(comp.size, *(theta[h] for h in comp.pacf_hypers))
+                )
+                data = band[abs(rows - cols), np.minimum(rows, cols)]
+            elif comp.kind == "mv_iid":
+                d = comp.block_dim
+                sigmas = np.array([theta[h] ** -0.5 for h in comp.sigma_hypers])
+                R = partials_to_correlation([
+                    theta[f"{comp.correlation_hyper}[{k}]"]
+                    for k in range(d * (d - 1) // 2)
+                ], d)
+                if np.linalg.slogdet(R)[0] <= 0:
+                    raise np.linalg.LinAlgError(
+                        f"R of {comp.name!r} is not numerically positive definite"
+                    )
+                block, log_det_cov = mv_iid_block(sigmas, R)
+                data = block[rows % d, cols % d]
+                comp_log_gdet = -comp.size * log_det_cov
             else:
-                built, data = model._unit[comp.name], unit_data
-            if tau is None:
-                log_gdet += built.log_gdet
-            else:
-                log_gdet += scaled_log_gdet(built, tau)
+                unit = model._unit[comp.name]
+                data, comp_log_gdet = unit.matrix.data, unit.log_gdet
+                rank = unit.dimension - unit.rank_deficiency
+            if comp.precision_hyper is not None:
+                tau = theta[comp.precision_hyper]
+                comp_log_gdet = scaled_log_gdet(comp_log_gdet, rank, tau)
                 data = data * tau
+            log_gdet += comp_log_gdet
             parts.append(data)
         if self.effect_prec.size:
             parts.append(self.effect_prec)
@@ -606,7 +594,8 @@ class NewtonSystem:
 
     Per model ``ModelStructure`` holds the patterns, the slots of Q*'s
     storage and the response terms.  Per theta this object holds Q_p's
-    values, also placed in their slots (``base``), its log generalized
+    values from ``ModelStructure.prior_values``, also placed in their
+    slots (``base``), its log generalized
     determinant and each block's design values and pair products, which
     ``_BlockPattern.design`` recomputes only when the block's chain
     factors move.  Per step only the predictors, the gradient and

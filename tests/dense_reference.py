@@ -6,10 +6,13 @@ or value array of ``ModelStructure`` or ``NewtonSystem`` is read.  The
 tests place the engine's value arrays at their pattern positions with
 ``dense`` and compare the result with these matrices.
 
-The prior and design follow the engine's arithmetic term by term (the same
-builders, the same products, the same order of sums), so the engine's
-values equal them exactly; the Newton matrix and the Gaussian-model
-answers sum in another order and match to roundoff.
+The prior and design follow the engine's arithmetic term by term, so the
+engine's values equal them exactly.  The prior shares its formulas with the
+engine through ``ar2_diagonals`` and ``mv_iid_block``, which the builders
+call: the builders place the values through scipy.sparse, and the engine
+reads them at its pattern's indices.  The design uses the same products and
+the same order of sums.  The Newton matrix and the Gaussian-model answers
+sum in another order and match to roundoff.
 """
 
 import numpy as np

@@ -58,12 +58,15 @@ from circfit.model import (
 )
 from circfit.priors import PriorSpec
 from circfit.studies import (
+    MV6_TRUTH,
     SIM1_TRUTH,
     SIM2_TRUTH,
     SIM3_TRUTH,
+    generate_mv6,
     generate_sim1,
     generate_sim2,
     generate_sim3,
+    mv6_spec,
     sim1_spec,
     sim2_spec,
     sim3_spec,
@@ -1111,6 +1114,22 @@ class TestOptimizeTheta:
         with pytest.raises(InferenceError, match="Hessian stencil"):
             optimize_theta(m, init=np.array([30.0]))
         assert evaluated == [30.0, 30.0 - 1e-4]
+
+    def test_saturated_vine_partials_are_a_failed_evaluation(self):
+        # inside the box, partials of -+tanh(15) alternating over mv6's 15
+        # vine coordinates compose to an R that rounds to indefinite: the
+        # point fails as an evaluation instead of raising ConfigurationError
+        m = _study_model(generate_mv6, mv6_spec, MV6_TRUTH, 30)
+        hyper = inference._HyperEvaluator(m)
+        u = hyper.to_u(m.initial_internal())
+        for j, i in enumerate(hyper.free):
+            name = m.hyper_coords[i].name
+            if name.startswith("R["):
+                u[j] = 30.0 if int(name[2:-1]) % 2 else -30.0
+        theta, lp, approx = hyper(u)
+        assert lp == -np.inf and approx is None
+        with pytest.raises(InferenceError, match="positive definite"):
+            gaussian_approx(m, m.theta_natural(theta))
 
     def test_budget_error_counts_the_evaluations_made(self, monkeypatch):
         # the refused attempt is not an evaluation

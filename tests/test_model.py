@@ -6,7 +6,7 @@ from scipy.sparse._compressed import _cs_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circfit.inference import fit_model
+from circfit.inference import fit_model, log_posterior_theta
 from circfit.likelihoods import ObservationError
 from circfit.latent import build_mv_iid, build_rw2, rw2_reference_sd
 from circfit.model import (
@@ -20,7 +20,7 @@ from circfit.model import (
     classical_sincos_spec,
     terms_predictor,
 )
-from circfit.priors import ConfigurationError, PriorSpec
+from circfit.priors import ConfigurationError, PriorSpec, partials_to_correlation
 from circfit.studies import SIM1_TRUTH, generate_sim1, sim1_spec
 from dense_reference import component_precision, dense, design, prior
 
@@ -387,53 +387,54 @@ class TestPriorPrecision:
         assert not np.allclose(Qa, Qb)
 
     def test_mv_component_matches_direct_build(self):
-        n, d = 6, 3
-        spec = ModelSpec(
-            blocks=(
-                BlockSpec(
-                    "y",
-                    "gaussian",
-                    np.zeros(n),
-                    (
-                        TermSpec(
-                            "component",
-                            "w",
-                            indices=tuple(range(0, n * d, d)),
-                        ),
-                    ),
-                    hyper="tau",
-                ),
-            ),
-            components=(
-                ComponentSpec(
-                    "w",
-                    "mv_iid",
-                    n,
-                    block_dim=d,
-                    sigma_hypers=("t1", "t2", "t3"),
-                    correlation_hyper="R",
-                ),
-            ),
-            hypers={
-                "tau": PriorSpec("pc_precision", (0.5, 0.5)),
-                "t1": PriorSpec("pc_precision", (1.0, 0.5)),
-                "t2": PriorSpec("pc_precision", (1.0, 0.5)),
-                "t3": PriorSpec("pc_precision", (1.0, 0.5)),
-            },
-        )
-        spec.hypers["R"] = PriorSpec("lkj", (5.0,))
-        m = build_model(spec)
-        names = [c.name for c in m.hyper_coords]
-        assert names.count("R[0]") == 1 and "R[2]" in names
-        assert m.hyper_dim == 1 + 3 + 3
-        th = {"tau": 1.0, "t1": 4.0, "t2": 1.0, "t3": 0.25,
-              "R[0]": 0.5, "R[1]": 0.0, "R[2]": -0.3}
-        got, _ = engine_prior(m, th)
-        from circfit.priors import partials_to_correlation
+        n = 6
+        for d in (1, 3):
+            m = build_model(mv_spec(n, d))
+            partials = [0.5, 0.0, -0.3][: d * (d - 1) // 2]
+            names = [c.name for c in m.hyper_coords]
+            assert names.count("R[0]") == (d > 1)
+            assert ("R[2]" in names) == (d > 1)
+            assert m.hyper_dim == 1 + d + len(partials)
+            th = {"tau": 1.0, "t1": 4.0, "t2": 1.0, "t3": 0.25}
+            th.update({f"R[{k}]": v for k, v in enumerate(partials)})
+            got, log_gdet = engine_prior(m, th)
+            R = partials_to_correlation(np.array(partials), d)
+            want = build_mv_iid(n, np.array([0.5, 1.0, 2.0])[:d], R)
+            np.testing.assert_array_equal(got, want.matrix.toarray())
+            assert log_gdet == want.log_gdet
 
-        R = partials_to_correlation(np.array([0.5, 0.0, -0.3]), d)
-        want = build_mv_iid(n, np.array([0.5, 1.0, 2.0]), R)
-        np.testing.assert_allclose(got, want.matrix.toarray(), atol=1e-12)
+
+def mv_spec(n, d):
+    """A gaussian block observing the first coordinate of an mv_iid
+    component of block dimension d <= 3, with sigma hypers t1..td and, for
+    d > 1, an lkj correlation hyper R."""
+    sigma_hypers = ("t1", "t2", "t3")[:d]
+    hypers = {"tau": PriorSpec("pc_precision", (0.5, 0.5))}
+    hypers.update({h: PriorSpec("pc_precision", (1.0, 0.5)) for h in sigma_hypers})
+    if d > 1:
+        hypers["R"] = PriorSpec("lkj", (5.0,))
+    return ModelSpec(
+        blocks=(
+            BlockSpec(
+                "y",
+                "gaussian",
+                np.zeros(n),
+                (TermSpec("component", "w", indices=tuple(range(0, n * d, d))),),
+                hyper="tau",
+            ),
+        ),
+        components=(
+            ComponentSpec(
+                "w",
+                "mv_iid",
+                n,
+                block_dim=d,
+                sigma_hypers=sigma_hypers,
+                correlation_hyper="R" if d > 1 else None,
+            ),
+        ),
+        hypers=hypers,
+    )
 
 
 def structure_spec(n=12, seed=19):
@@ -463,6 +464,7 @@ def structure_spec(n=12, seed=19):
                 rng.poisson(2.0, n).astype(float),
                 (
                     TermSpec("component", "i"),
+                    TermSpec("component", "cy"),
                     TermSpec("shared", "y", scale="g"),
                 ),
             ),
@@ -481,6 +483,7 @@ def structure_spec(n=12, seed=19):
             ),
             ComponentSpec("r", "rw2", n),
             ComponentSpec("i", "iid", n, precision_hyper="lam_i"),
+            ComponentSpec("cy", "cyclic_rw2", n, period=5, precision_hyper="lam_c"),
         ),
         fixed_effects=(FixedEffectSpec("b0", 2.0), FixedEffectSpec("b1", 0.5)),
         hypers={
@@ -493,6 +496,7 @@ def structure_spec(n=12, seed=19):
             "R": PriorSpec("lkj", (5.0,)),
             "a_r": PriorSpec("pc_scale", (0.5, 0.5)),
             "lam_i": PriorSpec("pc_precision", (0.5, 0.5)),
+            "lam_c": PriorSpec("pc_precision", (0.5, 0.5)),
             "g": PriorSpec("gaussian", (0.0, 1.0)),
         },
         covariates={"z": z},
@@ -500,7 +504,8 @@ def structure_spec(n=12, seed=19):
 
 
 GENERIC_THETA = {"tau": 2.0, "lam_s": 3.0, "p1": 0.6, "p2": -0.3, "t1": 4.0,
-                 "t2": 0.5, "R[0]": 0.4, "a_r": 0.7, "lam_i": 1.5, "g": -0.8}
+                 "t2": 0.5, "R[0]": 0.4, "a_r": 0.7, "lam_i": 1.5,
+                 "lam_c": 0.8, "g": -0.8}
 # pacf2 = 0 zeroes the ar2 band's outer diagonals, R[0] = 0 the mv_iid
 # off-diagonals, and g = 0 the whole shared predictor
 SPECIAL_THETA = dict(GENERIC_THETA, p2=0.0, **{"R[0]": 0.0}, g=0.0)
@@ -604,6 +609,23 @@ class TestFixedStructure:
         values, products = pat.design({"kappa": 2.0})
         again = pat.design({"kappa": 40.0})
         assert again[0] is values and again[1] is products
+
+    def test_no_evaluation_builds_a_sparse_matrix(self, monkeypatch):
+        # once the structure exists, every kind's prior values come from
+        # closed forms on its pattern: scipy.sparse is never reached
+        m = build_model(structure_spec())
+        S = m.structure
+
+        class NoSparse:
+            def __getattr__(self, name):
+                raise AssertionError(f"scipy.sparse.{name} called per theta")
+
+        monkeypatch.setattr("circfit.latent.sparse", NoSparse())
+        monkeypatch.setattr("circfit.model.sparse", NoSparse())
+        for theta in (GENERIC_THETA, SPECIAL_THETA):
+            S.prior_values(theta)
+        lp, _ = log_posterior_theta(m, m.initial_internal())
+        assert np.isfinite(lp)
 
     def test_nonpositive_precision_hyper_still_rejected(self):
         m = build_model(structure_spec())
