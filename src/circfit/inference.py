@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import cho_factor, eigh
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtbtrs, dtrtrs
 from scipy.optimize import minimize
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .likelihoods import lavm_curvature_floor, loglik
 from .model import AssembledModel, NewtonSystem
@@ -480,6 +480,8 @@ def _laplace_ratio(model, theta_internal, approx):
 @dataclass
 class ThetaPoint:
     theta_internal: np.ndarray
+    # theta_internal's natural values, mapped once by explore_theta
+    theta: dict
     log_unnorm_posterior: float
     weight: float
     approx: GaussianApprox
@@ -571,14 +573,76 @@ class _HyperEvaluator:
         return steps
 
 
-def optimize_theta(model, init=None, max_evals=200):
-    """Quasi-Newton search for the hyper posterior mode with central
-    difference gradients; returns (theta_mode_internal, hessian_u, info).
+def _probe_slope_curvature(lp_minus, lp0, lp_plus, h):
+    """Slope and curvature of lp at u from the gradient probe triple
+    lp(u - h), lp(u), lp(u + h), a failed evaluation being -inf.
 
-    L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) minimizes -lp/s with
-    s = max(1, |grad lp(u0)|_inf), the start point's gradient that the
-    search needs anyway (it is handed back as the first evaluation, so the
-    scaling costs none).  Its first step goes to the Cauchy point of a
+    Both probes give the central and the second difference.  One failed
+    probe (past the box edge, say) leaves the one-sided difference to the
+    other and no curvature (NaN).  A failed centre, which only a failed
+    start has, points the slope to the probes' better side with no
+    negative curvature.  With both probes failed the slope is NaN.
+    """
+    if np.isfinite(lp_minus) and np.isfinite(lp_plus):
+        slope = (lp_plus - lp_minus) / (2.0 * h)
+        return slope, (lp_plus + lp_minus - 2.0 * lp0) / h**2
+    if np.isfinite(lp_plus):
+        return (lp_plus - lp0) / h, np.nan
+    if np.isfinite(lp_minus):
+        return (lp0 - lp_minus) / h, np.nan
+    return np.nan, np.nan
+
+
+def _newton_search(evaluate, u, box):
+    """Safeguarded Newton ascent of lp over one free hyper from ``u``;
+    returns how it ended.
+
+    ``evaluate(u)`` is the budgeted evaluator's (theta, lp, approx), with
+    lp -inf and approx None for a failed evaluation.  The slope
+    and curvature come from the probe triple of the accepted point.  The
+    step is -slope/curvature when the curvature is negative and one unit
+    uphill otherwise, capped at one internal unit and clipped to the box.
+    A trial point costs its centre only; its step is halved while its lp
+    falls below the accepted point's (a failed evaluation does), and only
+    an accepted point is probed.  The search stops when |slope| <=
+    GRAD_TOL, or when the step to try is below roundoff: lp cannot tell
+    such a step from none, and a zero step would evaluate a point again.
+    """
+    h = GRAD_STEP
+    _, lp, _ = evaluate(u)
+    while True:
+        lp_plus = evaluate(u + h)[1]
+        lp_minus = evaluate(u - h)[1]
+        slope, curv = _probe_slope_curvature(lp_minus, lp, lp_plus, h)
+        if abs(slope) <= GRAD_TOL:
+            return "gradient tolerance"
+        step = -slope / curv if curv < 0.0 else np.sign(slope)
+        step = np.clip(u + np.clip(step, -1.0, 1.0), -box, box) - u
+        while True:
+            # NaN, from a slope no probe gave, is no step either
+            if not abs(step) > 1e-8:
+                return "roundoff step"
+            _, lp_trial, approx = evaluate(u + step)
+            if approx is not None and lp_trial >= lp:
+                break
+            step *= 0.5
+        u, lp = u + step, lp_trial
+
+
+def optimize_theta(model, init=None, max_evals=200):
+    """Search for the hyper posterior mode with central-difference
+    gradients; returns (theta_mode_internal, hessian_u, info).
+
+    One free hyper: ``_newton_search``, a safeguarded Newton ascent whose
+    curvature is the second difference of the three points its gradient
+    evaluates anyway.  At the box edge the probe past it is a failed
+    evaluation, never solved, and the one-sided difference leads the
+    search off the edge.
+
+    Two or more: L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) minimizes -lp/s
+    with s = max(1, |grad lp(u0)|_inf), the start point's gradient that
+    the search needs anyway (it is handed back as the first evaluation, so
+    the scaling costs none).  Its first step goes to the Cauchy point of a
     unit-Hessian model, so scaling bounds that step to one internal unit
     per coordinate instead of |grad lp(u0)|, which otherwise lands on the
     +-30 box corner.  ``GRAD_TOL`` is divided by s, so the
@@ -586,11 +650,14 @@ def optimize_theta(model, init=None, max_evals=200):
     evaluation, a gradient probe outside the box included, reads as a
     -1e10 wall.
 
-    The mode is the best point evaluated.  The Hessian, in the
-    free-coordinate basis, is a central-difference stencil around it: its
-    centre value is that evaluation's lp and its first point warm-starts
-    from that evaluation's latent mode, so the mode is not solved again.
-    A failed stencil evaluation raises ``InferenceError`` with the mode as
+    Both searches raise ``InferenceError`` with the best point as ``best``
+    once ``max_evals`` points are evaluated; ``info["optimizer_message"]``
+    says how a search that returns ended.  The mode is the best point
+    evaluated.  The Hessian, in the free-coordinate basis, is a
+    central-difference stencil around it: its centre value is that
+    evaluation's lp and its first point warm-starts from that
+    evaluation's latent mode, so the mode is not solved again.  A failed
+    stencil evaluation raises ``InferenceError`` with the mode as
     ``best``, since it has no value to enter the Hessian with.
     ``info["mode_approx"]`` is that evaluation's ``GaussianApprox`` (None
     when no hyper is free), for ``explore_theta``'s ``center``.  Only the
@@ -605,49 +672,25 @@ def optimize_theta(model, init=None, max_evals=200):
     u0 = hyper.to_u(model.initial_internal() if init is None else init)
     u0 = np.clip(u0, -hyper.BOX, hyper.BOX)
 
-    def neg(u):
+    def evaluate(u):
         if hyper.count >= max_evals:
             raise InferenceError(
                 "hyper optimization exceeded its evaluation budget",
                 best=hyper.best[1],
                 diagnostics={"evaluations": hyper.count},
             )
-        _, lp, approx = hyper(u)
-        # usually a wild line search excursion: a steep wall, not an abort
-        return 1e10 if approx is None else -lp
+        return hyper(u)
 
-    def neg_and_grad(u):
-        f = neg(u)
-        g = np.zeros(m)
-        for i in range(m):
-            e = np.zeros(m)
-            e[i] = GRAD_STEP
-            g[i] = (neg(u + e) - neg(u - e)) / (2.0 * GRAD_STEP)
-        return f, g
-
-    f_start, g_start = neg_and_grad(u0)
-    scale = max(1.0, float(np.max(np.abs(g_start))))
-
-    def scaled(u):
-        # L-BFGS-B evaluates the start point first: already paid for
-        if np.array_equal(u, u0):
-            f, g = f_start, g_start
-        else:
-            f, g = neg_and_grad(u)
-        return f / scale, g / scale
-
-    res = minimize(
-        scaled,
-        u0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(-hyper.BOX, hyper.BOX)] * m,
-        options={"gtol": GRAD_TOL / scale, "maxiter": 1000, "ftol": 1e-12},
-    )
+    if m == 1:
+        message = _newton_search(
+            lambda u: evaluate(np.array([u])), float(u0[0]), hyper.BOX
+        )
+    else:
+        message = _lbfgsb_search(evaluate, u0, hyper.BOX)
     lp_mode, theta_mode, approx_mode = hyper.best
     if theta_mode is None:
-        # every evaluation hit the -1e10 wall, so the optimizer's answer
-        # is the start point and its curvature is flat
+        # every evaluation failed, so the search's answer is the start
+        # point and its curvature is flat
         raise InferenceError(
             "no successful Laplace evaluation during hyper optimization",
             diagnostics={"evaluations": hyper.count},
@@ -695,10 +738,51 @@ def optimize_theta(model, init=None, max_evals=200):
 
     info = {
         "evaluations": evaluations,
-        "optimizer_message": str(res.message),
+        "optimizer_message": message,
         "mode_approx": approx_mode,
     }
     return theta_mode, H, info
+
+
+def _lbfgsb_search(evaluate, u0, box):
+    """L-BFGS-B on -lp/s from ``u0`` (see ``optimize_theta``); returns its
+    message.  ``evaluate(u)`` is the budgeted evaluator."""
+    m = u0.size
+
+    def neg(u):
+        _, lp, approx = evaluate(u)
+        # usually a wild line search excursion: a steep wall, not an abort
+        return 1e10 if approx is None else -lp
+
+    def neg_and_grad(u):
+        f = neg(u)
+        g = np.zeros(m)
+        for i in range(m):
+            e = np.zeros(m)
+            e[i] = GRAD_STEP
+            g[i] = (neg(u + e) - neg(u - e)) / (2.0 * GRAD_STEP)
+        return f, g
+
+    f_start, g_start = neg_and_grad(u0)
+    scale = max(1.0, float(np.max(np.abs(g_start))))
+
+    def scaled(u):
+        # L-BFGS-B evaluates the start point first: already paid for
+        if np.array_equal(u, u0):
+            f, g = f_start, g_start
+        else:
+            f, g = neg_and_grad(u)
+        return f / scale, g / scale
+
+    res = minimize(
+        scaled,
+        u0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(-box, box)] * m,
+        options={"gtol": GRAD_TOL / scale, "maxiter": 1000, "ftol": 1e-12},
+    )
+    return str(res.message)
 
 
 def _spd_directions(H, step):
@@ -743,7 +827,7 @@ def explore_theta(model, theta_mode_internal, hessian, step=0.75, center=None):
             best=theta_mode_internal,
         )
     if m == 0:
-        return [ThetaPoint(th0, lp0, 1.0, approx0)]
+        return [ThetaPoint(th0, model.theta_natural(th0), lp0, 1.0, approx0)]
 
     axes, _, _ = _spd_directions(hessian, step)
 
@@ -806,39 +890,55 @@ def explore_theta(model, theta_mode_internal, hessian, step=0.75, center=None):
     raw = design * np.exp(lps - np.max(lps))
     weights = raw / np.sum(raw)
     return [
-        ThetaPoint(p[0], p[1], float(wt), p[3])
+        ThetaPoint(p[0], model.theta_natural(p[0]), p[1], float(wt), p[3])
         for p, wt in zip(points, weights)
     ]
 
 
 def _mixture_quantiles(mus, sds, weights, probs, tol=1e-8):
-    """Quantiles of per-node Gaussian mixtures, bisection in probability.
+    """Quantiles of per-node Gaussian mixtures, to ``tol`` in probability.
 
     mus, sds: arrays (points, nodes); weights: (points,); probs: list.
+    Returns (len(probs), nodes).
+
+    Every (probability, node) entry starts at the quantile of the
+    moment-matched Gaussian and takes Newton steps on the mixture CDF, whose
+    derivative is the mixture density.  The bracket [min(mu - 10 sd),
+    max(mu + 10 sd)] shrinks around the root at every evaluation, and a
+    Newton step that leaves it is replaced by bisection.  An entry is frozen
+    once |F(q) - p| < tol, or once its bracket leaves no float between its
+    ends; each iteration evaluates the CDF and the density of the entries
+    still open, for all probabilities at once.
     """
-    n = mus.shape[1]
+    k, n = len(probs), mus.shape[1]
     sds = np.maximum(sds, 1e-12)
-    out = np.empty((len(probs), n))
-    lo0 = np.min(mus - 10.0 * sds, axis=0)
-    hi0 = np.max(mus + 10.0 * sds, axis=0)
-
-    def cdf(x):
-        z = (x[None, :] - mus) / sds
-        return np.einsum("p,pn->n", weights, ndtr(z))
-
-    for qi, p in enumerate(probs):
-        lo, hi = lo0.copy(), hi0.copy()
-        mid = 0.5 * (lo + hi)
-        for _ in range(200):
-            c = cdf(mid)
-            under = c < p
-            lo = np.where(under, mid, lo)
-            hi = np.where(under, hi, mid)
-            if np.max(np.abs(c - p)) < tol:
-                break
-            mid = 0.5 * (lo + hi)
-        out[qi] = mid
-    return out
+    p = np.repeat(np.asarray(probs, dtype=float), n)
+    node = np.tile(np.arange(n), k)
+    lo = np.tile(np.min(mus - 10.0 * sds, axis=0), k)
+    hi = np.tile(np.max(mus + 10.0 * sds, axis=0), k)
+    mean = weights @ mus
+    sd = np.sqrt(np.maximum(weights @ (sds**2 + mus**2) - mean**2, 0.0))
+    x = np.clip(mean[node] + sd[node] * ndtri(p), lo, hi)
+    open_ = np.arange(k * n)
+    for _ in range(200):
+        xa, ca = x[open_], node[open_]
+        s = sds[:, ca]
+        z = (xa - mus[:, ca]) / s
+        r = weights @ ndtr(z) - p[open_]
+        dens = weights @ (np.exp(-0.5 * z**2) / s) / np.sqrt(2.0 * np.pi)
+        under = r < 0.0
+        lo[open_] = lo_a = np.where(under, xa, lo[open_])
+        hi[open_] = hi_a = np.where(under, hi[open_], xa)
+        # a zero density makes a huge step, which the bracket refuses
+        step = xa - r / np.maximum(dens, np.finfo(float).tiny)
+        inside = (step > lo_a) & (step < hi_a)
+        nxt = np.where(inside, step, 0.5 * (lo_a + hi_a))
+        moving = (np.abs(r) >= tol) & (nxt != xa)
+        open_ = open_[moving]
+        if open_.size == 0:
+            break
+        x[open_] = nxt[moving]
+    return x.reshape(k, n)
 
 
 def latent_marginals(points):

@@ -130,8 +130,9 @@ def _point_batches(fit, n, rng):
     for pt, count in zip(fit.points, counts):
         if count == 0:
             continue
-        theta = fit.model.theta_natural(pt.theta_internal)
-        batches.append((pt.theta_internal, theta, pt.approx.sample(rng, count)))
+        batches.append(
+            (pt.theta_internal, pt.theta, pt.approx.sample(rng, count))
+        )
     return batches
 
 

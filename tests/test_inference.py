@@ -14,9 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import null_space
 from scipy.sparse._compressed import _cs_matrix
 from scipy.optimize import minimize_scalar
+from scipy.special import ndtr
 from scipy.stats import norm
 
 import circfit
@@ -1098,22 +1100,33 @@ class TestOptimizeTheta:
     def test_gradient_probe_past_the_box_is_a_failed_evaluation(
         self, monkeypatch
     ):
-        # from a start on the +30 edge the forward probe at 30 + 1e-4 is
-        # outside the hyper box: it reads as the wall without a Laplace
-        # evaluation.  lp(30) lies far below the wall here, so the search
-        # stops on the edge and the stencil's point past it fails too
+        # from a start on either box edge the probe past it is a failed
+        # evaluation, never solved: the one-sided difference to the other
+        # probe leads the search off the edge to the mode.  lp(30) lies far
+        # below the -1e10 wall here, which held L-BFGS-B on the edge
         m = tau_free_model()
-        evaluated = []
+        ref = minimize_scalar(
+            lambda t: -log_posterior_theta(m, np.array([t]))[0],
+            bracket=(-1.0, 1.0, 4.0), method="golden",
+            options={"xtol": 1e-10},
+        )
         real = inference.log_posterior_theta
+        for edge in (30.0, -30.0):
+            evaluated = []
 
-        def recording(model, theta_internal, *args, **kwargs):
-            evaluated.append(float(theta_internal[0]))
-            return real(model, theta_internal, *args, **kwargs)
+            def recording(model, theta_internal, *args, **kwargs):
+                evaluated.append(float(theta_internal[0]))
+                return real(model, theta_internal, *args, **kwargs)
 
-        monkeypatch.setattr(inference, "log_posterior_theta", recording)
-        with pytest.raises(InferenceError, match="Hessian stencil"):
-            optimize_theta(m, init=np.array([30.0]))
-        assert evaluated == [30.0, 30.0 - 1e-4]
+            monkeypatch.setattr(inference, "log_posterior_theta", recording)
+            theta_mode, hessian, info = optimize_theta(
+                m, init=np.array([edge])
+            )
+            assert evaluated[:2] == [edge, edge - np.sign(edge) * 1e-4]
+            assert np.max(np.abs(evaluated)) <= 30.0
+            assert theta_mode[0] == pytest.approx(ref.x, abs=1e-4)
+            assert hessian[0, 0] > 0.0
+            assert info["evaluations"] <= 200
 
     def test_saturated_vine_partials_are_a_failed_evaluation(self):
         # inside the box, partials of -+tanh(15) alternating over mv6's 15
@@ -1182,6 +1195,78 @@ class TestOptimizeTheta:
         # the first iterate and its gradient stencil included
         head = u[: first + 1 + 2 * len(free)]
         assert np.max(np.abs(head - u0)) <= 1.0 + inference.GRAD_STEP
+
+
+    def test_one_hyper_search_evaluates_no_point_twice(self, monkeypatch):
+        m = _study_model(generate_sim1, sim1_spec, SIM1_TRUTH, 1000, seed=1000)
+        evaluated = []
+        real = inference.log_posterior_theta
+
+        def recording(model, theta_internal, *args, **kwargs):
+            evaluated.append(tuple(theta_internal))
+            return real(model, theta_internal, *args, **kwargs)
+
+        monkeypatch.setattr(inference, "log_posterior_theta", recording)
+        _, _, info = optimize_theta(m)
+        search = evaluated[: info["evaluations"]]
+        assert len(set(search)) == len(search)
+        assert info["optimizer_message"] in (
+            "gradient tolerance", "roundoff step"
+        )
+
+    def test_one_hyper_search_stops_on_a_sub_roundoff_step(self, monkeypatch):
+        # the probes read a slope of 2 GRAD_TOL at the start and every
+        # other point reads lower: the Newton step is halved until it is
+        # below roundoff, where it stops.  Halved on, the step would round
+        # to zero and evaluate the start again, and the search would read
+        # the same probes there until the budget ran out
+        m = tau_free_model()
+        u0 = float(optimize_theta(m)[0][0])
+        h, tilt = inference.GRAD_STEP, 2.0 * inference.GRAD_TOL
+        real = inference.log_posterior_theta
+        evaluated = []
+
+        def tilted(model, theta_internal, *args, **kwargs):
+            u = float(theta_internal[0])
+            evaluated.append(u)
+            lp, approx = real(model, theta_internal, *args, **kwargs)
+            if u in (u0, u0 + h, u0 - h):
+                return lp + tilt * (u - u0), approx
+            return lp - 1.0, approx
+
+        monkeypatch.setattr(inference, "log_posterior_theta", tilted)
+        theta_mode, _, info = optimize_theta(m, init=np.array([u0]))
+        assert info["optimizer_message"] == "roundoff step"
+        assert theta_mode[0] == u0
+        search = evaluated[: info["evaluations"]]
+        assert len(set(search)) == len(search)
+        # the last step tried is the last one above roundoff
+        assert 1e-8 < abs(search[-1] - u0) <= 2e-8
+        assert info["evaluations"] <= 30
+
+    @pytest.mark.parametrize("seed", [1000, 1001, 1002, 1003, 1004])
+    def test_sim1_fit_makes_at_most_32_laplace_calls(self, seed, monkeypatch):
+        # L-BFGS-B made 39 calls on each of these fits: 27 in the search
+        m = _study_model(generate_sim1, sim1_spec, SIM1_TRUTH, 1000, seed=seed)
+        calls = []
+        real = inference.log_posterior_theta
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "log_posterior_theta", counting)
+        fit_model(m)
+        assert len(calls) <= 32
+
+    def test_one_hyper_budget_error_carries_best_point(self):
+        m = tau_free_model()
+        for max_evals in (1, 3, 5):
+            with pytest.raises(InferenceError, match="budget") as err:
+                optimize_theta(m, max_evals=max_evals)
+            assert err.value.diagnostics["evaluations"] == max_evals
+            assert err.value.best is not None
+            assert np.all(np.isfinite(err.value.best))
 
 
 class TestExploreTheta:
@@ -1332,6 +1417,13 @@ class TestExploreTheta:
             rtol=1e-9,
         )
 
+    @pytest.mark.parametrize("factory", [tau_free_model, two_hyper_model])
+    def test_points_carry_their_natural_hypers(self, factory):
+        m = factory()
+        theta_mode, hessian, _ = optimize_theta(m)
+        for pt in explore_theta(m, theta_mode, hessian):
+            assert pt.theta == m.theta_natural(pt.theta_internal)
+
     def test_flat_direction_stays_inside_the_hyper_box(self):
         # a near-flat curvature makes the first grid step 750 internal
         # units long, where tanh rounds the partial autocorrelation to 1
@@ -1346,6 +1438,56 @@ class TestExploreTheta:
         for pt in points:
             theta = m.theta_natural(pt.theta_internal)
             assert -1.0 < theta["p1"] < 1.0 and -1.0 < theta["p2"] < 1.0
+
+
+def bisection_quantiles(mus, sds, weights, probs, tol=1e-8):
+    """Reference for ``_mixture_quantiles``: plain bisection in probability
+    on [min(mu - 10 sd), max(mu + 10 sd)], all nodes together."""
+    n = mus.shape[1]
+    sds = np.maximum(sds, 1e-12)
+    out = np.empty((len(probs), n))
+    lo0 = np.min(mus - 10.0 * sds, axis=0)
+    hi0 = np.max(mus + 10.0 * sds, axis=0)
+
+    def cdf(x):
+        z = (x[None, :] - mus) / sds
+        return np.einsum("p,pn->n", weights, ndtr(z))
+
+    for qi, p in enumerate(probs):
+        lo, hi = lo0.copy(), hi0.copy()
+        mid = 0.5 * (lo + hi)
+        for _ in range(200):
+            c = cdf(mid)
+            under = c < p
+            lo = np.where(under, mid, lo)
+            hi = np.where(under, hi, mid)
+            if np.max(np.abs(c - p)) < tol:
+                break
+            mid = 0.5 * (lo + hi)
+        out[qi] = mid
+    return out
+
+
+def mixture_cdf(mus, sds, weights, x):
+    """F at x (k, nodes) of every node's mixture."""
+    z = (x[None] - mus[:, None, :]) / np.maximum(sds, 1e-12)[:, None, :]
+    return np.einsum("p,pkn->kn", weights, ndtr(z))
+
+
+def random_mixture(seed):
+    """Mixtures over 1-6 points and 1-5 nodes: sds from 1e-6 to 1e2 or at
+    (and below) the 1e-12 floor, and some nodes with their components 1e3
+    sds apart."""
+    rng = np.random.default_rng(seed)
+    n_pts, n = rng.integers(1, 7), rng.integers(1, 6)
+    mus = rng.normal(0.0, 3.0, (n_pts, n))
+    sds = 10.0 ** rng.uniform(-6.0, 2.0, (n_pts, n))
+    floor = rng.random((n_pts, n)) < 0.2
+    sds[floor] = rng.choice([0.0, 1e-14, 1e-12], floor.sum())
+    apart = rng.random(n) < 0.3
+    spread = 1e3 * np.maximum(sds, 1e-12) * np.arange(n_pts)[:, None]
+    mus[:, apart] = mus[:1, apart] + spread[:, apart]
+    return mus, sds, rng.dirichlet(np.ones(n_pts))
 
 
 class TestLatentMixture:
@@ -1376,6 +1518,64 @@ class TestLatentMixture:
         qs = _mixture_quantiles(mus, sds, weights, [0.1, 0.5, 0.9])
         ref = norm.ppf([0.1, 0.5, 0.9], loc=0.7, scale=1.3)
         np.testing.assert_allclose(qs[:, 0], ref, atol=1e-7)
+
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_quantiles_solve_the_mixture_cdf(self, seed):
+        # where one float step of x moves F by more than tol (a component
+        # at the 1e-12 sd floor away from 0), the root lies between q's
+        # neighbouring floats instead
+        tol, probs = 1e-8, [0.025, 0.5, 0.975]
+        mus, sds, weights = random_mixture(seed)
+        p = np.array(probs)[:, None]
+        qs = _mixture_quantiles(mus, sds, weights, probs, tol)
+        ref = bisection_quantiles(mus, sds, weights, probs, tol)
+        assert np.all(qs[0] <= qs[1]) and np.all(qs[1] <= qs[2])
+        f, f_ref = (mixture_cdf(mus, sds, weights, q) for q in (qs, ref))
+        below = mixture_cdf(mus, sds, weights, np.nextafter(qs, -np.inf))
+        above = mixture_cdf(mus, sds, weights, np.nextafter(qs, np.inf))
+        solved = np.abs(f - p) < tol
+        at_float = (below <= p + tol) & (above >= p - tol)
+        assert np.all(solved | at_float)
+        agree = np.abs(f - f_ref) < 2.0 * tol
+        near = np.abs(qs - ref) <= 2.0 * np.spacing(np.abs(ref))
+        assert np.all(agree | (at_float & near))
+
+    def test_a_converged_node_stays_put_while_others_search(
+        self, monkeypatch
+    ):
+        # node 0 is solved from the moment-matched start in a step or two;
+        # node 1's components lie 1e3 sds apart, so its start reads zero
+        # density and bisection takes dozens of iterations.  Node 0's
+        # entries must be frozen meanwhile: neither moved nor evaluated
+        probs = [0.025, 0.5, 0.975]
+        mus = np.array([[0.3, 0.0], [0.3, 1000.0]])
+        sds = np.ones((2, 2))
+        weights = np.array([0.3, 0.7])
+        evaluated = []
+        real = inference.ndtr
+
+        def counting(z):
+            evaluated.append(z.shape[-1])
+            return real(z)
+
+        monkeypatch.setattr(inference, "ndtr", counting)
+        alone, iterations, work = [], [], 0
+        for cols in (slice(0, 1), slice(1, 2)):
+            alone.append(
+                _mixture_quantiles(mus[:, cols], sds[:, cols], weights, probs)
+            )
+            iterations.append(len(evaluated))
+            work += sum(evaluated)
+            evaluated.clear()
+        assert iterations[0] <= 3 and iterations[1] >= 10
+        qs = _mixture_quantiles(mus, sds, weights, probs)
+        assert len(evaluated) == iterations[1] and sum(evaluated) == work
+        np.testing.assert_allclose(qs, np.hstack(alone), rtol=1e-14)
+        np.testing.assert_allclose(qs[:, 0], norm.ppf(probs, 0.3), atol=1e-9)
+        f = mixture_cdf(mus, sds, weights, qs)
+        assert np.all(np.abs(f - np.array(probs)[:, None]) < 1e-8)
 
 
 class TestHyperMarginals:
