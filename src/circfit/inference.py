@@ -20,7 +20,7 @@ from scipy.special import ndtr, ndtri
 
 from .likelihoods import lavm_curvature_floor, loglik
 from .model import AssembledModel, NewtonSystem
-from .priors import TRANSFORMS
+from .priors import TRANSFORMS, prior_median_internal
 
 __all__ = [
     "GaussianApprox",
@@ -40,13 +40,15 @@ CURVATURE_MIN = 1e-12
 
 # fit-stage settings: Newton's gradient tolerance and iteration limit; the
 # mode search's gradient step, |grad lp| tolerance and Hessian stencil
-# step; the exploration's lp drop, steps per axis and CCD radius; the
-# marginal scans' step in posterior sds, lp drop and steps per direction
+# step; the exploration's grid step in posterior sds, lp drop, steps per
+# axis and CCD radius; the marginal scans' step in posterior sds, lp drop
+# and steps per direction
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 100
 GRAD_STEP = 1e-4
 GRAD_TOL = 1e-5
 HESSIAN_STEP = 0.05
+EXPLORE_STEP = 0.75
 EXPLORE_DROP = 5.0
 EXPLORE_MAX_STEPS = 10
 CCD_RADIUS = 1.1
@@ -519,7 +521,11 @@ class _HyperEvaluator:
 
     def __init__(self, model):
         self.model = model
-        self.base = model.initial_internal()
+        # fixed coordinates at their values; to_full sets the free ones
+        self.base = np.array([
+            prior_median_internal(c.spec) if c.is_fixed else 0.0
+            for c in model.hyper_coords
+        ])
         self.free = np.array(
             [i for i, c in enumerate(model.hyper_coords) if not c.is_fixed],
             dtype=int,
@@ -790,16 +796,16 @@ def _spd_directions(H, step):
     standard deviations; non-positive curvature falls back to unit scale."""
     vals, vecs = eigh(H)
     vals = np.where(vals > 1e-8, vals, 1.0)
-    return vecs * (step / np.sqrt(vals)), vals, vecs
+    return vecs * (step / np.sqrt(vals))
 
 
-def explore_theta(model, theta_mode_internal, hessian, step=0.75, center=None):
+def explore_theta(model, theta_mode_internal, hessian, center=None):
     """Weighted hyper-space point set around the mode.
 
     Free dimension up to 2: centered product grid in the Hessian eigenbasis
-    (spacing `step` standard deviations).  Each axis is walked both ways
-    from the mode until the log posterior falls ``EXPLORE_DROP`` below the
-    mode's, and spans the longer walk's extent on both sides.  The probes
+    (spacing ``EXPLORE_STEP`` standard deviations).  Each axis is walked
+    both ways from the mode until the log posterior falls ``EXPLORE_DROP``
+    below the mode's, and spans the longer walk's extent on both sides.  The probes
     that set the extents are kept by integer offset and reused as grid
     points, each reused point's latent mode becoming the next warm start,
     so a grid point is evaluated only when no probe reached it.  Higher
@@ -829,7 +835,7 @@ def explore_theta(model, theta_mode_internal, hessian, step=0.75, center=None):
     if m == 0:
         return [ThetaPoint(th0, model.theta_natural(th0), lp0, 1.0, approx0)]
 
-    axes, _, _ = _spd_directions(hessian, step)
+    axes = _spd_directions(hessian, EXPLORE_STEP)
 
     points = []
     if m <= 2:
@@ -879,7 +885,7 @@ def explore_theta(model, theta_mode_internal, hessian, step=0.75, center=None):
         w0 = np_pts * (CCD_RADIUS**2 - 1.0) * np.exp(-0.5 * m * CCD_RADIUS**2)
         points[0][2] = w0
         for z in zs:
-            th, lp, approx = hyper(u_mode + axes @ (z / step))
+            th, lp, approx = hyper(u_mode + axes @ (z / EXPLORE_STEP))
             if approx is not None:
                 points.append([th, lp, 1.0, approx])
 
@@ -1101,12 +1107,11 @@ def hyper_marginals(model, points, theta_mode_internal, hessian):
     return out
 
 
-def fit_model(model, *, max_evals=200, explore_step=0.75):
+def fit_model(model, *, max_evals=200):
     """Run the full pipeline: mode search, exploration, marginals.
 
-    ``max_evals`` is ``optimize_theta``'s evaluation budget and
-    ``explore_step`` ``explore_theta``'s grid spacing; every other setting
-    is a module constant.
+    ``max_evals`` is ``optimize_theta``'s evaluation budget; every other
+    setting is a module constant.
     """
     timings = {}
     t0 = time.perf_counter()
@@ -1115,8 +1120,7 @@ def fit_model(model, *, max_evals=200, explore_step=0.75):
 
     t0 = time.perf_counter()
     points = explore_theta(
-        model, theta_mode, hessian,
-        step=explore_step, center=opt_info["mode_approx"],
+        model, theta_mode, hessian, center=opt_info["mode_approx"]
     )
     timings["explore"] = time.perf_counter() - t0
 

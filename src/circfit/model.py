@@ -13,11 +13,13 @@ once, as a ``PredictorTerm`` holding ``term_design``'s latent node and
 coefficient per observation; ``terms_predictor`` sums such records, fitted
 or copied with the nodes and coefficients of new inputs.
 
-A fit works on value arrays over the patterns ``ModelStructure`` fixes once
-per model and builds no matrix from them: the prior's values are read from
-each component kind's closed form, and Q*'s go straight into the storage its
-factor reads.  ``AssembledModel.prior_precision`` and ``block_matrix`` are
-sparse views of value arrays that no fit reads.
+``ModelStructure`` fixes each sparsity pattern once per model as index
+arrays, the (rows, cols) of its stored entries in column-major or row-major
+order, and a fit works on value arrays over them and builds no matrix: the
+prior's values are read from each component kind's closed form, and Q*'s
+go straight into the storage its factor reads.
+``AssembledModel.prior_precision`` and ``block_matrix`` are sparse views
+of value arrays that no fit reads.
 """
 
 import warnings
@@ -254,7 +256,6 @@ class AssembledModel:
                  latent_dim, constraints, unit_precisions):
         self.spec = spec
         self.hyper_coords = hyper_coords
-        self.hyper_index = {c.name: i for i, c in enumerate(hyper_coords)}
         self.blocks = {}
         self.comp_offsets = comp_offsets
         self.effect_nodes = effect_nodes
@@ -309,15 +310,20 @@ class AssembledModel:
         return self._structure
 
     # -- matrix views: no fit reads them; the perfbench tracer wraps both
-    # by name ------------------------------------------------------------
+    # by name.  Each copies the index arrays it is built on, so no caller
+    # can write the structure's -----------------------------------------
 
     def prior_precision(self, theta: dict):
         """Joint prior precision over the latent vector as a csc matrix
         and its generalized log-determinant, at natural hyper values theta.
         The matrix keeps the structural pattern whatever theta is."""
-        data, log_gdet = self.structure.prior_values(theta)
-        P = self.structure.prior
-        Q = sparse.csc_array((data, P.indices, P.indptr), shape=P.shape)
+        S = self.structure
+        data, log_gdet = S.prior_values(theta)
+        n = self.latent_dim
+        indptr = np.searchsorted(S.prior_cols, np.arange(n + 1))
+        Q = sparse.csc_array(
+            (data, S.prior_rows, indptr), shape=(n, n), copy=True
+        )
         return Q, log_gdet
 
     def block_matrix(self, block_name: str, theta: dict) -> sparse.csr_array:
@@ -326,43 +332,23 @@ class AssembledModel:
         of the block's terms whatever theta is."""
         pat = self.structure.blocks[block_name]
         values = pat._combine([term.factor(theta) for term in pat.terms])
-        P = pat.pattern
-        return sparse.csr_array((values, P.indices, P.indptr), shape=P.shape)
-
-
-def _pattern(keys, shape, fmt):
-    """The canonical (sorted, duplicate-free) csr or csc pattern of the
-    entries with the given keys, as ``_keys`` forms them; keys may repeat.
-    Stored zeros count, so a pattern never depends on values."""
-    keys = np.unique(keys)
-    major_dim, minor_dim = shape if fmt == "csr" else shape[::-1]
-    indptr = np.searchsorted(keys // minor_dim, np.arange(major_dim + 1))
-    compressed = sparse.csr_array if fmt == "csr" else sparse.csc_array
-    P = compressed((np.ones(keys.size), keys % minor_dim, indptr), shape=shape)
-    # matrices built on this pattern share its index arrays
-    P.indices.flags.writeable = False
-    P.indptr.flags.writeable = False
-    return P
-
-
-def _keys(P):
-    """Sortable key per stored entry of a compressed matrix: major index
-    times the minor dimension plus the minor index."""
-    major = np.repeat(np.arange(P.indptr.size - 1, dtype=np.int64), np.diff(P.indptr))
-    minor_dim = P.shape[1] if P.format == "csr" else P.shape[0]
-    return major * minor_dim + P.indices
+        return sparse.csr_array(
+            (values, pat.cols, pat.indptr),
+            shape=(pat.size, self.latent_dim), copy=True,
+        )
 
 
 class _BlockPattern:
-    """Union CSR pattern of a block's terms and a (terms, nnz) coefficient
-    array, so A_b(theta) = sum_t coef[t] * (product of chain t's scales).
-    ``rows`` and ``cols`` give each stored entry's position, and
-    ``nz_a``, ``nz_b`` every pair of stored entries a, b in one row with
-    cols[a] >= cols[b]: the products A[i, a] A[i, b] of these pairs make
-    up the lower triangle of the symmetric A_b' diag(c) A_b."""
+    """A block's union pattern, the (rows, cols) of each stored entry of
+    A_b in row-major order with ``indptr`` the start of each of its
+    ``size`` rows, and a (terms, nnz) coefficient array, so A_b(theta) =
+    sum_t coef[t] * (product of chain t's scales).  ``nz_a``, ``nz_b``
+    hold every pair of stored entries a, b in one row with cols[a] >=
+    cols[b]: the products A[i, a] A[i, b] of these pairs make up the lower
+    triangle of the symmetric A_b' diag(c) A_b."""
 
     def __init__(self, block, latent_dim):
-        # each term stores one entry per observation, keyed as in csr
+        # each term stores one entry per observation, keyed row-major
         obs = np.arange(block.size)
         keys = np.array([obs * latent_dim + t.nodes for t in block.terms])
         union, where = np.unique(keys, return_inverse=True)
@@ -371,14 +357,14 @@ class _BlockPattern:
         for t, term in enumerate(block.terms):
             self.coef[t, where[t]] = term.coef
         self.terms = block.terms
-        self.pattern = _pattern(union, (block.size, latent_dim), "csr")
+        self.size = block.size
         self.rows = union // latent_dim
         self.cols = union % latent_dim
-        P = self.pattern
-        partners = np.diff(P.indptr)[self.rows]
-        nz_a = np.repeat(np.arange(P.nnz), partners)
+        self.indptr = np.searchsorted(self.rows, np.arange(self.size + 1))
+        partners = np.diff(self.indptr)[self.rows]
+        nz_a = np.repeat(np.arange(union.size), partners)
         first = np.cumsum(partners) - partners
-        nz_b = np.repeat(P.indptr[self.rows], partners) + (
+        nz_b = np.repeat(self.indptr[self.rows], partners) + (
             np.arange(nz_a.size) - np.repeat(first, partners)
         )
         lower = self.cols[nz_a] >= self.cols[nz_b]
@@ -412,20 +398,24 @@ class _BlockPattern:
 
 
 def _component_pattern(model, comp):
-    """Structural pattern of one component's precision: the unit matrix's
-    for theta-free kinds, the full band for ar2 and full d x d blocks for
-    mv_iid, so entries that vanish at special theta stay stored."""
+    """The (rows, cols) of each stored entry of one component's precision,
+    in column-major order and rows ascending in each column: the full band
+    of half-width 2 for ar2 and full d x d blocks for mv_iid, so entries
+    that vanish at special theta stay stored, and the unit matrix's own
+    canonical csc entries for the theta-free kinds."""
     if comp.kind == "ar2":
         n = comp.size
-        M = sparse.diags_array(
-            [np.ones(n - abs(k)) for k in range(-2, 3)], offsets=range(-2, 3)
-        )
-    elif comp.kind == "mv_iid":
+        cols = np.repeat(np.arange(n), 5)
+        rows = cols + np.tile(np.arange(-2, 3), n)
+        keep = (rows >= 0) & (rows < n)
+        return rows[keep], cols[keep]
+    if comp.kind == "mv_iid":
         d = comp.block_dim
-        M = sparse.kron(sparse.eye_array(comp.size), np.ones((d, d)))
-    else:
-        M = model._unit[comp.name].matrix
-    return _pattern(_keys(sparse.csc_array(M)), M.shape, "csc")
+        cols = np.repeat(np.arange(comp.dimension), d)
+        return cols // d * d + np.tile(np.arange(d), comp.dimension), cols
+    M = model._unit[comp.name].matrix
+    cols = np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
+    return M.indices.astype(np.int64), cols
 
 
 class ModelStructure:
@@ -433,12 +423,15 @@ class ModelStructure:
     once the model is built, and each block's checked response terms.
 
     Holds each block's union pattern (``_BlockPattern``, which also keeps
-    its last design values and pair products) and the block-diagonal csc
-    pattern of the prior precision.  ``responses`` holds each block's
-    ``response_terms``, so a response outside its family's domain raises
-    ``ObservationError`` when the structure is built, at the start of the
-    first fit.  ``prior_parts`` holds each component and its pattern's
-    (rows, cols).  Per theta and per Newton step only values are computed
+    its last design values and pair products) and the prior precision's
+    pattern, block diagonal over the components in latent order and then
+    the fixed effects' diagonal: ``prior_rows`` and ``prior_cols`` give
+    each stored entry's (row, col) in column-major order.
+    ``responses`` holds each block's ``response_terms``, so a response
+    outside its family's domain raises ``ObservationError`` when the
+    structure is built, at the start of the first fit.  ``prior_parts``
+    holds each component and its pattern's (rows, cols) within the
+    component.  Per theta and per Newton step only values are computed
     (``NewtonSystem``).
 
     The Newton matrix Q* = Q_p + sum_b A_b' diag(c_b) A_b is stored as its
@@ -467,24 +460,23 @@ class ModelStructure:
             name: _BlockPattern(blk, n) for name, blk in model.blocks.items()
         }
 
-        # prior: components in latent order, then the fixed effects
+        # prior: components in latent order, each one's columns after the
+        # previous one's, then the fixed effects' diagonal
         self.prior_parts = []
-        patterns = []
+        rows, cols = [], []
         for comp in model.spec.components:
-            P = _component_pattern(model, comp)
-            patterns.append(P)
-            cols = np.repeat(np.arange(P.shape[1]), np.diff(P.indptr))
-            self.prior_parts.append((comp, P.indices, cols))
+            comp_rows, comp_cols = _component_pattern(model, comp)
+            self.prior_parts.append((comp, comp_rows, comp_cols))
+            offset = model.comp_offsets[comp.name]
+            rows.append(comp_rows + offset)
+            cols.append(comp_cols + offset)
         self.effect_prec = np.array(
             [e.prior_sd**-2.0 for e in model.spec.fixed_effects]
         )
         self.effect_log_gdet = float(np.sum(np.log(self.effect_prec)))
-        if self.effect_prec.size:
-            patterns.append(sparse.eye_array(self.effect_prec.size, format="csc"))
-        prior = sparse.block_diag(patterns, format="csc")
-        self.prior = _pattern(_keys(prior), prior.shape, "csc")
-        self.prior_rows = self.prior.indices
-        self.prior_cols = np.repeat(np.arange(n), np.diff(self.prior.indptr))
+        effects = np.arange(n - self.effect_prec.size, n)
+        self.prior_rows = np.concatenate(rows + [effects])
+        self.prior_cols = np.concatenate(cols + [effects])
 
         # the node pairs Q* stores: the prior's entries, then each block's
         # A'A pairs; reverse Cuthill-McKee orders their component block
@@ -501,13 +493,16 @@ class ModelStructure:
         rows, cols = rows[body], cols[body]
         self.perm = np.arange(n, dtype=np.int64)
         if n_body:
-            B = _pattern(
-                np.concatenate([rows * n_body + cols, cols * n_body + rows]),
-                (n_body, n_body), "csr",
+            # the symmetric csr pattern of the body, keyed in row-major order
+            keys = np.unique(
+                np.concatenate([rows * n_body + cols, cols * n_body + rows])
             )
-            self.perm[:n_body] = reverse_cuthill_mckee(
-                sparse.csr_matrix(B), symmetric_mode=True
+            indptr = np.searchsorted(keys // n_body, np.arange(n_body + 1))
+            B = sparse.csr_matrix(
+                (np.ones(keys.size), keys % n_body, indptr),
+                shape=(n_body, n_body),
             )
+            self.perm[:n_body] = reverse_cuthill_mckee(B, symmetric_mode=True)
         rank = np.argsort(self.perm)  # the factor position of each node
         self.bandwidth = int(np.max(abs(rank[rows] - rank[cols]), initial=0))
         band_size = (self.bandwidth + 1) * n_body
@@ -624,7 +619,7 @@ class NewtonSystem:
         P = self.structure.blocks[name]
         return np.bincount(
             P.rows, weights=self.designs[name] * np.take(w, P.cols),
-            minlength=P.pattern.shape[0],
+            minlength=P.size,
         )
 
     def transpose_times(self, name, v):
@@ -632,7 +627,7 @@ class NewtonSystem:
         P = self.structure.blocks[name]
         return np.bincount(
             P.cols, weights=self.designs[name] * np.take(v, P.rows),
-            minlength=P.pattern.shape[1],
+            minlength=self.structure.model.latent_dim,
         )
 
     def values(self, curvatures):

@@ -1350,7 +1350,7 @@ class TestExploreTheta:
 
         monkeypatch.setattr(inference, "log_posterior_theta", recording)
         explore_theta(m, theta_mode, hessian, center=center)
-        axes, _, _ = _spd_directions(hessian, 0.75)
+        axes = _spd_directions(hessian, 0.75)
         for i in range(axes.shape[1]):
             for sign in (1, -1):
                 first = theta_mode + sign * axes[:, i]
@@ -1725,9 +1725,10 @@ class TestFitModel:
             )
             assert a.hyper_summary[name] == b.hyper_summary[name]
 
-    def test_halving_exploration_step_barely_moves_results(self):
-        coarse = fit_model(kappa_free_model(), explore_step=0.75)
-        fine = fit_model(kappa_free_model(), explore_step=0.375)
+    def test_halving_exploration_step_barely_moves_results(self, monkeypatch):
+        coarse = fit_model(kappa_free_model())
+        monkeypatch.setattr(inference, "EXPLORE_STEP", 0.375)
+        fine = fit_model(kappa_free_model())
         sd_int = 1.0 / np.sqrt(coarse.hessian[0, 0])
         d_mode = abs(
             np.log(coarse.hyper_summary["kappa"]["mode"])

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse._compressed import _cs_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,13 +16,25 @@ from circfit.model import (
     ComponentSpec,
     FixedEffectSpec,
     ModelSpec,
+    ModelStructure,
     TermSpec,
+    _component_pattern,
     build_model,
     classical_sincos_spec,
     terms_predictor,
 )
 from circfit.priors import ConfigurationError, PriorSpec, partials_to_correlation
-from circfit.studies import SIM1_TRUTH, generate_sim1, sim1_spec
+from circfit.studies import (
+    SIM1_TRUTH,
+    SIM2_TRUTH,
+    SIM3_TRUTH,
+    generate_sim1,
+    generate_sim2,
+    generate_sim3,
+    sim1_spec,
+    sim2_spec,
+    sim3_spec,
+)
 from dense_reference import component_precision, dense, design, prior
 
 
@@ -39,7 +52,7 @@ def engine_prior(m, theta):
     its log generalized determinant."""
     S = m.structure
     data, log_gdet = S.prior_values(theta)
-    return dense(S.prior_rows, S.prior_cols, data, S.prior.shape), log_gdet
+    return dense(S.prior_rows, S.prior_cols, data, (m.latent_dim,) * 2), log_gdet
 
 
 def intercept_only_spec(n=20, seed=3):
@@ -517,19 +530,19 @@ class TestFixedStructure:
         m = build_model(structure_spec())
         S = m.structure
         for theta in (GENERIC_THETA, SPECIAL_THETA):
-            assert S.prior_values(theta)[0].shape == (S.prior.nnz,)
+            assert S.prior_values(theta)[0].shape == S.prior_rows.shape
             for pat in S.blocks.values():
                 values, products = pat.design(theta)
-                assert values.shape == (pat.pattern.nnz,)
+                assert values.shape == pat.rows.shape
                 assert products.shape == pat.nz_a.shape
 
     def test_special_theta_keeps_vanishing_entries_stored(self):
         # a value-based pattern would shrink at these hyper values
         m = build_model(structure_spec())
         S = m.structure
-        assert np.count_nonzero(prior(m, SPECIAL_THETA)[0]) < S.prior.nnz
+        assert np.count_nonzero(prior(m, SPECIAL_THETA)[0]) < S.prior_rows.size
         pat = S.blocks["c"]
-        assert np.count_nonzero(design(m, "c", SPECIAL_THETA)) < pat.pattern.nnz
+        assert np.count_nonzero(design(m, "c", SPECIAL_THETA)) < pat.rows.size
         # observation 2 has a zero covariate and still stores all 5 terms
         assert np.sum(S.blocks["y"].rows == 2) == 5
 
@@ -544,7 +557,7 @@ class TestFixedStructure:
         for name, pat in S.blocks.items():
             values, _ = pat.design(theta)
             np.testing.assert_array_equal(
-                dense(pat.rows, pat.cols, values, pat.pattern.shape),
+                dense(pat.rows, pat.cols, values, (pat.size, m.latent_dim)),
                 design(m, name, theta),
             )
         # the matrix views the benchmark tracer wraps show the same values
@@ -578,6 +591,29 @@ class TestFixedStructure:
         monkeypatch.setattr(_cs_matrix, "__init__", counting)
         build_model(sim1_spec(data))
         assert built == []
+
+    @pytest.mark.parametrize("generate, spec, truth, built", [
+        (generate_sim1, sim1_spec, SIM1_TRUTH, 0),
+        (generate_sim2, sim2_spec, SIM2_TRUTH, 1),
+        (generate_sim3, sim3_spec, SIM3_TRUTH, 1),
+    ], ids=["sim1", "sim2", "sim3"])
+    def test_structure_builds_at_most_the_rcm_input(
+        self, monkeypatch, generate, spec, truth, built
+    ):
+        # patterns are index arrays; the one compressed matrix is the
+        # reverse Cuthill-McKee input, and only a component body needs it
+        m = build_model(spec(generate(60, truth, np.random.default_rng(1))))
+        matrices = []
+        original = _cs_matrix.__init__
+
+        def counting(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            matrices.append(self)
+
+        monkeypatch.setattr(_cs_matrix, "__init__", counting)
+        S = ModelStructure(m)
+        assert len(matrices) == built
+        assert (S.n_body > 0) == (built == 1)
 
     def test_design_memo_follows_the_chain_factors(self):
         # block c's terms carry the chains (g,) and (g, a_r); tau, lam_s
@@ -631,6 +667,74 @@ class TestFixedStructure:
         m = build_model(structure_spec())
         with pytest.raises(ConfigurationError, match="positive"):
             m.structure.prior_values(dict(GENERIC_THETA, lam_i=0.0))
+
+
+def one_component_model(comp):
+    """A Gaussian block of an intercept plus ``comp``, one observation per
+    component node."""
+    hypers = {"tau": PriorSpec("pc_precision", (1.0, 0.01))}
+    for h in comp.pacf_hypers:
+        hypers[h] = PriorSpec("pc_correlation", (0.5, 0.5))
+    for h in comp.sigma_hypers:
+        hypers[h] = PriorSpec("pc_precision", (1.0, 0.5))
+    if comp.correlation_hyper is not None:
+        hypers[comp.correlation_hyper] = PriorSpec("lkj", (5.0,))
+    terms = (TermSpec("intercept", "mu"), TermSpec("component", comp.name))
+    y = np.linspace(-1.0, 1.0, comp.dimension)
+    return build_model(ModelSpec(
+        blocks=(BlockSpec("y", "gaussian", y, terms, hyper="tau"),),
+        components=(comp,),
+        fixed_effects=(FixedEffectSpec("mu"),),
+        hypers=hypers,
+    ))
+
+
+def structural_matrix(comp):
+    """Every entry a component's precision may store, built by scipy: the
+    band of half-width 2 for ar2, full d x d blocks for mv_iid, the unit
+    matrix for the theta-free kinds."""
+    if comp.kind == "ar2":
+        n = comp.size
+        return sparse.diags_array(
+            [np.ones(n - abs(k)) for k in range(-2, 3)], offsets=range(-2, 3)
+        )
+    if comp.kind == "mv_iid":
+        d = comp.block_dim
+        return sparse.kron(sparse.eye_array(comp.size), np.ones((d, d)))
+    return component_precision(comp, {}).matrix
+
+
+PATTERN_COMPONENTS = [
+    ComponentSpec("a", "ar2", n, pacf_hypers=("p1", "p2")) for n in (3, 4, 7)
+] + [
+    ComponentSpec(
+        "v", "mv_iid", 3, block_dim=d,
+        sigma_hypers=tuple(f"t{j}" for j in range(d)),
+        correlation_hyper="R" if d > 1 else None,
+    )
+    for d in (1, 2, 3)
+] + [
+    ComponentSpec("i", "iid", 3),
+    ComponentSpec("r", "rw2", 3),
+    ComponentSpec("c", "cyclic_rw2", 10, period=5),
+]
+
+
+@pytest.mark.parametrize(
+    "comp", PATTERN_COMPONENTS,
+    ids=lambda c: f"{c.kind}-{c.block_dim or c.period or c.size}",
+)
+def test_component_pattern_is_scipys_canonical_csc_order(comp):
+    # prior_values reads ar2's and mv_iid's values by position, so the
+    # order of the entries is part of the pattern
+    rows, cols = _component_pattern(one_component_model(comp), comp)
+    ref = sparse.csc_array(structural_matrix(comp))
+    ref.sum_duplicates()
+    assert rows.dtype == cols.dtype == np.int64
+    np.testing.assert_array_equal(rows, ref.indices)
+    np.testing.assert_array_equal(
+        cols, np.repeat(np.arange(ref.shape[1]), np.diff(ref.indptr))
+    )
 
 
 EVERY_NODE = tuple(np.arange(20) % 8)
