@@ -39,14 +39,16 @@ __all__ = [
 CURVATURE_MIN = 1e-12
 
 # fit-stage settings: Newton's gradient tolerance and iteration limit; the
-# mode search's gradient step, |grad lp| tolerance and Hessian stencil
-# step; the exploration's grid step in posterior sds, lp drop, steps per
-# axis and CCD radius; the marginal scans' step in posterior sds, lp drop
-# and steps per direction
+# mode search's gradient step, |grad lp| tolerance, budget in gradients
+# (see ``_search_budget``) and Hessian stencil step; the exploration's
+# grid step in posterior sds, lp drop, steps per axis and CCD radius; the
+# marginal scans' step in posterior sds, lp drop and steps per direction;
+# the latent mixture quantiles' tolerance in probability
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 100
 GRAD_STEP = 1e-4
 GRAD_TOL = 1e-5
+SEARCH_GRADIENTS = 67
 HESSIAN_STEP = 0.05
 EXPLORE_STEP = 0.75
 EXPLORE_DROP = 5.0
@@ -55,6 +57,7 @@ CCD_RADIUS = 1.1
 SCAN_STEP = 0.5
 SCAN_DROP = 6.0
 SCAN_MAX_STEPS = 14
+QUANTILE_TOL = 1e-8
 
 
 class _BandArrowFactor:
@@ -635,7 +638,14 @@ def _newton_search(evaluate, u, box):
         u, lp = u + step, lp_trial
 
 
-def optimize_theta(model, init=None, max_evals=200):
+def _search_budget(m):
+    """How many points the mode search over m free hypers may evaluate:
+    ``SEARCH_GRADIENTS`` central-difference gradients of 2m + 1 points
+    each, the cost of one iteration of either search."""
+    return SEARCH_GRADIENTS * (2 * m + 1)
+
+
+def optimize_theta(model, init=None):
     """Search for the hyper posterior mode with central-difference
     gradients; returns (theta_mode_internal, hessian_u, info).
 
@@ -657,17 +667,17 @@ def optimize_theta(model, init=None, max_evals=200):
     -1e10 wall.
 
     Both searches raise ``InferenceError`` with the best point as ``best``
-    once ``max_evals`` points are evaluated; ``info["optimizer_message"]``
-    says how a search that returns ended.  The mode is the best point
-    evaluated.  The Hessian, in the free-coordinate basis, is a
-    central-difference stencil around it: its centre value is that
-    evaluation's lp and its first point warm-starts from that
-    evaluation's latent mode, so the mode is not solved again.  A failed
-    stencil evaluation raises ``InferenceError`` with the mode as
+    once ``_search_budget(m)`` points are evaluated, m the number of free
+    hypers; ``info["optimizer_message"]`` says how a search that returns
+    ended.  The mode is the best point evaluated.  The Hessian, in the
+    free-coordinate basis, is a central-difference stencil around it: its
+    centre value is that evaluation's lp and its first point warm-starts
+    from that evaluation's latent mode, so the mode is not solved again.
+    A failed stencil evaluation raises ``InferenceError`` with the mode as
     ``best``, since it has no value to enter the Hessian with.
     ``info["mode_approx"]`` is that evaluation's ``GaussianApprox`` (None
     when no hyper is free), for ``explore_theta``'s ``center``.  Only the
-    search's evaluations count against ``max_evals``, not the stencil's.
+    search's evaluations count against the budget, not the stencil's.
     """
     hyper = _HyperEvaluator(model)
     m = hyper.dim
@@ -677,9 +687,10 @@ def optimize_theta(model, init=None, max_evals=200):
 
     u0 = hyper.to_u(model.initial_internal() if init is None else init)
     u0 = np.clip(u0, -hyper.BOX, hyper.BOX)
+    budget = _search_budget(m)
 
     def evaluate(u):
-        if hyper.count >= max_evals:
+        if hyper.count >= budget:
             raise InferenceError(
                 "hyper optimization exceeded its evaluation budget",
                 best=hyper.best[1],
@@ -901,8 +912,9 @@ def explore_theta(model, theta_mode_internal, hessian, center=None):
     ]
 
 
-def _mixture_quantiles(mus, sds, weights, probs, tol=1e-8):
-    """Quantiles of per-node Gaussian mixtures, to ``tol`` in probability.
+def _mixture_quantiles(mus, sds, weights, probs):
+    """Quantiles of per-node Gaussian mixtures, to ``QUANTILE_TOL`` in
+    probability.
 
     mus, sds: arrays (points, nodes); weights: (points,); probs: list.
     Returns (len(probs), nodes).
@@ -912,9 +924,9 @@ def _mixture_quantiles(mus, sds, weights, probs, tol=1e-8):
     derivative is the mixture density.  The bracket [min(mu - 10 sd),
     max(mu + 10 sd)] shrinks around the root at every evaluation, and a
     Newton step that leaves it is replaced by bisection.  An entry is frozen
-    once |F(q) - p| < tol, or once its bracket leaves no float between its
-    ends; each iteration evaluates the CDF and the density of the entries
-    still open, for all probabilities at once.
+    once |F(q) - p| < QUANTILE_TOL, or once its bracket leaves no float
+    between its ends; each iteration evaluates the CDF and the density of
+    the entries still open, for all probabilities at once.
     """
     k, n = len(probs), mus.shape[1]
     sds = np.maximum(sds, 1e-12)
@@ -939,7 +951,7 @@ def _mixture_quantiles(mus, sds, weights, probs, tol=1e-8):
         step = xa - r / np.maximum(dens, np.finfo(float).tiny)
         inside = (step > lo_a) & (step < hi_a)
         nxt = np.where(inside, step, 0.5 * (lo_a + hi_a))
-        moving = (np.abs(r) >= tol) & (nxt != xa)
+        moving = (np.abs(r) >= QUANTILE_TOL) & (nxt != xa)
         open_ = open_[moving]
         if open_.size == 0:
             break
@@ -1107,15 +1119,16 @@ def hyper_marginals(model, points, theta_mode_internal, hessian):
     return out
 
 
-def fit_model(model, *, max_evals=200):
+def fit_model(model):
     """Run the full pipeline: mode search, exploration, marginals.
 
-    ``max_evals`` is ``optimize_theta``'s evaluation budget; every other
-    setting is a module constant.
+    A fit is a function of the model alone: every stage setting is a
+    module constant, and the mode search's budget follows the number of
+    free hypers (``_search_budget``).
     """
     timings = {}
     t0 = time.perf_counter()
-    theta_mode, hessian, opt_info = optimize_theta(model, max_evals=max_evals)
+    theta_mode, hessian, opt_info = optimize_theta(model)
     timings["optimize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -42,6 +42,11 @@ __all__ = [
     "cpo",
 ]
 
+# posterior_predictive's density summary: histogram bins and kernel
+# density grid points
+DENSITY_BINS = 60
+DENSITY_GRID_SIZE = 257
+
 
 @dataclass
 class PosteriorSample:
@@ -204,11 +209,11 @@ def _binned_kde(data, grid):
     return dens[np.arange(grid.size) * r - k0 + half]
 
 
-def _density_summary(draws, circular, bins=60, grid_size=257):
+def _density_summary(draws, circular):
     pooled = np.asarray(draws, dtype=float).ravel()
     if circular:
         lo, hi = -np.pi, np.pi
-        grid = np.linspace(lo, hi, grid_size)
+        grid = np.linspace(lo, hi, DENSITY_GRID_SIZE)
         padded = np.concatenate(
             [pooled - 2.0 * np.pi, pooled, pooled + 2.0 * np.pi]
         )
@@ -219,10 +224,12 @@ def _density_summary(draws, circular, bins=60, grid_size=257):
         if not span > 1e-12:
             # gaussian_kde raises the same for a zero covariance
             raise np.linalg.LinAlgError("predictive draws have no spread")
-        grid = np.linspace(lo - 0.1 * span, hi + 0.1 * span, grid_size)
+        grid = np.linspace(
+            lo - 0.1 * span, hi + 0.1 * span, DENSITY_GRID_SIZE
+        )
         dens = _binned_kde(pooled, grid)
     hist, edges = np.histogram(
-        pooled, bins=bins, range=(lo, hi), density=True
+        pooled, bins=DENSITY_BINS, range=(lo, hi), density=True
     )
     return {
         "hist_edges": edges,

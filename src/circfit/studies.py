@@ -646,79 +646,34 @@ class StudyResult:
         return {k: (v, len(self.records)) for k, v in out.items()}
 
 
-def _latent_record(fit, name, truth):
-    node = fit.model.effect_nodes[name]
-    s = fit.latent_summary
-    return ParameterRecord(
-        name,
-        truth,
-        float(s["mean"][node]),
-        float(s["q025"][node]),
-        float(s["q975"][node]),
-    )
-
-
-def _hyper_record(fit, name, truth, transform=None, label=None):
-    h = fit.hyper_summary[name]
-    est, lo, hi = h["mode"], h["q025"], h["q975"]
-    if transform is not None:
-        est, lo, hi = transform(est), transform(lo), transform(hi)
-        lo, hi = min(lo, hi), max(lo, hi)
-    return ParameterRecord(
-        label or name, truth, float(est), float(lo), float(hi)
-    )
-
-
-def _sim1_records(fit, truth):
-    return (
-        _latent_record(fit, "beta0", truth["beta0"]),
-        _latent_record(fit, "beta1", truth["beta1"]),
-        _latent_record(fit, "beta2", truth["beta2"]),
-        _hyper_record(fit, "kappa", truth["kappa"]),
-    )
-
-
-def _sim2_records(fit, truth):
-    return (
-        _latent_record(fit, "a0", truth["a0"]),
-        _latent_record(fit, "b0", truth["b0"]),
-        _hyper_record(fit, "a1", truth["a1"]),
-        _hyper_record(fit, "b1", truth["b1"]),
-        _hyper_record(fit, "kappa", truth["kappa"]),
-        _hyper_record(fit, "tau", truth["tau"]),
-    )
-
-
-def _sim3_records(fit, truth):
-    recs = [
-        _latent_record(fit, name, truth[name])
-        for name in (
-            "alpha11",
-            "alpha12",
-            "alpha13",
-            "alpha21",
-            "alpha22",
-            "alpha23",
-            "beta11",
-            "beta12",
-            "beta13",
-            "beta21",
-            "beta22",
-            "beta23",
-        )
+def _records(fit, design):
+    """A replicate's ParameterRecords against the study's truth, in the
+    order of its design: each latent effect's posterior mean and 95%
+    interval, each standard deviation read from a precision hyper as
+    precision^(-1/2) (a decreasing map, so its interval ends swap), then
+    each hyper's posterior mode and 95% interval."""
+    s, h = fit.latent_summary, fit.hyper_summary
+    nodes = fit.model.effect_nodes
+    rows = [
+        (name, s["mean"][nodes[name]], s["q025"][nodes[name]],
+         s["q975"][nodes[name]])
+        for name in design["latents"]
     ]
-    recs.append(
-        _hyper_record(
-            fit,
-            "tau_s",
-            truth["sigma_s"],
-            transform=lambda t: t**-0.5,
-            label="sigma_s",
+    rows += [
+        (name, h[p]["mode"] ** -0.5, h[p]["q975"] ** -0.5,
+         h[p]["q025"] ** -0.5)
+        for name, p in design["sds"]
+    ]
+    rows += [
+        (name, h[name]["mode"], h[name]["q025"], h[name]["q975"])
+        for name in design["hypers"]
+    ]
+    return tuple(
+        ParameterRecord(
+            name, design["truth"][name], float(est), float(lo), float(hi)
         )
+        for name, est, lo, hi in rows
     )
-    for name in ("pacf1", "pacf2", "a11", "a21", "b11", "b12", "b21", "b22"):
-        recs.append(_hyper_record(fit, name, truth[name]))
-    return tuple(recs)
 
 
 def _sim2_pvalues(fit, truth, rng, data):
@@ -732,48 +687,59 @@ def _sim2_pvalues(fit, truth, rng, data):
     return out
 
 
+# each study's generator, model and replicate summary: the names of the
+# latent effects, of the standard deviations read from precisions
+# (name, precision) and of the hypers it records, in record order
 _STUDIES = {
     "sim1": {
         "truth": SIM1_TRUTH,
         "generate": generate_sim1,
         "spec": sim1_spec,
-        "records": _sim1_records,
+        "latents": ("beta0", "beta1", "beta2"),
+        "sds": (),
+        "hypers": ("kappa",),
         "pvalues": None,
         "default_n": 1000,
-        "fit_options": {},
     },
     "sim2": {
         "truth": SIM2_TRUTH,
         "generate": generate_sim2,
         "spec": sim2_spec,
-        "records": _sim2_records,
+        "latents": ("a0", "b0"),
+        "sds": (),
+        "hypers": ("a1", "b1", "kappa", "tau"),
         "pvalues": _sim2_pvalues,
         "default_n": 1000,
-        # four free hypers need more objective evaluations than the default
-        "fit_options": {"max_evals": 600},
     },
     "sim3": {
         "truth": SIM3_TRUTH,
         "generate": generate_sim3,
         "spec": sim3_spec,
-        "records": _sim3_records,
+        "latents": (
+            "alpha11", "alpha12", "alpha13", "alpha21", "alpha22", "alpha23",
+            "beta11", "beta12", "beta13", "beta21", "beta22", "beta23",
+        ),
+        "sds": (("sigma_s", "tau_s"),),
+        "hypers": (
+            "pacf1", "pacf2", "a11", "a21", "b11", "b12", "b21", "b22",
+        ),
         "pvalues": None,
         "default_n": 300,
-        "fit_options": {"max_evals": 1200},
     },
 }
 
 STUDY_NAMES = tuple(_STUDIES)
 
 
-def _run_replicate(study, n, rep, base_seed, truth):
+def _run_replicate(study, n, rep, base_seed):
     design = _STUDIES[study]
+    truth = design["truth"]
     seed = base_seed + rep
     rng = np.random.default_rng(seed)
     started = time.perf_counter()
     data = design["generate"](n, truth, rng)
-    fit = fit_model(build_model(design["spec"](data)), **design["fit_options"])
-    params = design["records"](fit, truth)
+    fit = fit_model(build_model(design["spec"](data)))
+    params = _records(fit, design)
     pvalues = {}
     if design["pvalues"] is not None:
         pvalues = design["pvalues"](fit, truth, rng, data)
@@ -786,12 +752,14 @@ def _run_replicate(study, n, rep, base_seed, truth):
     )
 
 
-def run_study(study, n=None, reps=100, seed=1, threads=1, truth=None):
+def run_study(study, n=None, reps=100, seed=1, threads=1):
     """Run one simulation study: reps independent datasets, one fit each.
 
-    Replicate r uses seed + r, so any single replicate can be reproduced in
-    isolation; with threads > 1 replicates run concurrently and the result
-    is identical to the sequential order.
+    Each dataset is drawn from the study's truth and fitted by
+    ``fit_model`` with no setting, so a replicate is a function of the
+    study, n and its seed alone.  Replicate r uses seed + r, so any single
+    replicate can be reproduced in isolation; with threads > 1 replicates
+    run concurrently and the result is identical to the sequential order.
     """
     if study not in _STUDIES:
         raise ConfigurationError(
@@ -804,22 +772,17 @@ def run_study(study, n=None, reps=100, seed=1, threads=1, truth=None):
         raise ConfigurationError(f"need at least one observation, got {n}")
     if reps < 1:
         raise ConfigurationError(f"need at least one replicate, got {reps}")
-    merged = dict(design["truth"])
-    if truth:
-        merged.update(truth)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             records = list(
                 pool.map(
-                    lambda r: _run_replicate(study, n, r, seed, merged),
+                    lambda r: _run_replicate(study, n, r, seed),
                     range(reps),
                 )
             )
     else:
-        records = [
-            _run_replicate(study, n, r, seed, merged) for r in range(reps)
-        ]
+        records = [_run_replicate(study, n, r, seed) for r in range(reps)]
     return StudyResult(
         study=study, n=n, reps=reps, seed=seed, records=tuple(records)
     )

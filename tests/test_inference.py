@@ -1018,17 +1018,18 @@ class TestOptimizeTheta:
         assert theta2[0] == pytest.approx(theta_mode[0], abs=1e-6)
         assert info["evaluations"] <= 8
 
-    def test_evaluation_budget_error_carries_best_point(self):
+    def test_evaluation_budget_error_carries_best_point(self, monkeypatch):
         m = two_hyper_model()
+        monkeypatch.setattr(inference, "_search_budget", lambda m: 3)
         with pytest.raises(InferenceError) as err:
-            optimize_theta(m, max_evals=3)
+            optimize_theta(m)
         assert "budget" in str(err.value)
         assert err.value.best is not None
         assert np.all(np.isfinite(err.value.best))
 
     def test_fixed_hypers_are_not_searched(self):
         m = three_hyper_model()
-        theta_mode, hessian, _ = optimize_theta(m, max_evals=400)
+        theta_mode, hessian, _ = optimize_theta(m)
         assert hessian.shape == (3, 3)
         fixed_idx = [
             i for i, c in enumerate(m.hyper_coords) if c.is_fixed
@@ -1155,8 +1156,9 @@ class TestOptimizeTheta:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(inference, "log_posterior_theta", counting)
+        monkeypatch.setattr(inference, "_search_budget", lambda m: 7)
         with pytest.raises(InferenceError, match="budget") as err:
-            optimize_theta(m, max_evals=7)
+            optimize_theta(m)
         assert err.value.diagnostics["evaluations"] == 7 == len(calls)
 
     def test_hessian_is_symmetric_positive_definite(self):
@@ -1259,14 +1261,36 @@ class TestOptimizeTheta:
         fit_model(m)
         assert len(calls) <= 32
 
-    def test_one_hyper_budget_error_carries_best_point(self):
+    def test_one_hyper_budget_error_carries_best_point(self, monkeypatch):
         m = tau_free_model()
-        for max_evals in (1, 3, 5):
+        for budget in (1, 3, 5):
+            monkeypatch.setattr(
+                inference, "_search_budget", lambda m, b=budget: b
+            )
             with pytest.raises(InferenceError, match="budget") as err:
-                optimize_theta(m, max_evals=max_evals)
-            assert err.value.diagnostics["evaluations"] == max_evals
+                optimize_theta(m)
+            assert err.value.diagnostics["evaluations"] == budget
             assert err.value.best is not None
             assert np.all(np.isfinite(err.value.best))
+
+    @pytest.mark.parametrize("model, m", [
+        (tau_free_model, 1), (two_hyper_model, 2), (three_hyper_model, 3),
+    ])
+    def test_search_budget_is_gradients_of_2m_plus_1_points(
+        self, monkeypatch, model, m
+    ):
+        # one search iteration costs one central-difference gradient, so
+        # the budget counts gradients over the free hypers
+        monkeypatch.setattr(inference, "SEARCH_GRADIENTS", 1)
+        with pytest.raises(InferenceError, match="budget") as err:
+            optimize_theta(model())
+        assert err.value.diagnostics["evaluations"] == 2 * m + 1
+
+    def test_study_budgets_are_no_smaller_than_their_former_settings(self):
+        # sim1, sim2 and sim3 (1, 4 and 12 free hypers) searched under 200,
+        # 600 and 1200 evaluations before the budget followed m
+        budgets = [inference._search_budget(m) for m in (1, 4, 12)]
+        assert budgets == [201, 603, 1675]
 
 
 class TestExploreTheta:
@@ -1300,7 +1324,7 @@ class TestExploreTheta:
 
     def test_three_hyper_composite_design_layout(self):
         m = three_hyper_model()
-        theta_mode, hessian, _ = optimize_theta(m, max_evals=400)
+        theta_mode, hessian, _ = optimize_theta(m)
         points = explore_theta(m, theta_mode, hessian)
         # center + 2^3 corners + 2 * 3 axial points
         assert len(points) == 15
@@ -1526,10 +1550,10 @@ class TestLatentMixture:
         # where one float step of x moves F by more than tol (a component
         # at the 1e-12 sd floor away from 0), the root lies between q's
         # neighbouring floats instead
-        tol, probs = 1e-8, [0.025, 0.5, 0.975]
+        tol, probs = inference.QUANTILE_TOL, [0.025, 0.5, 0.975]
         mus, sds, weights = random_mixture(seed)
         p = np.array(probs)[:, None]
-        qs = _mixture_quantiles(mus, sds, weights, probs, tol)
+        qs = _mixture_quantiles(mus, sds, weights, probs)
         ref = bisection_quantiles(mus, sds, weights, probs, tol)
         assert np.all(qs[0] <= qs[1]) and np.all(qs[1] <= qs[2])
         f, f_ref = (mixture_cdf(mus, sds, weights, q) for q in (qs, ref))
@@ -1597,7 +1621,7 @@ class TestHyperMarginals:
 
     def test_fixed_hyper_marginal_is_degenerate(self):
         m = three_hyper_model()
-        fit = fit_model(m, max_evals=400)
+        fit = fit_model(m)
         g = fit.hyper_grids["tau_z"]
         assert g["fixed"] is True
         assert g["grid"].shape == (1,)

@@ -991,7 +991,7 @@ class TestQueryRound:
         # every query sums the terms' nodes and coefficients directly
         data = generate_sim2(100, SIM2_TRUTH, np.random.default_rng(1000))
         m = build_model(sim2_spec(data))
-        fit = fit_model(m, max_evals=600)
+        fit = fit_model(m)
         built = []
         original = _cs_matrix.__init__
 

@@ -11,6 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import circfit.studies as studies
+from circfit.inference import fit_model
 from circfit.model import build_model
 from circfit.priors import ConfigurationError
 from circfit.studies import (
@@ -30,6 +32,16 @@ from circfit.studies import (
     smooth_field,
     wind_spec,
 )
+
+
+def _capturing(fn, kept):
+    """fn, wrapped to keep each of its results in ``kept``."""
+
+    def wrapper(*args):
+        kept.append(fn(*args))
+        return kept[-1]
+
+    return wrapper
 
 
 def _without_timing(record):
@@ -60,6 +72,77 @@ def test_sim2_study_records_parameters_and_predictive_pvalues():
         assert p.lower <= p.upper
     assert set(record.pvalues) == {"x", "y"}
     assert all(0.0 <= v <= 1.0 for v in record.pvalues.values())
+
+
+@pytest.mark.parametrize("seed", [4000, 16000])
+def test_default_fit_model_fits_the_sim2_data_run_study_fits(
+    monkeypatch, seed
+):
+    # these mode searches take more than 200 evaluations: a fit with no
+    # setting must fit every dataset run_study fits, and equal its fit
+    data = generate_sim2(100, SIM2_TRUTH, np.random.default_rng(seed))
+    alone = fit_model(build_model(sim2_spec(data)))
+    assert alone.diagnostics["evaluations"] > 200
+    fits = []
+    monkeypatch.setattr(studies, "fit_model", _capturing(fit_model, fits))
+    run_study("sim2", n=100, reps=1, seed=seed)
+    (fit,) = fits
+    np.testing.assert_array_equal(
+        alone.theta_mode_internal, fit.theta_mode_internal
+    )
+    assert [pt.log_unnorm_posterior for pt in alone.points] == [
+        pt.log_unnorm_posterior for pt in fit.points
+    ]
+    assert [pt.weight for pt in alone.points] == [
+        pt.weight for pt in fit.points
+    ]
+
+
+def test_sim3_records_read_the_fit_in_order(monkeypatch):
+    # a hand-made fit of the real sim3 model: every latent node and hyper
+    # holds distinct values, so a record reading the wrong one shows
+    def made_fit(model):
+        nodes = np.arange(model.latent_dim, dtype=float)
+        hypers = {
+            c.name: {"mode": 2.0 + k, "q025": 1.0 + k, "q975": 4.0 + k}
+            for k, c in enumerate(model.hyper_coords)
+        }
+        return SimpleNamespace(
+            model=model,
+            latent_summary={
+                "mean": nodes, "q025": nodes - 0.5, "q975": nodes + 0.5
+            },
+            hyper_summary=hypers,
+        )
+
+    fits = []
+    monkeypatch.setattr(studies, "fit_model", _capturing(made_fit, fits))
+    (record,) = run_study("sim3", n=30, reps=1).records
+    (fit,) = fits
+    latents = [
+        "alpha11", "alpha12", "alpha13", "alpha21", "alpha22", "alpha23",
+        "beta11", "beta12", "beta13", "beta21", "beta22", "beta23",
+    ]
+    hypers = ["pacf1", "pacf2", "a11", "a21", "b11", "b12", "b21", "b22"]
+    params = record.parameters
+    assert len(params) == 21
+    assert [p.name for p in params] == latents + ["sigma_s"] + hypers
+    assert all(p.truth == SIM3_TRUTH[p.name] for p in params)
+    for p in params[:12]:
+        node = fit.model.effect_nodes[p.name]
+        assert (p.estimate, p.lower, p.upper) == (node, node - 0.5, node + 0.5)
+    tau_s = fit.hyper_summary["tau_s"]
+    sigma_s = params[12]
+    assert sigma_s.estimate == tau_s["mode"] ** -0.5
+    # t^(-1/2) decreases, so tau_s's upper end gives sigma_s's lower one
+    assert sigma_s.lower == tau_s["q975"] ** -0.5
+    assert sigma_s.upper == tau_s["q025"] ** -0.5
+    assert sigma_s.lower < sigma_s.estimate < sigma_s.upper
+    for p in params[13:]:
+        h = fit.hyper_summary[p.name]
+        assert (p.estimate, p.lower, p.upper) == (
+            h["mode"], h["q025"], h["q975"]
+        )
 
 
 def test_sim2_fits_at_default_size():
