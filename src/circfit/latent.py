@@ -1,16 +1,22 @@
-"""Sparse precision builders for the latent Gaussian components.
+"""Precisions of the latent Gaussian components: closed forms and sparse
+reference builders.
 
 Each builder returns a :class:`SparsePrecision`: the (unit-scale) precision
 matrix together with its rank deficiency, the constraint vectors spanning its
 null space, and the log generalized determinant (product of nonzero
 eigenvalues).  Intrinsic components keep their exact singular precision; the
 inference engine enforces the constraints by conditioning, never by jitter.
-A fit reads the ar2 and mv_iid values from ``ar2_diagonals`` and
-``mv_iid_block``, the formulas their builders place in a sparse matrix.
+A fit builds none of these matrices: it reads every kind's values from the
+closed forms ``rw2_diagonals``, ``cyclic_rw2_stencil``, ``ar2_diagonals``
+and ``mv_iid_block`` (an iid precision is the identity) at the index
+pattern of each component.  The ``build_*`` functions and
+``scale_precision`` are public references: they place the same precisions
+in scipy.sparse by other computations (rw2 as the product D2' D2, the
+cyclic rw2 from coordinates), and the tests compare the two.
 
 The intrinsic kinds have closed forms.  Their reference sd is the root mean
 of the marginal variances under the constraints, sqrt(trace(Q^+) / n) with Q^+
-the pseudo-inverse; ``build_model`` divides each intrinsic precision by its
+the pseudo-inverse; a model divides each intrinsic precision by its
 square (Sorbye & Rue 2014; Rue & Held 2005, ch. 3).  For rw2 on n nodes the
 log generalized determinant is log(n^2 (n^2 - 1) / 12) and the reference
 variance (n^2 - 4)(n^2 + 5) / (420 n); for the cyclic rw2 of period p they are
@@ -27,8 +33,10 @@ from .priors import ConfigurationError
 __all__ = [
     "SparsePrecision",
     "build_iid",
+    "rw2_diagonals",
     "build_rw2",
     "rw2_reference_sd",
+    "cyclic_rw2_stencil",
     "build_cyclic_rw2",
     "cyclic_rw2_reference_sd",
     "pacf_to_ar2",
@@ -85,6 +93,23 @@ def _second_difference(n: int) -> sparse.csc_array:
     )
 
 
+def rw2_diagonals(n: int) -> tuple:
+    """The main, first and second diagonals of ``build_rw2``'s precision
+    D2' D2 on n nodes, exact integers, and its log generalized
+    determinant."""
+    if n < 3:
+        raise ConfigurationError(f"rw2 component needs n >= 3, got {n}")
+    # D2 row k is (1, -2, 1) at nodes k, k + 1, k + 2
+    main, first = np.zeros(n), np.zeros(n - 1)
+    main[:-2] += 1.0
+    main[1:-1] += 4.0
+    main[2:] += 1.0
+    first[:-1] -= 2.0
+    first[1:] -= 2.0
+    log_gdet = float(np.log(n * n * (n * n - 1.0) / 12.0))
+    return main, first, np.ones(n - 2), log_gdet
+
+
 def build_rw2(n: int) -> SparsePrecision:
     """Second-order random walk precision D2' D2 (interior stencil
     1, -4, 6, -4, 1), improper with the constant and the linear trend in its
@@ -107,6 +132,17 @@ def rw2_reference_sd(n: int) -> float:
     return float(np.sqrt((n * n - 4.0) * (n * n + 5.0) / (420.0 * n)))
 
 
+def cyclic_rw2_stencil(period: int) -> tuple:
+    """``build_cyclic_rw2``'s circulant as its first column s, so that
+    entry (r, c) is s[(r - c) mod period], and its log generalized
+    determinant 4 log period."""
+    if period < 5:
+        raise ConfigurationError(f"cyclic_rw2 needs period >= 5, got {period}")
+    stencil = np.zeros(period)
+    stencil[[0, 1, 2, -2, -1]] = [6.0, -4.0, 1.0, 1.0, -4.0]
+    return stencil, 4.0 * float(np.log(period))
+
+
 def build_cyclic_rw2(n: int, period: int) -> SparsePrecision:
     """Cyclic second-order random walk over one period.
 
@@ -119,8 +155,6 @@ def build_cyclic_rw2(n: int, period: int) -> SparsePrecision:
     if n < 1:
         raise ConfigurationError(f"cyclic_rw2 needs n >= 1 observations, got {n}")
     p = period
-    first = np.zeros(p)
-    first[[0, 1, 2, p - 2, p - 1]] = [6.0, -4.0, 1.0, 1.0, -4.0]
     rows = np.repeat(np.arange(p), 5)
     cols = (np.arange(p)[:, None] + np.array([0, 1, 2, p - 2, p - 1])[None, :]) % p
     vals = np.tile([6.0, -4.0, 1.0, 1.0, -4.0], p)

@@ -32,13 +32,11 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .latent import (
     ar2_diagonals,
-    build_cyclic_rw2,
-    build_iid,
-    build_rw2,
     cyclic_rw2_reference_sd,
+    cyclic_rw2_stencil,
     mv_iid_block,
+    rw2_diagonals,
     rw2_reference_sd,
-    scale_precision,
     scaled_log_gdet,
 )
 from .likelihoods import FAMILY_HYPERS, response_terms
@@ -79,7 +77,8 @@ class ComponentSpec:
     ``pacf_hypers``; mv_iid needs ``block_dim``, one ``sigma_hypers`` name
     per coordinate and a ``correlation_hyper`` whose lkj prior is expanded
     into vine partial coordinates; cyclic_rw2 needs ``period`` and has
-    dimension equal to it.
+    dimension equal to it.  Sizes: rw2 and ar2 need n >= 3, cyclic_rw2 a
+    period >= 5, and every kind n >= 1.
     """
 
     name: str
@@ -123,6 +122,21 @@ class ComponentSpec:
                 raise ConfigurationError(
                     f"component {self.name!r}: mv_iid needs a correlation hyper"
                 )
+        if self.kind == "cyclic_rw2" and self.period < 5:
+            raise ConfigurationError(
+                f"component {self.name!r}: cyclic_rw2 needs period >= 5, "
+                f"got {self.period}"
+            )
+        least = 3 if self.kind in ("rw2", "ar2") else 1
+        if self.size < least:
+            needs = (
+                "cyclic_rw2 needs n >= 1 observations"
+                if self.kind == "cyclic_rw2"
+                else f"{self.kind} component needs n >= {least}"
+            )
+            raise ConfigurationError(
+                f"component {self.name!r}: {needs}, got {self.size}"
+            )
 
     @property
     def dimension(self) -> int:
@@ -253,7 +267,7 @@ class AssembledModel:
     ``build_model`` fills ``blocks`` once the latent layout exists."""
 
     def __init__(self, spec, hyper_coords, comp_offsets, effect_nodes,
-                 latent_dim, constraints, unit_precisions):
+                 latent_dim, constraints):
         self.spec = spec
         self.hyper_coords = hyper_coords
         self.blocks = {}
@@ -261,7 +275,6 @@ class AssembledModel:
         self.effect_nodes = effect_nodes
         self.latent_dim = latent_dim
         self.constraints = constraints
-        self._unit = unit_precisions
         self.components = {c.name: c for c in spec.components}
         self._structure = None
 
@@ -397,25 +410,67 @@ class _BlockPattern:
         return memo[1], memo[2]
 
 
-def _component_pattern(model, comp):
+def _component_pattern(comp):
     """The (rows, cols) of each stored entry of one component's precision,
-    in column-major order and rows ascending in each column: the full band
-    of half-width 2 for ar2 and full d x d blocks for mv_iid, so entries
-    that vanish at special theta stay stored, and the unit matrix's own
-    canonical csc entries for the theta-free kinds."""
-    if comp.kind == "ar2":
+    in column-major order and rows ascending in each column, from its kind
+    and size alone: the band of half-width 2 for ar2 and rw2, the nodes
+    (c - 2 .. c + 2) mod p of each column c for cyclic_rw2, full d x d
+    blocks for mv_iid and the diagonal for iid.  ar2's outer diagonals and
+    mv_iid's off-diagonal entries vanish at special theta and stay stored;
+    for the theta-free kinds the pattern is the unit matrix's canonical
+    csc order."""
+    if comp.kind in ("ar2", "rw2"):
         n = comp.size
         cols = np.repeat(np.arange(n), 5)
         rows = cols + np.tile(np.arange(-2, 3), n)
         keep = (rows >= 0) & (rows < n)
         return rows[keep], cols[keep]
+    if comp.kind == "cyclic_rw2":
+        p = comp.period
+        rows = np.sort((np.arange(p)[:, None] + np.arange(-2, 3)) % p, axis=1)
+        return rows.ravel(), np.repeat(np.arange(p), 5)
     if comp.kind == "mv_iid":
         d = comp.block_dim
         cols = np.repeat(np.arange(comp.dimension), d)
         return cols // d * d + np.tile(np.arange(d), comp.dimension), cols
-    M = model._unit[comp.name].matrix
-    cols = np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
-    return M.indices.astype(np.int64), cols
+    return np.arange(comp.size), np.arange(comp.size)
+
+
+def _band_values(rows, cols, main, first, second):
+    """The entries at (rows, cols) of the symmetric matrix of half-width 2
+    with the given main, first and second diagonals."""
+    band = np.zeros((3, main.size))
+    band[0], band[1, :-1], band[2, :-2] = main, first, second
+    return band[abs(rows - cols), np.minimum(rows, cols)]
+
+
+def _unit_values(comp, rows, cols):
+    """A theta-free component's unit precision at its pattern's (rows,
+    cols), its log generalized determinant and its rank.
+
+    Intrinsic fields are standardized to unit reference marginal sd, the
+    root mean of their marginal variances under the constraints (the rw2
+    analogue of the AR(2) unit-variance convention), so scale hypers read
+    as the field's contribution sd and precision hypers as the field's own
+    precision.  The reference variance is a closed form in the kind and
+    size: (n^2 - 4)(n^2 + 5) / (420 n) for rw2 on n nodes and
+    (p^2 - 1)(p^2 + 11) / (720 p) for the cyclic rw2 of period p.  Each
+    value is an exact integer times that variance, and the log
+    determinant gains rank times its log, as ``scale_precision`` rounds
+    them."""
+    if comp.kind == "iid":
+        return np.ones(comp.size), 0.0, comp.size
+    if comp.kind == "rw2":
+        *diagonals, log_gdet = rw2_diagonals(comp.size)
+        integers = _band_values(rows, cols, *diagonals)
+        sd, rank = rw2_reference_sd(comp.size), comp.size - 2
+    else:
+        p = comp.period
+        stencil, log_gdet = cyclic_rw2_stencil(p)
+        integers = stencil[(rows - cols) % p]
+        sd, rank = cyclic_rw2_reference_sd(p), p - 1
+    variance = sd * sd
+    return integers * variance, scaled_log_gdet(log_gdet, rank, variance), rank
 
 
 class ModelStructure:
@@ -430,9 +485,11 @@ class ModelStructure:
     ``responses`` holds each block's ``response_terms``, so a response
     outside its family's domain raises ``ObservationError`` when the
     structure is built, at the start of the first fit.  ``prior_parts``
-    holds each component and its pattern's (rows, cols) within the
-    component.  Per theta and per Newton step only values are computed
-    (``NewtonSystem``).
+    holds each component, its pattern's (rows, cols) within the component
+    and, for the theta-free kinds iid, rw2 and cyclic_rw2, its unit values
+    on that pattern with their log generalized determinant and rank
+    (``_unit_values``), else None.  Per theta and per Newton step only
+    values are computed (``NewtonSystem``).
 
     The Newton matrix Q* = Q_p + sum_b A_b' diag(c_b) A_b is stored as its
     band + arrow factor reads it (Rue & Held 2005, ch. 2).  ``perm`` gives
@@ -465,8 +522,11 @@ class ModelStructure:
         self.prior_parts = []
         rows, cols = [], []
         for comp in model.spec.components:
-            comp_rows, comp_cols = _component_pattern(model, comp)
-            self.prior_parts.append((comp, comp_rows, comp_cols))
+            comp_rows, comp_cols = _component_pattern(comp)
+            unit = None
+            if comp.kind in ("iid", "rw2", "cyclic_rw2"):
+                unit = _unit_values(comp, comp_rows, comp_cols)
+            self.prior_parts.append((comp, comp_rows, comp_cols, unit))
             offset = model.comp_offsets[comp.name]
             rows.append(comp_rows + offset)
             cols.append(comp_cols + offset)
@@ -535,21 +595,22 @@ class ModelStructure:
 
     def prior_values(self, theta):
         """Q_p(theta)'s stored values on the prior pattern, and its log
-        generalized determinant, read at each component pattern's (rows,
-        cols) from the unit matrix, whose pattern it is, ar2's diagonals or
-        mv_iid's d x d block.  Raises ``np.linalg.LinAlgError`` where
+        generalized determinant: a theta-free component's unit values,
+        computed once with the structure, and ar2's diagonals or mv_iid's
+        d x d block read at the component pattern's (rows, cols), each
+        times its precision hyper.  Raises ``np.linalg.LinAlgError`` where
         saturated partials round R to indefinite."""
-        model = self.model
         parts, log_gdet = [], 0
-        for comp, rows, cols in self.prior_parts:
+        for comp, rows, cols, unit in self.prior_parts:
             rank = comp.dimension
-            if comp.kind == "ar2":
-                band = np.zeros((3, comp.size))
-                band[0], band[1, :-1], band[2, :-2], comp_log_gdet = (
-                    ar2_diagonals(comp.size, *(theta[h] for h in comp.pacf_hypers))
+            if unit is not None:
+                data, comp_log_gdet, rank = unit
+            elif comp.kind == "ar2":
+                *diagonals, comp_log_gdet = ar2_diagonals(
+                    comp.size, *(theta[h] for h in comp.pacf_hypers)
                 )
-                data = band[abs(rows - cols), np.minimum(rows, cols)]
-            elif comp.kind == "mv_iid":
+                data = _band_values(rows, cols, *diagonals)
+            else:
                 d = comp.block_dim
                 sigmas = np.array([theta[h] ** -0.5 for h in comp.sigma_hypers])
                 R = partials_to_correlation([
@@ -563,10 +624,6 @@ class ModelStructure:
                 block, log_det_cov = mv_iid_block(sigmas, R)
                 data = block[rows % d, cols % d]
                 comp_log_gdet = -comp.size * log_det_cov
-            else:
-                unit = model._unit[comp.name]
-                data, comp_log_gdet = unit.matrix.data, unit.log_gdet
-                rank = unit.dimension - unit.rank_deficiency
             if comp.precision_hyper is not None:
                 tau = theta[comp.precision_hyper]
                 comp_log_gdet = scaled_log_gdet(comp_log_gdet, rank, tau)
@@ -896,27 +953,6 @@ def build_model(spec: ModelSpec) -> AssembledModel:
                 )
             scale_roles[term.scale] = (role, term)
 
-    # unit builds for theta-independent components; intrinsic fields are
-    # standardized to unit reference marginal sd, the root mean of their
-    # marginal variances under the constraints (the rw2 analogue of the
-    # AR(2) unit-variance convention), so scale hypers read as the field's
-    # contribution sd and precision hypers as the field's own precision.
-    # The reference variance is a closed form in the kind and size:
-    # (n^2 - 4)(n^2 + 5) / (420 n) for rw2 on n nodes and
-    # (p^2 - 1)(p^2 + 11) / (720 p) for the cyclic rw2 of period p.
-    unit = {}
-    for comp in spec.components:
-        if comp.kind == "iid":
-            unit[comp.name] = build_iid(comp.size)
-        elif comp.kind == "rw2":
-            sd = rw2_reference_sd(comp.size)
-            unit[comp.name] = scale_precision(build_rw2(comp.size), sd * sd)
-        elif comp.kind == "cyclic_rw2":
-            sd = cyclic_rw2_reference_sd(comp.period)
-            unit[comp.name] = scale_precision(
-                build_cyclic_rw2(comp.size, comp.period), sd * sd
-            )
-
     for name, (role, term) in scale_roles.items():
         coords.append(HyperCoord(name, spec.hypers[name], role))
         roles[name] = role
@@ -927,16 +963,23 @@ def build_model(spec: ModelSpec) -> AssembledModel:
             f"declared hyperparameters never bound: {sorted(unbound)}"
         )
 
-    # global constraint rows, padded to the latent dimension
+    # global constraint rows, padded to the latent dimension: the null
+    # spaces of the intrinsic kinds, the constant and the linear trend for
+    # rw2 and the constant for cyclic_rw2, one row per unit of rank
+    # deficiency
     rows, owners = [], []
     for comp in spec.components:
-        if comp.name in unit and unit[comp.name].rank_deficiency > 0:
-            C = np.atleast_2d(unit[comp.name].constraints)
-            for c in C:
-                row = np.zeros(dim)
-                row[comp_offsets[comp.name]: comp_offsets[comp.name] + c.size] = c
-                rows.append(row)
-                owners.append(comp.name)
+        if comp.kind == "rw2":
+            C = [np.ones(comp.size), np.arange(1.0, comp.size + 1.0)]
+        elif comp.kind == "cyclic_rw2":
+            C = [np.ones(comp.period)]
+        else:
+            continue
+        for c in C:
+            row = np.zeros(dim)
+            row[comp_offsets[comp.name]: comp_offsets[comp.name] + c.size] = c
+            rows.append(row)
+            owners.append(comp.name)
     constraints = np.vstack(rows) if rows else np.empty((0, dim))
 
     model = AssembledModel(
@@ -946,7 +989,6 @@ def build_model(spec: ModelSpec) -> AssembledModel:
         effect_nodes=effect_nodes,
         latent_dim=dim,
         constraints=constraints,
-        unit_precisions=unit,
     )
 
     # expand each block's predictor into terms laid out on the latent field

@@ -73,7 +73,7 @@ def smooth_field(n, rng):
     the conditional law.  Dividing by the reference sd, the root mean of
     those conditional variances, sqrt((n^2 - 4)(n^2 + 5) / (420 n)), matches
     the standardization applied to fitted components, keeping a unit scale
-    hyper the generating truth.  Like ``build_rw2`` it needs n >= 3.
+    hyper the generating truth.  Like an rw2 component it needs n >= 3.
     """
     if n < 3:
         raise ConfigurationError(f"rw2 field needs n >= 3, got {n}")

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -524,6 +525,17 @@ GENERIC_THETA = {"tau": 2.0, "lam_s": 3.0, "p1": 0.6, "p2": -0.3, "t1": 4.0,
 SPECIAL_THETA = dict(GENERIC_THETA, p2=0.0, **{"R[0]": 0.0}, g=0.0)
 
 
+def stub_sparse(monkeypatch):
+    """Make every use of scipy.sparse in latent.py and model.py fail."""
+
+    class NoSparse:
+        def __getattr__(self, name):
+            raise AssertionError(f"scipy.sparse.{name} called")
+
+    monkeypatch.setattr("circfit.latent.sparse", NoSparse())
+    monkeypatch.setattr("circfit.model.sparse", NoSparse())
+
+
 class TestFixedStructure:
     def test_patterns_do_not_depend_on_theta(self):
         # the value arrays fill the patterns fixed at build time
@@ -651,17 +663,31 @@ class TestFixedStructure:
         # closed forms on its pattern: scipy.sparse is never reached
         m = build_model(structure_spec())
         S = m.structure
-
-        class NoSparse:
-            def __getattr__(self, name):
-                raise AssertionError(f"scipy.sparse.{name} called per theta")
-
-        monkeypatch.setattr("circfit.latent.sparse", NoSparse())
-        monkeypatch.setattr("circfit.model.sparse", NoSparse())
+        stub_sparse(monkeypatch)
         for theta in (GENERIC_THETA, SPECIAL_THETA):
             S.prior_values(theta)
         lp, _ = log_posterior_theta(m, m.initial_internal())
         assert np.isfinite(lp)
+
+    @pytest.mark.parametrize("generate, spec, truth", [
+        (None, structure_spec, None),
+        (generate_sim2, sim2_spec, SIM2_TRUTH),
+        (generate_sim3, sim3_spec, SIM3_TRUTH),
+    ], ids=["every_kind", "sim2", "sim3"])
+    def test_build_model_reaches_no_scipy_sparse(
+        self, monkeypatch, generate, spec, truth
+    ):
+        # every kind's pattern, unit values, constraints and size rule are
+        # closed forms; the structure's reverse Cuthill-McKee input, built
+        # after the stubs are lifted, is the only sparse matrix of a fit
+        model_spec = (
+            spec() if generate is None
+            else spec(generate(100, truth, np.random.default_rng(1)))
+        )
+        stub_sparse(monkeypatch)
+        m = build_model(model_spec)
+        monkeypatch.undo()
+        assert m.structure.prior_rows.size > m.latent_dim
 
     def test_nonpositive_precision_hyper_still_rejected(self):
         m = build_model(structure_spec())
@@ -714,9 +740,12 @@ PATTERN_COMPONENTS = [
     )
     for d in (1, 2, 3)
 ] + [
-    ComponentSpec("i", "iid", 3),
-    ComponentSpec("r", "rw2", 3),
-    ComponentSpec("c", "cyclic_rw2", 10, period=5),
+    ComponentSpec("i", "iid", n) for n in (1, 3, 100)
+] + [
+    ComponentSpec("r", "rw2", n) for n in (3, 4, 5, 100)
+] + [
+    ComponentSpec("c", "cyclic_rw2", n, period=p)
+    for n, p in ((10, 5), (10, 6), (100, 24))
 ]
 
 
@@ -725,9 +754,9 @@ PATTERN_COMPONENTS = [
     ids=lambda c: f"{c.kind}-{c.block_dim or c.period or c.size}",
 )
 def test_component_pattern_is_scipys_canonical_csc_order(comp):
-    # prior_values reads ar2's and mv_iid's values by position, so the
-    # order of the entries is part of the pattern
-    rows, cols = _component_pattern(one_component_model(comp), comp)
+    # prior_values reads every kind's values by position, so the order of
+    # the entries is part of the pattern
+    rows, cols = _component_pattern(comp)
     ref = sparse.csc_array(structural_matrix(comp))
     ref.sum_duplicates()
     assert rows.dtype == cols.dtype == np.int64
@@ -735,6 +764,28 @@ def test_component_pattern_is_scipys_canonical_csc_order(comp):
     np.testing.assert_array_equal(
         cols, np.repeat(np.arange(ref.shape[1]), np.diff(ref.indptr))
     )
+
+
+UNIT_COMPONENTS = [ComponentSpec("r", "rw2", n) for n in range(3, 61)] + [
+    ComponentSpec("c", "cyclic_rw2", 7, period=p) for p in range(5, 41)
+] + [ComponentSpec("i", "iid", n) for n in (1, 2, 100)]
+
+
+@pytest.mark.parametrize(
+    "comp", UNIT_COMPONENTS, ids=lambda c: f"{c.kind}-{c.period or c.size}"
+)
+def test_unit_values_equal_the_scipy_builders(comp):
+    # the structure's closed forms against the public builders' sparse
+    # products and coordinates, scaled by scale_precision: bit for bit
+    m = one_component_model(comp)
+    [(_, rows, cols, (values, log_gdet, rank))] = m.structure.prior_parts
+    ref = component_precision(comp, {})
+    np.testing.assert_array_equal(rows, ref.matrix.indices)
+    np.testing.assert_array_equal(values, ref.matrix.data)
+    assert log_gdet == ref.log_gdet
+    assert rank == ref.dimension - ref.rank_deficiency
+    C_ref = ref.constraints if ref.rank_deficiency else np.empty((0, comp.dimension))
+    np.testing.assert_array_equal(m.constraints[:, :comp.dimension], C_ref)
 
 
 EVERY_NODE = tuple(np.arange(20) % 8)
@@ -954,6 +1005,27 @@ class TestValidation:
             ComponentSpec("w", "ar2", 5)
         with pytest.raises(ConfigurationError, match="sigma"):
             ComponentSpec("w", "mv_iid", 5, block_dim=2, sigma_hypers=("s",))
+
+    @pytest.mark.parametrize("kind, size, extra, message", [
+        ("iid", 0, {}, "iid component needs n >= 1, got 0"),
+        ("rw2", 2, {}, "rw2 component needs n >= 3, got 2"),
+        ("cyclic_rw2", 10, {"period": 4}, "cyclic_rw2 needs period >= 5, got 4"),
+        ("cyclic_rw2", 0, {"period": 5},
+         "cyclic_rw2 needs n >= 1 observations, got 0"),
+        ("ar2", 2, {"pacf_hypers": ("p1", "p2")},
+         "ar2 component needs n >= 3, got 2"),
+        ("mv_iid", 0, {"block_dim": 1, "sigma_hypers": ("t0",)},
+         "mv_iid component needs n >= 1, got 0"),
+    ], ids=["iid", "rw2", "cyclic_rw2_period", "cyclic_rw2", "ar2", "mv_iid"])
+    def test_size_rule_checked_when_the_component_is_declared(
+        self, kind, size, extra, message
+    ):
+        # not inside the first Laplace evaluation of a fit, where the
+        # engine does not catch it
+        with pytest.raises(
+            ConfigurationError, match=f"'w': {re.escape(message)}$"
+        ):
+            ComponentSpec("w", kind, size, **extra)
 
     def test_empty_model_rejected(self):
         spec = ModelSpec(
