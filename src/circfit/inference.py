@@ -7,6 +7,8 @@ the hyper posterior is the Laplace ratio evaluated at that mode.  The hyper
 space is explored with a grid in the Hessian eigenbasis when it is small and
 a spherical central-composite design otherwise; latent marginals are
 Gaussian mixtures over the exploration points.
+The hyper stages of a fit share one ``HyperEvaluator`` and hand on the
+mode as the evaluation that found it, so no stage solves it again.
 """
 
 import time
@@ -24,6 +26,7 @@ from .priors import TRANSFORMS, prior_median_internal
 
 __all__ = [
     "GaussianApprox",
+    "HyperEvaluator",
     "ThetaPoint",
     "FitResult",
     "InferenceError",
@@ -466,12 +469,6 @@ def log_posterior_theta(model, theta_internal, init_w=None):
     approx = gaussian_approx(
         model, model.theta_natural(theta_internal), init_w=init_w
     )
-    return _laplace_ratio(model, theta_internal, approx), approx
-
-
-def _laplace_ratio(model, theta_internal, approx):
-    """``log_posterior_theta``'s value from an approximation already solved
-    at theta_internal: no Newton solve."""
     lp = (
         model.logprior_internal(theta_internal)
         + 0.5 * approx.prior_log_gdet
@@ -479,7 +476,7 @@ def _laplace_ratio(model, theta_internal, approx):
         + approx.loglik_sum
         - approx.det_half
     )
-    return float(lp)
+    return float(lp), approx
 
 
 @dataclass
@@ -505,10 +502,11 @@ class FitResult:
     diagnostics: dict
 
 
-class _HyperEvaluator:
+class HyperEvaluator:
     """Laplace evaluations of the hyper posterior at free coordinates ``u``,
     under the rules every hyper stage shares.  Fixed hypers are pinned at
     their values and the free ones are searched on their internal axes.
+    ``fit_model`` makes one per fit, for all its hyper stages.
 
     Internal coordinates beyond +-30 are numerically degenerate for every
     transform in use (exp overflow, saturated correlations), so a point not
@@ -516,8 +514,7 @@ class _HyperEvaluator:
     An evaluation warm-starts from ``w``, the latent mode of the last
     success (a stage may set it); a failed warm start is retried cold once,
     and a failed cold start is deterministic, so it is not repeated.
-    ``count`` is the number of points evaluated, failures included, and
-    ``best`` the (lp, theta_internal, approx) of the highest success.
+    ``count`` is the number of points evaluated, failures included.
     """
 
     BOX = 30.0
@@ -536,7 +533,6 @@ class _HyperEvaluator:
         self.dim = self.free.size
         self.w = None
         self.count = 0
-        self.best = (-np.inf, None, None)
 
     def to_full(self, u):
         th = self.base.copy()
@@ -564,8 +560,6 @@ class _HyperEvaluator:
                     return theta, -np.inf, None
                 self.w = None
         self.w = approx.mode
-        if lp > self.best[0]:
-            self.best = (lp, theta, approx)
         return theta, lp, approx
 
     def walk(self, point, lp0, drop, max_steps, w):
@@ -645,9 +639,20 @@ def _search_budget(m):
     return SEARCH_GRADIENTS * (2 * m + 1)
 
 
-def optimize_theta(model, init=None):
+def _checked_mode(mode):
+    """The evaluation ``mode`` as given, unless it failed: every hyper
+    stage raises ``InferenceError`` on a failed mode."""
+    if mode[2] is None:
+        raise InferenceError(
+            "latent approximation failed at the hyper mode", best=mode[0]
+        )
+    return mode
+
+
+def optimize_theta(hyper, init=None):
     """Search for the hyper posterior mode with central-difference
-    gradients; returns (theta_mode_internal, hessian_u, info).
+    gradients; returns (mode, hessian_u, info), where ``mode`` is the
+    evaluation (theta_internal, lp, approx) of the best point evaluated.
 
     One free hyper: ``_newton_search``, a safeguarded Newton ascent whose
     curvature is the second difference of the three points its gradient
@@ -669,34 +674,37 @@ def optimize_theta(model, init=None):
     Both searches raise ``InferenceError`` with the best point as ``best``
     once ``_search_budget(m)`` points are evaluated, m the number of free
     hypers; ``info["optimizer_message"]`` says how a search that returns
-    ended.  The mode is the best point evaluated.  The Hessian, in the
-    free-coordinate basis, is a central-difference stencil around it: its
-    centre value is that evaluation's lp and its first point warm-starts
-    from that evaluation's latent mode, so the mode is not solved again.
-    A failed stencil evaluation raises ``InferenceError`` with the mode as
-    ``best``, since it has no value to enter the Hessian with.
-    ``info["mode_approx"]`` is that evaluation's ``GaussianApprox`` (None
-    when no hyper is free), for ``explore_theta``'s ``center``.  Only the
-    search's evaluations count against the budget, not the stencil's.
+    ended.  The Hessian, in the free-coordinate basis, is a
+    central-difference stencil around the mode: its centre value is the
+    mode's lp and its first point warm-starts from the mode's latent mode,
+    so the mode is not solved again.  A failed stencil evaluation raises
+    ``InferenceError`` with the mode as ``best``, since it has no value to
+    enter the Hessian with.  ``info["evaluations"]`` counts the search's
+    points, the ones the budget counts.  With no free hyper the one point
+    is the mode, evaluated outside the count; its failure raises.
     """
-    hyper = _HyperEvaluator(model)
     m = hyper.dim
     if m == 0:
-        th = hyper.to_full(np.zeros(0))
-        return th, np.zeros((0, 0)), {"evaluations": 0, "mode_approx": None}
+        mode = _checked_mode(hyper(np.zeros(0)))
+        return mode, np.zeros((0, 0)), {"evaluations": 0}
 
-    u0 = hyper.to_u(model.initial_internal() if init is None else init)
+    u0 = hyper.to_u(hyper.model.initial_internal() if init is None else init)
     u0 = np.clip(u0, -hyper.BOX, hyper.BOX)
-    budget = _search_budget(m)
+    budget, start = _search_budget(m), hyper.count
+    mode = (None, -np.inf, None)
 
     def evaluate(u):
-        if hyper.count >= budget:
+        nonlocal mode
+        if hyper.count - start >= budget:
             raise InferenceError(
                 "hyper optimization exceeded its evaluation budget",
-                best=hyper.best[1],
-                diagnostics={"evaluations": hyper.count},
+                best=mode[0],
+                diagnostics={"evaluations": hyper.count - start},
             )
-        return hyper(u)
+        point = hyper(u)
+        if point[1] > mode[1]:
+            mode = point
+        return point
 
     if m == 1:
         message = _newton_search(
@@ -704,15 +712,15 @@ def optimize_theta(model, init=None):
         )
     else:
         message = _lbfgsb_search(evaluate, u0, hyper.BOX)
-    lp_mode, theta_mode, approx_mode = hyper.best
-    if theta_mode is None:
+    theta_mode, lp_mode, approx_mode = mode
+    evaluations = hyper.count - start
+    if approx_mode is None:
         # every evaluation failed, so the search's answer is the start
         # point and its curvature is flat
         raise InferenceError(
             "no successful Laplace evaluation during hyper optimization",
-            diagnostics={"evaluations": hyper.count},
+            diagnostics={"evaluations": evaluations},
         )
-    evaluations = hyper.count
     # the best point actually evaluated; the optimizer's final iterate
     # can sit on a failed-evaluation wall after an aggressive line search
     u_mode = hyper.to_u(theta_mode)
@@ -753,12 +761,7 @@ def optimize_theta(model, init=None):
                 fpp + fmm + 2.0 * f0 - fp[i] - fm[i] - fp[j] - fm[j]
             ) / (2.0 * h**2)
 
-    info = {
-        "evaluations": evaluations,
-        "optimizer_message": message,
-        "mode_approx": approx_mode,
-    }
-    return theta_mode, H, info
+    return mode, H, {"evaluations": evaluations, "optimizer_message": message}
 
 
 def _lbfgsb_search(evaluate, u0, box):
@@ -810,8 +813,8 @@ def _spd_directions(H, step):
     return vecs * (step / np.sqrt(vals))
 
 
-def explore_theta(model, theta_mode_internal, hessian, center=None):
-    """Weighted hyper-space point set around the mode.
+def explore_theta(hyper, mode, hessian):
+    """Weighted hyper-space point set around ``optimize_theta``'s ``mode``.
 
     Free dimension up to 2: centered product grid in the Hessian eigenbasis
     (spacing ``EXPLORE_STEP`` standard deviations).  Each axis is walked
@@ -825,26 +828,16 @@ def explore_theta(model, theta_mode_internal, hessian, center=None):
     point outside the hyper box counts as a failed evaluation: it ends a
     grid axis, or leaves the CCD.
 
-    ``center``, when given, is the ``GaussianApprox`` at the mode (as
-    ``optimize_theta`` returns it in ``info["mode_approx"]``); it is used
-    like ``log_posterior_theta``'s ``approx``, so the mode costs no Newton
-    solve.  The result always holds the mode as one of its points.
+    The mode is not solved again: its lp is the walks' reference and its
+    latent mode the warm start of either branch.  The result always holds
+    the mode as one of its points.
     """
-    hyper = _HyperEvaluator(model)
-    m = hyper.dim
-    u_mode = hyper.to_u(theta_mode_internal)
-    if center is None:
-        th0, lp0, approx0 = hyper(u_mode)
-    else:
-        th0, approx0 = hyper.to_full(u_mode), center
-        lp0 = _laplace_ratio(model, th0, center)
-    if approx0 is None:
-        raise InferenceError(
-            "latent approximation failed at the hyper mode",
-            best=theta_mode_internal,
-        )
+    th0, lp0, approx0 = _checked_mode(mode)
+    model, m = hyper.model, hyper.dim
     if m == 0:
         return [ThetaPoint(th0, model.theta_natural(th0), lp0, 1.0, approx0)]
+    u_mode = hyper.to_u(th0)
+    hyper.w = approx0.mode
 
     axes = _spd_directions(hessian, EXPLORE_STEP)
 
@@ -1026,22 +1019,20 @@ def _natural_grid_summary(theta_grid_internal, logpost, coord):
     }
 
 
-def hyper_marginals(model, points, theta_mode_internal, hessian):
+def hyper_marginals(hyper, points, mode, hessian):
     """Per-hyper marginal grids on the natural scale.
 
     One free hyper: the exploration grid itself.  Several: profile scans
     along each coordinate, the others following the conditional quadratic
     ridge, which matches the Gaussian-mixture marginal when the posterior is
-    close to Gaussian.  The scans start from the entry of ``points`` at
-    ``theta_mode_internal`` (``explore_theta``'s result always holds it):
-    its lp is the scans' reference and its latent mode their warm start,
-    so the mode is not solved again.  Fixed hypers yield degenerate
-    one-point grids.  A scan step outside the hyper box counts as a failed
-    evaluation; a free coordinate whose grid keeps only the mode raises
-    ``InferenceError``.
+    close to Gaussian.  ``optimize_theta``'s ``mode`` gives the scans their
+    reference lp and their warm start, so it is not solved again.  Fixed
+    hypers yield degenerate one-point grids.  A scan step outside the hyper
+    box counts as a failed evaluation; a free coordinate whose grid keeps
+    only the mode raises ``InferenceError``.
     """
-    hyper = _HyperEvaluator(model)
-    out = {}
+    th0, lp0, approx0 = _checked_mode(mode)
+    model, out = hyper.model, {}
 
     def summary(grid, lps, coord):
         if len(grid) == 1:
@@ -1049,7 +1040,7 @@ def hyper_marginals(model, points, theta_mode_internal, hessian):
             raise InferenceError(
                 f"the marginal grid of hyper {coord.name!r} kept only the "
                 "mode: every other point failed or left the hyper box",
-                best=theta_mode_internal,
+                best=th0,
             )
         return _natural_grid_summary(grid, lps, coord)
 
@@ -1075,18 +1066,7 @@ def hyper_marginals(model, points, theta_mode_internal, hessian):
 
     if hyper.dim >= 2:
         Hinv = np.linalg.inv(hessian)
-        u_mode = hyper.to_u(theta_mode_internal)
-        at_mode = [
-            pt for pt in points
-            if np.array_equal(hyper.to_u(pt.theta_internal), u_mode)
-        ]
-        if not at_mode:
-            raise ValueError(
-                "points hold no evaluation at theta_mode_internal; pass "
-                "explore_theta's result for that mode"
-            )
-        lp0 = at_mode[0].log_unnorm_posterior
-        w_mode = at_mode[0].approx.mode
+        u_mode = hyper.to_u(th0)
 
         for j in range(hyper.dim):
             coord = model.hyper_coords[hyper.free[j]]
@@ -1109,7 +1089,7 @@ def hyper_marginals(model, points, theta_mode_internal, hessian):
             for sign in (1.0, -1.0):
                 steps = hyper.walk(
                     lambda k: on_ridge(sign * k * SCAN_STEP * sd_j),
-                    lp0, SCAN_DROP, SCAN_MAX_STEPS, w_mode,
+                    lp0, SCAN_DROP, SCAN_MAX_STEPS, approx0.mode,
                 )
                 for th, lp, _ in steps:
                     if np.isfinite(lp):
@@ -1126,15 +1106,14 @@ def fit_model(model):
     module constant, and the mode search's budget follows the number of
     free hypers (``_search_budget``).
     """
+    hyper = HyperEvaluator(model)
     timings = {}
     t0 = time.perf_counter()
-    theta_mode, hessian, opt_info = optimize_theta(model)
+    mode, hessian, opt_info = optimize_theta(hyper)
     timings["optimize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    points = explore_theta(
-        model, theta_mode, hessian, center=opt_info["mode_approx"]
-    )
+    points = explore_theta(hyper, mode, hessian)
     timings["explore"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -1142,7 +1121,7 @@ def fit_model(model):
     timings["latent_marginals"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    grids = hyper_marginals(model, points, theta_mode, hessian)
+    grids = hyper_marginals(hyper, points, mode, hessian)
     timings["hyper_marginals"] = time.perf_counter() - t0
 
     hyper_summary = {
@@ -1152,7 +1131,7 @@ def fit_model(model):
         for name, g in grids.items()
     }
     diagnostics = {
-        "evaluations": opt_info.get("evaluations", 0),
+        "evaluations": opt_info["evaluations"],
         "newton_iterations_max": max(pt.approx.iterations for pt in points),
         "points": len(points),
         "timings": timings,
@@ -1160,8 +1139,8 @@ def fit_model(model):
     return FitResult(
         model=model,
         points=points,
-        theta_mode_internal=theta_mode,
-        theta_mode=model.theta_natural(theta_mode),
+        theta_mode_internal=mode[0],
+        theta_mode=model.theta_natural(mode[0]),
         hessian=hessian,
         latent_summary=latent,
         hyper_summary=hyper_summary,

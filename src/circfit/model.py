@@ -906,6 +906,13 @@ def _layout_hypers(spec):
                         f"vine partial {k} of component {comp.name!r}",
                     )
                 )
+    # scale hypers bind to exactly one raw term; shared expansion may then
+    # replicate them across chains without rebinding
+    for block in spec.blocks:
+        for term in block.terms:
+            if term.scale is not None:
+                bind(term.scale, f"scale of {term.kind} term {term.ref!r} "
+                                 f"in block {block.name!r}")
     return coords, roles
 
 
@@ -933,31 +940,7 @@ def build_model(spec: ModelSpec) -> AssembledModel:
 
     coords, roles = _layout_hypers(spec)
 
-    # scale hypers bind to exactly one raw term; shared expansion may then
-    # replicate them across chains without rebinding
-    declared = set(spec.hypers)
-    scale_roles = {}
-    for block in spec.blocks:
-        for term in block.terms:
-            if term.scale is None:
-                continue
-            role = f"scale of {term.kind} term {term.ref!r} in block {block.name!r}"
-            if term.scale in roles or term.scale in scale_roles:
-                prev = roles.get(term.scale) or scale_roles[term.scale][0]
-                raise ConfigurationError(
-                    f"hyperparameter {term.scale!r} bound twice: {prev} and {role}"
-                )
-            if term.scale not in declared:
-                raise ConfigurationError(
-                    f"{role} references undeclared hyperparameter {term.scale!r}"
-                )
-            scale_roles[term.scale] = (role, term)
-
-    for name, (role, term) in scale_roles.items():
-        coords.append(HyperCoord(name, spec.hypers[name], role))
-        roles[name] = role
-
-    unbound = declared - set(roles)
+    unbound = set(spec.hypers) - set(roles)
     if unbound:
         raise ConfigurationError(
             f"declared hyperparameters never bound: {sorted(unbound)}"

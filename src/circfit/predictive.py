@@ -243,9 +243,9 @@ def posterior_predictive(fit, block, new_inputs=None, n=300, rng=None):
     """Simulated response distribution for one block.
 
     new_inputs: None replicates the fitted observations; otherwise a dict
-    with "size" plus "covariates" and "indices" entries as needed by the
-    block's terms.  Returns the draw matrix (one row per posterior sample)
-    together with histogram and density-curve series.
+    with "size" (an integer >= 1) plus "covariates" and "indices" entries
+    as needed by the block's terms.  Returns the draw matrix (one row per
+    posterior sample) together with histogram and density-curve series.
 
     The density curve is a Gaussian kernel estimate on 257 grid points
     (over (-pi, pi] for circular blocks, from three 2*pi-shifted copies of
@@ -265,7 +265,11 @@ def posterior_predictive(fit, block, new_inputs=None, n=300, rng=None):
     terms = blk.terms
     m = blk.size
     if new_inputs is not None:
-        m = int(new_inputs["size"])
+        m = new_inputs.get("size")
+        if not isinstance(m, (int, np.integer)) or m < 1:
+            raise ConfigurationError(
+                f"new_inputs['size'] must be an integer >= 1, got {m!r}"
+            )
         covariates = new_inputs.get("covariates") or {}
         indices = new_inputs.get("indices") or {}
         terms = []
@@ -487,6 +491,10 @@ def cpo(fit, n_draws=4000, rng=None, joint=None):
         rng = np.random.default_rng(0)
     model = fit.model
     if joint is not None:
+        if len(joint) != 2:
+            raise ConfigurationError(
+                f"joint must be exactly two block names, got {joint!r}"
+            )
         a, b = joint
         for name in joint:
             if name not in model.blocks:

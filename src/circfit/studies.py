@@ -772,6 +772,8 @@ def run_study(study, n=None, reps=100, seed=1, threads=1):
         raise ConfigurationError(f"need at least one observation, got {n}")
     if reps < 1:
         raise ConfigurationError(f"need at least one replicate, got {reps}")
+    if seed < 0:
+        raise ConfigurationError(f"need a non-negative seed, got {seed}")
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

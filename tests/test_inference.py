@@ -27,6 +27,7 @@ from circfit import inference
 from circfit.circular import lavm_sample
 from circfit.inference import (
     CURVATURE_MIN,
+    HyperEvaluator,
     InferenceError,
     _curvatures,
     _factor_spd,
@@ -84,6 +85,13 @@ POISSON_MODE_Y2 = 0.4428544010023886
 # posterior mode equation for five LAvM angles at 2.5 with an N(0, 10^2)
 # prior; frozen from scipy.optimize.brentq on [0, 10] at xtol=1e-15
 LAVM_SLOW_MODE = 3.0095398764382595
+
+
+def evaluated_at(m, theta_internal):
+    """A ``HyperEvaluator`` on m and its evaluation at theta_internal, the
+    mode triple the hyper stages take."""
+    hyper = HyperEvaluator(m)
+    return hyper, hyper(hyper.to_u(theta_internal))
 
 
 def conjugate_scalar_model(y=2.0, tau=1.0, prior_sd=1.0):
@@ -904,7 +912,9 @@ class TestGaussianExactness:
         m = factory()
         theta_internal = m.initial_internal()
         mean_ref, sd_ref = dref.gls(m, m.theta_natural(theta_internal))
-        points = explore_theta(m, theta_internal, np.zeros((0, 0)))
+        points = explore_theta(
+            *evaluated_at(m, theta_internal), np.zeros((0, 0))
+        )
         assert len(points) == 1
         assert points[0].weight == pytest.approx(1.0, abs=1e-15)
         summary = latent_marginals(points)
@@ -1006,15 +1016,17 @@ class TestOptimizeTheta:
             neg_lp, bracket=(-1.0, 1.0, 4.0), method="golden",
             options={"xtol": 1e-10},
         )
-        theta_mode, hessian, info = optimize_theta(m)
+        (theta_mode, _, _), hessian, info = optimize_theta(HyperEvaluator(m))
         assert theta_mode[0] == pytest.approx(ref.x, abs=1e-4)
         assert hessian.shape == (1, 1) and hessian[0, 0] > 0.0
         assert info["evaluations"] <= 200
 
     def test_restart_at_mode_converges_with_few_evaluations(self):
         m = tau_free_model()
-        theta_mode, _, _ = optimize_theta(m)
-        theta2, _, info = optimize_theta(m, init=theta_mode)
+        (theta_mode, _, _), _, _ = optimize_theta(HyperEvaluator(m))
+        (theta2, _, _), _, info = optimize_theta(
+            HyperEvaluator(m), init=theta_mode
+        )
         assert theta2[0] == pytest.approx(theta_mode[0], abs=1e-6)
         assert info["evaluations"] <= 8
 
@@ -1022,14 +1034,14 @@ class TestOptimizeTheta:
         m = two_hyper_model()
         monkeypatch.setattr(inference, "_search_budget", lambda m: 3)
         with pytest.raises(InferenceError) as err:
-            optimize_theta(m)
+            optimize_theta(HyperEvaluator(m))
         assert "budget" in str(err.value)
         assert err.value.best is not None
         assert np.all(np.isfinite(err.value.best))
 
     def test_fixed_hypers_are_not_searched(self):
         m = three_hyper_model()
-        theta_mode, hessian, _ = optimize_theta(m)
+        (theta_mode, _, _), hessian, _ = optimize_theta(HyperEvaluator(m))
         assert hessian.shape == (3, 3)
         fixed_idx = [
             i for i, c in enumerate(m.hyper_coords) if c.is_fixed
@@ -1049,7 +1061,7 @@ class TestOptimizeTheta:
 
         monkeypatch.setattr(inference, "log_posterior_theta", fail)
         with pytest.raises(InferenceError, match="no successful") as err:
-            optimize_theta(m)
+            optimize_theta(HyperEvaluator(m))
         assert err.value.diagnostics["evaluations"] == 3
         assert len(calls) == 3
 
@@ -1070,7 +1082,7 @@ class TestOptimizeTheta:
         # a failed stencil point must not enter the Hessian as the -1e10
         # wall: that gave entries of order 1e12 and eigenvalues of both signs
         m = two_hyper_model()
-        theta_mode, _, _ = optimize_theta(m)
+        (theta_mode, _, _), _, _ = optimize_theta(HyperEvaluator(m))
         real_lpt, real_minimize = inference.log_posterior_theta, inference.minimize
         state = {"searched": False, "failing": None}
 
@@ -1092,7 +1104,7 @@ class TestOptimizeTheta:
         monkeypatch.setattr(inference, "log_posterior_theta", failing)
         monkeypatch.setattr(inference, "minimize", minimize)
         with pytest.raises(InferenceError, match="Hessian stencil") as err:
-            optimize_theta(m)
+            optimize_theta(HyperEvaluator(m))
         np.testing.assert_array_equal(
             err.value.diagnostics["theta"], state["failing"]
         )
@@ -1120,8 +1132,8 @@ class TestOptimizeTheta:
                 return real(model, theta_internal, *args, **kwargs)
 
             monkeypatch.setattr(inference, "log_posterior_theta", recording)
-            theta_mode, hessian, info = optimize_theta(
-                m, init=np.array([edge])
+            (theta_mode, _, _), hessian, info = optimize_theta(
+                HyperEvaluator(m), init=np.array([edge])
             )
             assert evaluated[:2] == [edge, edge - np.sign(edge) * 1e-4]
             assert np.max(np.abs(evaluated)) <= 30.0
@@ -1134,7 +1146,7 @@ class TestOptimizeTheta:
         # vine coordinates compose to an R that rounds to indefinite: the
         # point fails as an evaluation instead of raising ConfigurationError
         m = _study_model(generate_mv6, mv6_spec, MV6_TRUTH, 30)
-        hyper = inference._HyperEvaluator(m)
+        hyper = HyperEvaluator(m)
         u = hyper.to_u(m.initial_internal())
         for j, i in enumerate(hyper.free):
             name = m.hyper_coords[i].name
@@ -1158,12 +1170,12 @@ class TestOptimizeTheta:
         monkeypatch.setattr(inference, "log_posterior_theta", counting)
         monkeypatch.setattr(inference, "_search_budget", lambda m: 7)
         with pytest.raises(InferenceError, match="budget") as err:
-            optimize_theta(m)
+            optimize_theta(HyperEvaluator(m))
         assert err.value.diagnostics["evaluations"] == 7 == len(calls)
 
     def test_hessian_is_symmetric_positive_definite(self):
         m = two_hyper_model()
-        _, hessian, _ = optimize_theta(m)
+        _, hessian, _ = optimize_theta(HyperEvaluator(m))
         assert np.array_equal(hessian, hessian.T)
         assert np.all(np.linalg.eigvalsh(hessian) > 0.0)
 
@@ -1188,7 +1200,7 @@ class TestOptimizeTheta:
 
         monkeypatch.setattr(inference, "log_posterior_theta", recording)
         monkeypatch.setattr(inference, "minimize", minimize)
-        optimize_theta(m)
+        optimize_theta(HyperEvaluator(m))
         u = np.array(evaluated)
         assert np.max(np.abs(u)) < 30.0
         first = next(
@@ -1209,7 +1221,7 @@ class TestOptimizeTheta:
             return real(model, theta_internal, *args, **kwargs)
 
         monkeypatch.setattr(inference, "log_posterior_theta", recording)
-        _, _, info = optimize_theta(m)
+        _, _, info = optimize_theta(HyperEvaluator(m))
         search = evaluated[: info["evaluations"]]
         assert len(set(search)) == len(search)
         assert info["optimizer_message"] in (
@@ -1223,7 +1235,7 @@ class TestOptimizeTheta:
         # to zero and evaluate the start again, and the search would read
         # the same probes there until the budget ran out
         m = tau_free_model()
-        u0 = float(optimize_theta(m)[0][0])
+        u0 = float(optimize_theta(HyperEvaluator(m))[0][0][0])
         h, tilt = inference.GRAD_STEP, 2.0 * inference.GRAD_TOL
         real = inference.log_posterior_theta
         evaluated = []
@@ -1237,7 +1249,9 @@ class TestOptimizeTheta:
             return lp - 1.0, approx
 
         monkeypatch.setattr(inference, "log_posterior_theta", tilted)
-        theta_mode, _, info = optimize_theta(m, init=np.array([u0]))
+        (theta_mode, _, _), _, info = optimize_theta(
+            HyperEvaluator(m), init=np.array([u0])
+        )
         assert info["optimizer_message"] == "roundoff step"
         assert theta_mode[0] == u0
         search = evaluated[: info["evaluations"]]
@@ -1268,7 +1282,7 @@ class TestOptimizeTheta:
                 inference, "_search_budget", lambda m, b=budget: b
             )
             with pytest.raises(InferenceError, match="budget") as err:
-                optimize_theta(m)
+                optimize_theta(HyperEvaluator(m))
             assert err.value.diagnostics["evaluations"] == budget
             assert err.value.best is not None
             assert np.all(np.isfinite(err.value.best))
@@ -1283,7 +1297,7 @@ class TestOptimizeTheta:
         # the budget counts gradients over the free hypers
         monkeypatch.setattr(inference, "SEARCH_GRADIENTS", 1)
         with pytest.raises(InferenceError, match="budget") as err:
-            optimize_theta(model())
+            optimize_theta(HyperEvaluator(model()))
         assert err.value.diagnostics["evaluations"] == 2 * m + 1
 
     def test_study_budgets_are_no_smaller_than_their_former_settings(self):
@@ -1296,8 +1310,10 @@ class TestOptimizeTheta:
 class TestExploreTheta:
     def test_single_hyper_grid_is_odd_symmetric_unimodal(self):
         m = tau_free_model()
-        theta_mode, hessian, _ = optimize_theta(m)
-        points = explore_theta(m, theta_mode, hessian)
+        hyper = HyperEvaluator(m)
+        mode, hessian, _ = optimize_theta(hyper)
+        points = explore_theta(hyper, mode, hessian)
+        theta_mode = mode[0]
         w = np.array([pt.weight for pt in points])
         t = np.array([pt.theta_internal[0] for pt in points])
         assert len(points) % 2 == 1 and len(points) >= 5
@@ -1314,8 +1330,9 @@ class TestExploreTheta:
 
     def test_two_hyper_grid_weights_normalized(self):
         m = two_hyper_model()
-        theta_mode, hessian, _ = optimize_theta(m)
-        points = explore_theta(m, theta_mode, hessian)
+        hyper = HyperEvaluator(m)
+        mode, hessian, _ = optimize_theta(hyper)
+        points = explore_theta(hyper, mode, hessian)
         w = np.array([pt.weight for pt in points])
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(w >= 0.0)
@@ -1324,8 +1341,9 @@ class TestExploreTheta:
 
     def test_three_hyper_composite_design_layout(self):
         m = three_hyper_model()
-        theta_mode, hessian, _ = optimize_theta(m)
-        points = explore_theta(m, theta_mode, hessian)
+        hyper = HyperEvaluator(m)
+        mode, hessian, _ = optimize_theta(hyper)
+        points = explore_theta(hyper, mode, hessian)
         # center + 2^3 corners + 2 * 3 axial points
         assert len(points) == 15
         w = np.array([pt.weight for pt in points])
@@ -1337,7 +1355,7 @@ class TestExploreTheta:
         # downward one; the grid takes the longer extent on both sides,
         # not the extent of the walk that ran last
         m = tau_free_model()
-        theta_mode, hessian, _ = optimize_theta(m)
+        (theta_mode, _, _), hessian, _ = optimize_theta(HyperEvaluator(m))
         a = 0.75 / np.sqrt(hessian[0, 0])
         start = theta_mode - 2.0 * a
         lp0 = log_posterior_theta(m, start)[0]
@@ -1351,7 +1369,7 @@ class TestExploreTheta:
 
         up, down = extent(1), extent(-1)
         assert up > down
-        points = explore_theta(m, start, hessian)
+        points = explore_theta(*evaluated_at(m, start), hessian)
         offsets = sorted(
             round(float((pt.theta_internal[0] - start[0]) / a))
             for pt in points
@@ -1363,8 +1381,9 @@ class TestExploreTheta:
         self, factory, monkeypatch
     ):
         m = factory()
-        theta_mode, hessian, info = optimize_theta(m)
-        center = info["mode_approx"]
+        hyper = HyperEvaluator(m)
+        mode, hessian, _ = optimize_theta(hyper)
+        theta_mode, _, center = mode
         calls = []
         real = inference.log_posterior_theta
 
@@ -1373,7 +1392,7 @@ class TestExploreTheta:
             return real(model, theta_internal, init_w=init_w)
 
         monkeypatch.setattr(inference, "log_posterior_theta", recording)
-        explore_theta(m, theta_mode, hessian, center=center)
+        explore_theta(hyper, mode, hessian)
         axes = _spd_directions(hessian, 0.75)
         for i in range(axes.shape[1]):
             for sign in (1, -1):
@@ -1387,12 +1406,14 @@ class TestExploreTheta:
 
     def test_weighted_mean_matches_dense_quadrature(self):
         m = tau_free_model()
-        theta_mode, hessian, _ = optimize_theta(m)
-        points = explore_theta(m, theta_mode, hessian)
+        hyper = HyperEvaluator(m)
+        mode, hessian, _ = optimize_theta(hyper)
+        points = explore_theta(hyper, mode, hessian)
         w = np.array([pt.weight for pt in points])
         t = np.array([pt.theta_internal[0] for pt in points])
         mean_points = float(w @ t)
 
+        theta_mode = mode[0]
         sd = float(1.0 / np.sqrt(hessian[0, 0]))
         grid = np.linspace(theta_mode[0] - 8 * sd, theta_mode[0] + 8 * sd, 601)
         lp = np.array(
@@ -1406,7 +1427,9 @@ class TestExploreTheta:
     @pytest.mark.parametrize("factory", [kappa_free_model, two_hyper_model])
     def test_no_hyper_point_is_evaluated_twice(self, factory, monkeypatch):
         m = factory()
-        theta_mode, hessian, info = optimize_theta(m)
+        hyper = HyperEvaluator(m)
+        mode, hessian, _ = optimize_theta(hyper)
+        at_mode = tuple(mode[0].tolist())
         evaluated, solved = [], []
         real_lpt, real_ga = inference.log_posterior_theta, inference.gaussian_approx
 
@@ -1420,32 +1443,39 @@ class TestExploreTheta:
 
         monkeypatch.setattr(inference, "log_posterior_theta", recording_lpt)
         monkeypatch.setattr(inference, "gaussian_approx", recording_ga)
-        points = explore_theta(m, theta_mode, hessian)
+        points = explore_theta(hyper, mode, hessian)
         assert len(evaluated) == len(set(evaluated))
-        assert {tuple(pt.theta_internal.tolist()) for pt in points} <= set(evaluated)
+        # the mode is handed on as its evaluation: never solved again
+        assert at_mode not in evaluated
+        assert m.theta_natural(mode[0]) not in solved
+        held = [tuple(pt.theta_internal.tolist()) for pt in points]
+        assert at_mode in held
+        assert set(held) <= set(evaluated) | {at_mode}
 
-        evaluated.clear()
-        solved.clear()
-        centered = explore_theta(
-            m, theta_mode, hessian, center=info["mode_approx"]
-        )
-        assert len(evaluated) == len(set(evaluated))
-        assert m.theta_natural(theta_mode) not in solved
-        assert tuple(theta_mode.tolist()) not in evaluated
-        assert [pt.theta_internal.tolist() for pt in centered] == [
-            pt.theta_internal.tolist() for pt in points
-        ]
-        np.testing.assert_allclose(
-            [pt.log_unnorm_posterior for pt in centered],
-            [pt.log_unnorm_posterior for pt in points],
-            rtol=1e-9,
-        )
+    def test_composite_design_starts_warm_from_the_mode(self, monkeypatch):
+        # the design's first point warm-starts from the mode's latent mode,
+        # as the grid walks do: no point of the design is solved cold
+        m = three_hyper_model()
+        hyper = HyperEvaluator(m)
+        mode, hessian, _ = optimize_theta(hyper)
+        cold = []
+        real = inference.gaussian_approx
+
+        def recording(model, theta, init_w=None):
+            cold.append(init_w is None)
+            return real(model, theta, init_w=init_w)
+
+        monkeypatch.setattr(inference, "gaussian_approx", recording)
+        points = explore_theta(hyper, mode, hessian)
+        assert len(points) == 15 and len(cold) == 14
+        assert not any(cold)
 
     @pytest.mark.parametrize("factory", [tau_free_model, two_hyper_model])
     def test_points_carry_their_natural_hypers(self, factory):
         m = factory()
-        theta_mode, hessian, _ = optimize_theta(m)
-        for pt in explore_theta(m, theta_mode, hessian):
+        hyper = HyperEvaluator(m)
+        mode, hessian, _ = optimize_theta(hyper)
+        for pt in explore_theta(hyper, mode, hessian):
             assert pt.theta == m.theta_natural(pt.theta_internal)
 
     def test_flat_direction_stays_inside_the_hyper_box(self):
@@ -1456,7 +1486,7 @@ class TestExploreTheta:
         hypers["p1"] = PriorSpec("pc_correlation", (0.5, 0.5))
         m = build_model(replace(base.spec, hypers=hypers))
         mode = m.initial_internal()
-        points = explore_theta(m, mode, np.array([[1e-6]]))
+        points = explore_theta(*evaluated_at(m, mode), np.array([[1e-6]]))
         assert len(points) == 1
         np.testing.assert_array_equal(points[0].theta_internal, mode)
         for pt in points:
@@ -1517,7 +1547,9 @@ def random_mixture(seed):
 class TestLatentMixture:
     def test_single_point_quantiles_are_gaussian(self):
         m = iid_fixed_model()
-        points = explore_theta(m, m.initial_internal(), np.zeros((0, 0)))
+        points = explore_theta(
+            *evaluated_at(m, m.initial_internal()), np.zeros((0, 0))
+        )
         s = latent_marginals(points)
         np.testing.assert_allclose(
             s["q975"] - s["mean"], 1.959964 * s["sd"], rtol=1e-6
@@ -1605,9 +1637,11 @@ class TestLatentMixture:
 class TestHyperMarginals:
     def test_single_free_hyper_uses_exploration_grid(self):
         m = tau_free_model()
-        theta_mode, hessian, _ = optimize_theta(m)
-        points = explore_theta(m, theta_mode, hessian)
-        grids = hyper_marginals(m, points, theta_mode, hessian)
+        hyper = HyperEvaluator(m)
+        mode, hessian, _ = optimize_theta(hyper)
+        points = explore_theta(hyper, mode, hessian)
+        grids = hyper_marginals(hyper, points, mode, hessian)
+        theta_mode = mode[0]
         g = grids["tau"]
         t_points = np.sort([pt.theta_internal[0] for pt in points])
         np.testing.assert_allclose(g["grid_internal"], t_points, atol=1e-12)
@@ -1636,26 +1670,28 @@ class TestHyperMarginals:
         hypers["p1"] = PriorSpec("pc_correlation", (0.5, 0.5))
         hypers["p2"] = PriorSpec("pc_correlation", (0.5, 0.5))
         m = build_model(replace(base.spec, hypers=hypers))
-        mode = m.initial_internal()
+        hyper, mode = evaluated_at(m, m.initial_internal())
         hessian = np.diag([1e-6, 1.0])
-        points = explore_theta(m, mode, hessian)
+        points = explore_theta(hyper, mode, hessian)
         with pytest.raises(InferenceError, match="'p1' kept only the mode"):
-            hyper_marginals(m, points, mode, hessian)
+            hyper_marginals(hyper, points, mode, hessian)
 
     def test_one_point_exploration_grid_raises_and_names_the_hyper(self):
         # with one free hyper the exploration grid is the marginal's grid;
         # the mode alone has no area to normalize by
         m = tau_free_model()
-        theta_mode, hessian, _ = optimize_theta(m)
+        hyper = HyperEvaluator(m)
+        mode, hessian, _ = optimize_theta(hyper)
+        theta_mode = mode[0]
         points = [
-            pt for pt in explore_theta(m, theta_mode, hessian)
+            pt for pt in explore_theta(hyper, mode, hessian)
             if np.array_equal(pt.theta_internal, theta_mode)
         ]
         assert len(points) == 1
         with pytest.raises(
             InferenceError, match="'tau' kept only the mode"
         ) as err:
-            hyper_marginals(m, points, theta_mode, hessian)
+            hyper_marginals(hyper, points, mode, hessian)
         np.testing.assert_array_equal(err.value.best, theta_mode)
 
     def test_mode_refinement_survives_an_underflowing_neighbour(self):
@@ -1670,10 +1706,9 @@ class TestHyperMarginals:
 
     def test_scans_start_warm_from_the_mode_point(self, monkeypatch):
         m = two_hyper_model()
-        theta_mode, hessian, info = optimize_theta(m)
-        points = explore_theta(
-            m, theta_mode, hessian, center=info["mode_approx"]
-        )
+        hyper = HyperEvaluator(m)
+        mode, hessian, _ = optimize_theta(hyper)
+        points = explore_theta(hyper, mode, hessian)
         cold = []
         real = inference.gaussian_approx
 
@@ -1682,14 +1717,15 @@ class TestHyperMarginals:
             return real(model, theta, init_w=init_w, **kwargs)
 
         monkeypatch.setattr(inference, "gaussian_approx", recording)
-        hyper_marginals(m, points, theta_mode, hessian)
+        hyper_marginals(hyper, points, mode, hessian)
         assert cold and not any(cold)
 
     def test_every_scan_starts_warm_from_the_mode(self, monkeypatch):
         m = two_hyper_model()
-        theta_mode, hessian, info = optimize_theta(m)
-        center = info["mode_approx"]
-        points = explore_theta(m, theta_mode, hessian, center=center)
+        hyper = HyperEvaluator(m)
+        mode, hessian, _ = optimize_theta(hyper)
+        theta_mode, _, center = mode
+        points = explore_theta(hyper, mode, hessian)
         calls = []
         real = inference.log_posterior_theta
 
@@ -1698,7 +1734,7 @@ class TestHyperMarginals:
             return real(model, theta_internal, init_w=init_w)
 
         monkeypatch.setattr(inference, "log_posterior_theta", recording)
-        hyper_marginals(m, points, theta_mode, hessian)
+        hyper_marginals(hyper, points, mode, hessian)
         Hinv = np.linalg.inv(hessian)
         for j, o in ((0, 1), (1, 0)):
             ridge = -hessian[o, j] / hessian[o, o]
@@ -1714,14 +1750,25 @@ class TestHyperMarginals:
                 assert init_w is not None
                 np.testing.assert_array_equal(init_w, center.mode)
 
-    def test_points_without_the_mode_are_rejected(self):
-        m = two_hyper_model()
-        theta_mode, hessian, info = optimize_theta(m)
-        points = explore_theta(m, theta_mode, hessian)
-        away = [pt for pt in points
-                if not np.array_equal(pt.theta_internal, theta_mode)]
-        with pytest.raises(ValueError, match="no evaluation at theta_mode"):
-            hyper_marginals(m, away, theta_mode, hessian)
+    def test_a_failed_mode_is_refused_by_every_stage(self, monkeypatch):
+        # a point outside the hyper box is a failed evaluation: no stage
+        # takes it as the mode, and with no free hyper the search's one
+        # evaluation failing raises the same error
+        hyper = HyperEvaluator(two_hyper_model())
+        failed = hyper(np.full(2, 31.0))
+        assert failed[2] is None
+        match = "latent approximation failed at the hyper mode"
+        with pytest.raises(InferenceError, match=match):
+            explore_theta(hyper, failed, np.eye(2))
+        with pytest.raises(InferenceError, match=match):
+            hyper_marginals(hyper, [], failed, np.eye(2))
+
+        def fail(*args, **kwargs):
+            raise InferenceError("forced failure")
+
+        monkeypatch.setattr(inference, "gaussian_approx", fail)
+        with pytest.raises(InferenceError, match=match):
+            optimize_theta(HyperEvaluator(iid_fixed_model()))
 
     def test_profile_scans_cover_every_free_hyper(self):
         m = two_hyper_model()
@@ -1736,6 +1783,22 @@ class TestHyperMarginals:
 
 
 class TestFitModel:
+    @pytest.mark.parametrize("factory", [
+        iid_fixed_model, tau_free_model, two_hyper_model, three_hyper_model,
+    ])
+    def test_a_fit_builds_one_hyper_evaluator(self, factory, monkeypatch):
+        built = []
+
+        class Counting(HyperEvaluator):
+            def __init__(self, model):
+                built.append(model)
+                super().__init__(model)
+
+        monkeypatch.setattr(inference, "HyperEvaluator", Counting)
+        m = factory()
+        fit_model(m)
+        assert built == [m]
+
     def test_fit_is_deterministic(self):
         a = fit_model(kappa_free_model())
         b = fit_model(kappa_free_model())

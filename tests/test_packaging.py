@@ -61,6 +61,8 @@ def test_console_script_prints_the_study_result_as_json():
          "need at least one observation, got 0"),
         (("sim1", "--n", "-1", "--reps", "1"),
          "need at least one observation, got -1"),
+        (("sim1", "--n", "50", "--reps", "1", "--seed", "-1"),
+         "need a non-negative seed, got -1"),
     ],
 )
 def test_console_script_reports_a_bad_study_setup_as_a_usage_error(

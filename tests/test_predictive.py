@@ -918,6 +918,20 @@ class TestQueryArguments:
         with pytest.raises(ConfigurationError, match="'nope'"):
             cpo(two_block_fit, n_draws=10, joint=joint)
 
+    @pytest.mark.parametrize("joint", [("y",), ("y", "z", "y"), ()])
+    def test_joint_must_be_two_block_names(self, two_block_fit, joint):
+        with pytest.raises(ConfigurationError, match="joint must be exactly"):
+            cpo(two_block_fit, n_draws=10, joint=joint)
+
+    @pytest.mark.parametrize("inputs", [
+        {"indices": {}}, {"size": 0}, {"size": -1}, {"size": 2.5},
+    ])
+    def test_new_inputs_size_must_be_a_positive_integer(
+        self, two_block_fit, inputs
+    ):
+        with pytest.raises(ConfigurationError, match=r"\['size'\] must be"):
+            posterior_predictive(two_block_fit, "y", new_inputs=inputs, n=10)
+
     def test_joint_block_named_twice_is_refused(self, two_block_fit):
         # a block with itself would square its weights
         with pytest.raises(ConfigurationError, match="'y' twice"):
