@@ -20,7 +20,8 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtbtrs, dtrtrs
 from scipy.optimize import minimize
 from scipy.special import ndtr, ndtri
 
-from .likelihoods import lavm_curvature_floor, loglik
+from .circular import _lavm_em_weight
+from .likelihoods import loglik
 from .model import AssembledModel, NewtonSystem
 from .priors import TRANSFORMS, prior_median_internal
 
@@ -230,17 +231,21 @@ class InferenceError(RuntimeError):
 
 
 def _curvatures(blk, eta, hyper, response):
-    """Value, d1 and the negative second derivatives of the block
-    log-likelihood, from the block's ``response_terms``; the curvatures are
-    floored so the assembled system stays positive definite.  The floor is
-    evaluated only on the entries that take it."""
+    """Value, d1 and curvatures of the block log-likelihood at eta, from
+    the block's ``response_terms``: -d2 where it is at least
+    ``CURVATURE_MIN``, else ``CURVATURE_MIN``, or for LAvM the EM weight W
+    (``circular._lavm_em_weight``), the curvature of a quadratic below the
+    density, which keeps Q* positive definite and the Newton model a
+    minorizer on those entries at any distance from the mode.  The mode's
+    Q* takes W too, so lp still jumps where a curvature there changes sign.
+    """
     value, d1, d2 = loglik(blk.family, blk.responses, eta, hyper,
                            response=response)
     c = -d2
     bad = c < CURVATURE_MIN
     if bad.any():
         if blk.family == "lavm":
-            c[bad] = -lavm_curvature_floor(eta[bad], hyper)
+            c[bad] = _lavm_em_weight(response, eta, hyper)[bad]
         else:
             c[bad] = CURVATURE_MIN
     return value, d1, c
@@ -345,7 +350,7 @@ def gaussian_approx(model, theta, init_w=None):
 
     def evaluate(w):
         """Objective at w, plus what a Newton step from w needs: Q_p w and
-        per block the loglik sum, d1 and floored curvature."""
+        per block the loglik sum, d1 and curvatures."""
         qw, parts = system.prior_times(w), {}
         f = -0.5 * float(w @ qw)
         for name, blk in model.blocks.items():
@@ -398,11 +403,11 @@ def gaussian_approx(model, theta, init_w=None):
             and dec_hist[-1] > 0.5 * dec_hist[-13]
             and f_w - f_hist[-13] < 1e-9 * (1.0 + abs(f_w))
         ):
-            # healthy Newton contracts the decrement superlinearly; a flat
-            # decrement with no objective gain means a march across a
-            # pathological plateau, seen at absurd hyper values during
-            # optimizer line searches (strongly saturated links make real
-            # ascents slow, hence the objective condition)
+            # healthy Newton contracts the decrement; a flat decrement
+            # with no objective gain means a march across a plateau, such
+            # as the creep away from a stationary point that is not a
+            # maximum (a real creep that gains is let run, hence the
+            # objective condition)
             raise InferenceError(
                 "Newton iteration is not contracting",
                 best=w,

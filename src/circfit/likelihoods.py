@@ -14,24 +14,20 @@ importance weights do, calls ``_log_density``: gaussian and LAvM have a
 value kernel (``_gaussian_value``, ``circular._lavm_value``) from which
 ``loglik`` builds its derivatives, so each density has one formula, and
 ``circular.lavm_logpdf`` reads the LAvM kernel too.
+
+The derivatives are the observed ones; where the LAvM curvature fails, far
+from the mode, the Newton step takes ``circular._lavm_em_weight`` instead.
 """
 
 import numpy as np
 from scipy.special import gammaln
 
-from .circular import (
-    BOUNDARY_MARGIN,
-    _lavm_response,
-    _lavm_terms,
-    _lavm_value,
-    lavm_approx_concentration,
-)
+from .circular import BOUNDARY_MARGIN, _lavm_response, _lavm_terms, _lavm_value
 
 __all__ = [
     "FAMILY_HYPERS",
     "ObservationError",
     "loglik",
-    "lavm_curvature_floor",
     "response_terms",
 ]
 
@@ -189,10 +185,3 @@ def _log_density(kind, y, eta, hyper, response):
         return _lavm_value(response, eta, hyper)[0]
     return loglik(kind, y, eta, hyper, response=response)[0]
 
-
-def lavm_curvature_floor(eta, kappa):
-    """Negative curvature to substitute where the lavm d2 turns nonnegative
-    far from the conditional mode: minus the local concentration of the
-    density, which preserves the Newton fixed point while keeping steps
-    descent-directed."""
-    return -lavm_approx_concentration(eta, kappa)

@@ -122,8 +122,10 @@ class CpoResult:
 
 
 def _check_draw_count(name, n, least=1):
-    if n < least:
-        raise ConfigurationError(f"{name} must be at least {least}, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < least:
+        raise ConfigurationError(
+            f"{name} must be at least {least} and an integer, got {n!r}"
+        )
 
 
 def _point_batches(fit, n, rng):

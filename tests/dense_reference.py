@@ -30,7 +30,7 @@ from circfit.latent import (
     rw2_reference_sd,
     scale_precision,
 )
-from circfit.likelihoods import lavm_curvature_floor, loglik
+from circfit.likelihoods import loglik
 from circfit.priors import partials_to_correlation
 
 
@@ -102,8 +102,10 @@ def design(model, name, theta):
 
 
 def curvatures(model, theta, w):
-    """Per block the floored negative second derivatives of the
-    log-likelihood at latent w, from the public ``loglik``."""
+    """Per block the Newton curvatures at latent w, from the public
+    ``loglik``: -d2 where it is at least ``CURVATURE_MIN``, elsewhere the
+    EM weight 4 kappa/(1 + u^2)^2 + 2/(1 + u^2), u = tan(y/2) - eta, for
+    lavm and ``CURVATURE_MIN`` for the other families."""
     out = {}
     for name, blk in model.blocks.items():
         eta = design(model, name, theta) @ w
@@ -111,7 +113,8 @@ def curvatures(model, theta, w):
         _, _, d2 = loglik(blk.family, blk.responses, eta, hyper)
         c = -d2
         if blk.family == "lavm":
-            floor = -lavm_curvature_floor(eta, hyper)
+            s = 1.0 + (np.tan(blk.responses / 2) - eta) ** 2
+            floor = 4.0 * hyper / s**2 + 2.0 / s
         else:
             floor = np.full_like(c, CURVATURE_MIN)
         out[name] = np.where(c < CURVATURE_MIN, floor, c)

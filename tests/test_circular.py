@@ -9,8 +9,9 @@ from scipy.stats import kstest, chisquare
 
 from circfit.circular import (
     BoundaryError,
+    _lavm_em_weight,
+    _lavm_response,
     circ_distance,
-    lavm_approx_concentration,
     lavm_deta_logpdf,
     lavm_dx_logpdf,
     lavm_logpdf,
@@ -28,6 +29,13 @@ FD_RTOL1 = 1e-6   # first derivatives vs central differences
 FD_RTOL2 = 1e-4   # second derivatives: difference quotients lose more digits
 
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+
+
+def mode_curvature(eta, kappa):
+    """-l''(g(eta)) in x, the closed form kappa*(1 + eta^2)^2 +
+    eta^2*(1 + eta^2)/2: the concentration of a matched von Mises."""
+    e2 = eta * eta
+    return kappa * (1.0 + e2) ** 2 + 0.5 * e2 * (1.0 + e2)
 
 
 class TestWrapAngle:
@@ -181,7 +189,7 @@ class TestLavmDensity:
             downcrossings = np.sum((d1[:-1] > 0) & (d1[1:] < 0))
             assert downcrossings == 1
             argmax = xs[np.argmax(lavm_logpdf(xs, eta, kappa))]
-            tilt = abs(eta) / lavm_approx_concentration(eta, kappa)
+            tilt = abs(eta) / mode_curvature(eta, kappa)
             assert abs(argmax - 2 * np.arctan(eta)) <= 1.5 * tilt + 5e-4
 
     def test_linked_predictor_is_exact_circular_median(self):
@@ -256,7 +264,7 @@ class TestLavmDerivatives:
     @pytest.mark.parametrize("kappa", [1.0, 10.0])
     def test_curvature_matches_approx_concentration(self, eta, kappa):
         _, d2 = lavm_dx_logpdf(2 * np.arctan(eta), eta, kappa)
-        assert -d2 == pytest.approx(lavm_approx_concentration(eta, kappa), rel=1e-12)
+        assert -d2 == pytest.approx(mode_curvature(eta, kappa), rel=1e-12)
 
     def test_deta_gradient_zero_where_link_matches_observation(self):
         # eta = h(x) puts z at 0, so the eta-score vanishes there
@@ -267,20 +275,40 @@ class TestLavmDerivatives:
             assert d2 < 0
 
 
-class TestApproxConcentration:
-    def test_reference_value(self):
-        assert lavm_approx_concentration(1.0, 50.0) == pytest.approx(201.0, abs=1e-12)
+class TestEmWeight:
+    """The scale-mixture EM weight that stands in for a failed LAvM
+    curvature in the Newton step."""
 
-    def test_eta_zero_gives_kappa(self):
-        assert lavm_approx_concentration(0.0, 7.5) == 7.5
+    U = np.linspace(-60.0, 60.0, 24001)
 
-    def test_even_in_eta_and_increasing_away_from_zero(self):
-        etas = np.linspace(0.0, 4.0, 30)
-        vals = lavm_approx_concentration(etas, 2.0)
-        assert np.all(np.diff(vals) > 0)
-        np.testing.assert_allclose(
-            lavm_approx_concentration(-etas, 2.0), vals, rtol=1e-14
-        )
+    @pytest.mark.parametrize("kappa", [0.5, 2.0, 12.0, 50.0])
+    def test_bounds_the_observed_curvature(self, kappa):
+        x = 0.7
+        eta = np.tan(x / 2) - self.U
+        _, d2 = lavm_deta_logpdf(x, eta, kappa)
+        W = _lavm_em_weight(_lavm_response(x), eta, kappa)
+        assert np.all(W >= -d2 - 1e-12 * np.maximum(W, 1.0))
+        assert np.all(W > 0) and np.all(W <= 4 * kappa + 2)
+        assert np.any(-d2 < 0)
+
+    @pytest.mark.parametrize("kappa", [0.5, 2.0, 12.0, 50.0])
+    def test_equals_the_curvature_at_u_zero(self, kappa):
+        x = -1.3
+        eta = np.tan(x / 2)
+        _, d2 = lavm_deta_logpdf(x, eta, kappa)
+        W = _lavm_em_weight(_lavm_response(x), eta, kappa)
+        assert W == pytest.approx(-d2, rel=1e-12)
+        assert W == pytest.approx(4 * kappa + 2, rel=1e-12)
+
+    @pytest.mark.parametrize("kappa", [0.5, 12.0])
+    def test_tangent_quadratic_lies_below_the_density(self, kappa):
+        x, eta0 = 0.4, -2.5
+        l0 = lavm_logpdf(x, eta0, kappa)
+        d1, _ = lavm_deta_logpdf(x, eta0, kappa)
+        W = _lavm_em_weight(_lavm_response(x), eta0, kappa)
+        eta = np.linspace(-40.0, 40.0, 8001)
+        quad_model = l0 + d1 * (eta - eta0) - 0.5 * W * (eta - eta0) ** 2
+        assert np.all(lavm_logpdf(x, eta, kappa) >= quad_model - 1e-9)
 
 
 class TestSamplers:

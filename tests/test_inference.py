@@ -44,7 +44,6 @@ from circfit.inference import (
 )
 from circfit.likelihoods import (
     ObservationError,
-    lavm_curvature_floor,
     loglik,
     response_terms,
 )
@@ -81,10 +80,16 @@ from circfit.studies import (
 POISSON_MODE_Y1 = 0.0
 POISSON_MODE_Y2 = 0.4428544010023886
 
-# root of -w / 100 + 5 * d/deta log lavm(2.5 | w, kappa=50) = 0, the scalar
-# posterior mode equation for five LAvM angles at 2.5 with an N(0, 10^2)
-# prior; frozen from scipy.optimize.brentq on [0, 10] at xtol=1e-15
-LAVM_SLOW_MODE = 3.0095398764382595
+# roots of -w / sd^2 + 2 * d/deta log lavm(2 arctan 5 | w, kappa=50) = 0,
+# the scalar posterior mode equation for two LAvM angles at 2 arctan 5 with
+# an N(0, sd^2) prior, which has two modes and an antimode between them:
+# for sd = 0.4 the antimode (on [1.5, 3]) and the upper mode (on [4, 6]),
+# for sd = 0.407, close to where the antimode meets the lower mode, the
+# antimode (on [1.5, 3]); frozen from scipy.optimize.brentq at xtol=1e-15
+LAVM_BIMODAL_X = 2.0 * np.arctan(5.0)
+LAVM_ANTIMODE = 1.7914237411383866
+LAVM_SLOW_MODE = 4.9229379798572825
+LAVM_FLAT_ANTIMODE = 1.5470787706162312
 
 
 def evaluated_at(m, theta_internal):
@@ -130,7 +135,8 @@ def poisson_scalar_model(y):
 
 def lavm_scalar_model(x, n=5, kappa=50.0, prior_sd=10.0):
     """n identical angles x observed through an intercept alone, kappa
-    pinned: a one-node model whose LAvM link saturates away from h(x)."""
+    pinned: a one-node model, bimodal when the N(0, prior_sd^2) prior and
+    the LAvM likelihood pull apart."""
     spec = ModelSpec(
         blocks=(
             BlockSpec(
@@ -379,23 +385,29 @@ class TestScalarModes:
         )
 
     def test_slow_lavm_ascent_passes_the_stall_guard(self):
-        # from w=0 the saturated link keeps the Newton decrement flat for
-        # many steps while the objective still climbs; the stall guard
-        # must read that gain and let the iteration run to the mode
-        m = lavm_scalar_model(2.5)
-        approx = gaussian_approx(m, m.theta_natural(m.initial_internal()))
+        # just above the antimode the iterate creeps away from it: the
+        # Newton decrement grows for many steps while the objective still
+        # climbs; the stall guard must read that gain and let the
+        # iteration run to the upper mode
+        m = lavm_scalar_model(LAVM_BIMODAL_X, n=2, prior_sd=0.4)
+        approx = gaussian_approx(
+            m, m.theta_natural(m.initial_internal()),
+            init_w=np.array([LAVM_ANTIMODE + 1e-4]),
+        )
         assert approx.iterations > 24
         assert approx.mode[0] == pytest.approx(LAVM_SLOW_MODE, abs=1e-9)
 
     def test_plateau_start_trips_the_stall_guard(self):
-        # deep in the saturated link the objective is flat to roundoff, so
-        # the guard stops the march at its first check
-        m = lavm_scalar_model(0.3)
+        # near where the antimode meets the lower mode the creep is slower
+        # still: from a start closer to the antimode the objective is flat
+        # to roundoff, so the guard stops the march at its first check
+        m = lavm_scalar_model(LAVM_BIMODAL_X, n=2, prior_sd=0.407)
         with pytest.raises(
             InferenceError, match="Newton iteration is not contracting"
         ) as err:
             gaussian_approx(
-                m, m.theta_natural(m.initial_internal()), init_w=np.array([50.0])
+                m, m.theta_natural(m.initial_internal()),
+                init_w=np.array([LAVM_FLAT_ANTIMODE + 3e-5]),
             )
         assert err.value.best is not None
         assert err.value.diagnostics["iterations"] == 24
@@ -554,10 +566,11 @@ class TestResponseTerms:
         value, d1, c = _curvatures(blk, eta, hyper, response_terms(family, y))
         ref_value, ref_d1, ref_d2 = loglik(family, y, eta, hyper)
         ref_c = -ref_d2
-        floor = (
-            -lavm_curvature_floor(eta, hyper) if family == "lavm"
-            else np.full_like(ref_c, CURVATURE_MIN)
-        )
+        if family == "lavm":
+            s = 1.0 + (np.tan(y / 2) - eta) ** 2
+            floor = 4.0 * hyper / s**2 + 2.0 / s
+        else:
+            floor = np.full_like(ref_c, CURVATURE_MIN)
         floored = ref_c < CURVATURE_MIN
         assert np.any(floored) == (family != "gaussian")
         np.testing.assert_array_equal(value, ref_value)
@@ -589,6 +602,21 @@ class TestResponseTerms:
         init_w = np.full(m.latent_dim, np.nan)
         with pytest.raises(ValueError, match="eta must be finite"):
             gaussian_approx(m, theta, init_w=init_w)
+
+
+class TestLavmNewton:
+    def test_cold_and_warm_starts_reach_one_mode(self):
+        # the EM weight lets a cold start and a start from another theta's
+        # mode ascend to the same conditional mode of a sim2 warm-up at its
+        # hyper mode
+        m = _study_model(generate_sim2, sim2_spec, SIM2_TRUTH, 100, seed=1000)
+        mode, _, _ = optimize_theta(HyperEvaluator(m))
+        theta = m.theta_natural(mode[0])
+        other = gaussian_approx(m, m.theta_natural(m.initial_internal()))
+        cold = gaussian_approx(m, theta)
+        warm = gaussian_approx(m, theta, init_w=other.mode)
+        assert cold.iterations > 0 and warm.iterations > 0
+        np.testing.assert_allclose(warm.mode, cold.mode, rtol=0, atol=1e-8)
 
 
 def iid_only_model(n=15, seed=29):

@@ -7,11 +7,9 @@ from scipy.integrate import quad
 from circfit.likelihoods import (
     ObservationError,
     _log_density,
-    lavm_curvature_floor,
     loglik,
     response_terms,
 )
-from circfit.circular import lavm_approx_concentration
 from circfit.model import BlockSpec
 from circfit.priors import ConfigurationError
 
@@ -99,10 +97,6 @@ class TestDerivatives:
         d1_of = lambda eta: loglik("lavm", y, eta, kappa)[1]
         mode = brentq(d1_of, -3.0, 3.0)
         assert loglik("lavm", y, mode, kappa)[2] < 0
-
-    def test_lavm_curvature_floor_is_local_concentration(self):
-        assert lavm_curvature_floor(1.0, 50.0) == pytest.approx(-201.0, rel=1e-12)
-        assert lavm_curvature_floor(0.0, 2.0) == -lavm_approx_concentration(0.0, 2.0)
 
 
 class TestNormalization:

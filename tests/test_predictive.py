@@ -890,17 +890,17 @@ def two_block_fit():
 
 
 class TestQueryArguments:
-    @pytest.mark.parametrize("n_draws", [0, -1])
+    @pytest.mark.parametrize("n_draws", [0, -1, 2.5])
     def test_cpo_needs_a_draw(self, two_block_fit, n_draws):
         with pytest.raises(ConfigurationError, match="n_draws"):
             cpo(two_block_fit, n_draws=n_draws)
 
-    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("n", [0, -1, 2.5])
     def test_posterior_predictive_needs_a_draw(self, two_block_fit, n):
         with pytest.raises(ConfigurationError, match="n must be at least 1"):
             posterior_predictive(two_block_fit, "y", n=n)
 
-    @pytest.mark.parametrize("n_draws", [0, -1])
+    @pytest.mark.parametrize("n_draws", [0, -1, 2.5])
     def test_forecast_needs_a_draw(self, two_block_fit, n_draws):
         task = ForecastTask(horizon=1, origins=(3,))
         with pytest.raises(ConfigurationError, match="n_draws"):
@@ -910,8 +910,9 @@ class TestQueryArguments:
         self, two_block_fit
     ):
         assert sample_posterior(two_block_fit, 0, np.random.default_rng(0)) == []
-        with pytest.raises(ConfigurationError, match="n must be at least 0"):
-            sample_posterior(two_block_fit, -1, np.random.default_rng(0))
+        for n in (-1, 2.5):
+            with pytest.raises(ConfigurationError, match="n must be at least 0"):
+                sample_posterior(two_block_fit, n, np.random.default_rng(0))
 
     @pytest.mark.parametrize("joint", [("y", "nope"), ("nope", "z")])
     def test_unknown_joint_block_is_named(self, two_block_fit, joint):
