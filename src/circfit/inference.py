@@ -304,10 +304,10 @@ def gaussian_approx(model, theta, init_w=None):
     and gradients are bincount matrix-vector products, Q*'s values are
     summed straight into the flat band + arrow storage, and ``_factor_spd``
     factorizes views of it.  No sparse matrix is built, for any component
-    kind.  The converged
-    iterate's values, factor and log-likelihood sum are the ones returned;
-    they are recomputed only when the final constraint projection moves the
-    mode.
+    kind.  Every Newton point is projected onto C w = 0 after its kriging
+    correction, so every iterate is feasible and the mode needs no final
+    projection: the converged iterate's values, factor and log-likelihood
+    sum are the ones returned, never recomputed.
 
     Once per model the structure holds the patterns and each block's
     checked response terms; once per call (per theta) ``NewtonSystem``
@@ -382,13 +382,15 @@ def gaussian_approx(model, theta, init_w=None):
     dec_hist, f_hist = [], []
     for iterations in range(1, NEWTON_MAX_ITER + 1):
         grad, q_data = assemble(at_w)
-        factor = None
+        factor = _factor_spd(structure, q_data, C)
         g_proj = project(grad) if k else grad
         if np.abs(g_proj).max() < NEWTON_TOL:
             iterations -= 1
             break
-        factor = _factor_spd(structure, q_data, C)
-        step = factor.constrain(w + factor.solve(grad)) - w
+        # an accepted iterate, a convex combination of two projected
+        # points, keeps C @ w at machine zero
+        point = factor.constrain(w + factor.solve(grad))
+        step = (project(point) if k else point) - w
 
         # the decrement g'H^{-1}g has objective units, so this catches the
         # point where |grad| is dominated by roundoff at large data scales
@@ -438,18 +440,6 @@ def gaussian_approx(model, theta, init_w=None):
             best=w,
             diagnostics={"iterations": NEWTON_MAX_ITER},
         )
-
-    if k:
-        # settle roundoff left by the kriging corrections; the move is far
-        # below mode accuracy but keeps C @ mode at machine zero
-        settled = project(w)
-        if not np.array_equal(settled, w):
-            w = settled
-            _, at_w = evaluate(w)
-            _, q_data = assemble(at_w)
-            factor = None
-    if factor is None:
-        factor = _factor_spd(structure, q_data, C)
 
     qw, parts = at_w
     loglik_sum = 0.0

@@ -74,13 +74,15 @@ class ForecastTask:
     future_covariates: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ConfigurationError(
-                f"forecast horizon must be at least 1, got {self.horizon}"
-            )
-        origins = tuple(int(t) for t in self.origins)
+        _check_draw_count("forecast horizon", self.horizon)
+        origins = tuple(self.origins)
         if not origins:
             raise ConfigurationError("forecast needs at least one origin")
+        if not all(isinstance(t, (int, np.integer)) for t in origins):
+            raise ConfigurationError(
+                f"forecast origins must be integers, got {origins!r}"
+            )
+        origins = tuple(int(t) for t in origins)
         if min(origins) < 1:
             raise ConfigurationError(
                 "forecast origins must leave at least two states behind them"

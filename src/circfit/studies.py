@@ -99,13 +99,6 @@ def ar2_path(n, pacf1, pacf2, rng):
     return x
 
 
-def _daily_cycle(period=24):
-    c = np.sin(2.0 * np.pi * np.arange(period) / period)
-    c = c + 0.4 * np.sin(4.0 * np.pi * np.arange(period) / period + 1.0)
-    c = c - c.mean()
-    return c / c.std()
-
-
 # ------------------------------------------- study 1: circular response
 
 
@@ -426,14 +419,26 @@ WIND_TRUTH = {
 }
 
 
-def generate_wind_like(n, truth, rng, period=24):
+# hours in the daily cycle of the wind-like direction
+_WIND_PERIOD = 24
+
+
+def _daily_cycle():
+    hours = np.arange(_WIND_PERIOD)
+    c = np.sin(2.0 * np.pi * hours / _WIND_PERIOD)
+    c = c + 0.4 * np.sin(4.0 * np.pi * hours / _WIND_PERIOD + 1.0)
+    c = c - c.mean()
+    return c / c.std()
+
+
+def generate_wind_like(n, truth, rng):
     """Joint Gamma speed and circular direction series: an AR(2) path and a
     repeating daily cycle drive the direction, whose predictor is copied
     into the log mean of the speed together with a temperature-like
     covariate."""
     w = ar2_path(n, truth["pacf1"], truth["pacf2"], rng)
-    w2 = _daily_cycle(period)[np.arange(n) % period]
-    t = np.arange(n) / period
+    w2 = _daily_cycle()[np.arange(n) % _WIND_PERIOD]
+    t = np.arange(n) / _WIND_PERIOD
     z = np.sin(2.0 * np.pi * t / 15.0) + 0.5 * rng.standard_normal(n)
     z = (z - z.mean()) / z.std()
     eta_x = truth["a0"] + truth["a1"] * w + truth["a2"] * w2 + truth["alpha"] * z
@@ -443,7 +448,7 @@ def generate_wind_like(n, truth, rng, period=24):
     return {"x": x, "y": y, "z": z, "w": w, "w2": w2}
 
 
-def wind_spec(data, period=24, free_pacf=False):
+def wind_spec(data):
     n = data["x"].size
     hypers = {
         "kappa": PriorSpec("pc_kappa", (0.5, 0.99)),
@@ -451,13 +456,9 @@ def wind_spec(data, period=24, free_pacf=False):
         "a1": PriorSpec("pc_scale", (0.5, 0.5)),
         "a2": PriorSpec("pc_scale", (0.5, 0.5)),
         "b1": PriorSpec("gaussian", (0.0, 1.0)),
+        "pacf1": PriorSpec("fixed", (WIND_TRUTH["pacf1"],)),
+        "pacf2": PriorSpec("fixed", (WIND_TRUTH["pacf2"],)),
     }
-    if free_pacf:
-        hypers["pacf1"] = PriorSpec("pc_correlation", (0.5, 0.5))
-        hypers["pacf2"] = PriorSpec("pc_correlation", (0.5, 0.5))
-    else:
-        hypers["pacf1"] = PriorSpec("fixed", (WIND_TRUTH["pacf1"],))
-        hypers["pacf2"] = PriorSpec("fixed", (WIND_TRUTH["pacf2"],))
     return ModelSpec(
         blocks=(
             BlockSpec(
@@ -486,7 +487,7 @@ def wind_spec(data, period=24, free_pacf=False):
         ),
         components=(
             ComponentSpec("w", "ar2", n, pacf_hypers=("pacf1", "pacf2")),
-            ComponentSpec("w2", "cyclic_rw2", n, period=period),
+            ComponentSpec("w2", "cyclic_rw2", n, period=_WIND_PERIOD),
         ),
         fixed_effects=(
             FixedEffectSpec("a0", 1.0),
@@ -768,12 +769,18 @@ def run_study(study, n=None, reps=100, seed=1, threads=1):
     design = _STUDIES[study]
     if n is None:
         n = design["default_n"]
+    for name, value in (("n", n), ("reps", reps), ("seed", seed),
+                        ("threads", threads)):
+        if not isinstance(value, (int, np.integer)):
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     if n < 1:
         raise ConfigurationError(f"need at least one observation, got {n}")
     if reps < 1:
         raise ConfigurationError(f"need at least one replicate, got {reps}")
     if seed < 0:
         raise ConfigurationError(f"need a non-negative seed, got {seed}")
+    if threads < 1:
+        raise ConfigurationError(f"need at least one thread, got {threads}")
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

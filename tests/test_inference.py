@@ -618,6 +618,35 @@ class TestLavmNewton:
         assert cold.iterations > 0 and warm.iterations > 0
         np.testing.assert_allclose(warm.mode, cold.mode, rtol=0, atol=1e-8)
 
+    def test_constrained_mode_is_factored_once_per_newton_pass(
+        self, monkeypatch
+    ):
+        # every Newton point is projected onto C w = 0, so the converged
+        # iterate is the mode as it stands: Q* is factored once per pass,
+        # the last pass included, and never again after the loop
+        m = _study_model(generate_sim2, sim2_spec, SIM2_TRUTH, 300, seed=1000)
+        theta = {k: SIM2_TRUTH[k] for k in ("kappa", "tau", "a1", "b1")}
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _factor_spd(*args)
+
+        monkeypatch.setattr(inference, "_factor_spd", counting)
+        approx = gaussian_approx(m, theta)
+        assert len(calls) == approx.iterations + 1
+        assert np.max(np.abs(m.constraints @ approx.mode)) <= 1e-10
+
+        S = m.structure
+        system = NewtonSystem(S, theta)
+        curvatures = {}
+        for name, blk in m.blocks.items():
+            eta = system.predictor(name, approx.mode)
+            hyper = theta[blk.hyper] if blk.hyper else None
+            curvatures[name] = _curvatures(blk, eta, hyper, S.responses[name])[2]
+        fresh = _factor_spd(S, system.values(curvatures), m.constraints)
+        assert approx.det_half == fresh.det_half
+
 
 def iid_only_model(n=15, seed=29):
     """An iid component observed alone: Q* is all band, no arrow."""

@@ -439,6 +439,20 @@ class TestForecast:
         with pytest.raises(ConfigurationError, match="origin"):
             ForecastTask(horizon=3, origins=())
 
+    @pytest.mark.parametrize(
+        "horizon, origins, name",
+        [
+            (2.5, (3,), "horizon must be"),
+            (2, (3.7,), "origins must be integers"),
+            (2, (3, 4.0), "origins must be integers"),
+        ],
+    )
+    def test_non_integer_task_is_rejected(self, horizon, origins, name):
+        # an origin of 3.7 used to be truncated to 3, and a horizon of 2.5
+        # was accepted
+        with pytest.raises(ConfigurationError, match=name):
+            ForecastTask(horizon=horizon, origins=origins)
+
     def test_ar2_extension_decays_for_every_draw(self):
         m = ar2_model()
         theta = m.theta_natural(m.initial_internal())

@@ -241,6 +241,23 @@ def test_unknown_study_and_empty_run_are_rejected():
         run_study("sim1", n=300, reps=0)
 
 
+@pytest.mark.parametrize(
+    "options, name",
+    [
+        ({"n": 50.5}, "^n must be an integer"),
+        ({"reps": 1.5}, "^reps must be an integer"),
+        ({"seed": 1.5}, "^seed must be an integer"),
+        ({"threads": 2.5}, "^threads must be an integer"),
+        ({"threads": 0}, "at least one thread"),
+    ],
+)
+def test_non_integer_run_arguments_are_rejected(options, name):
+    # the float sizes and seed used to end in a TypeError from numpy or
+    # range, and threads=0 or 2.5 used to run as one thread
+    with pytest.raises(ConfigurationError, match=name):
+        run_study("sim1", **{"n": 50, "reps": 1, **options})
+
+
 def test_studies_without_enough_observations_are_rejected():
     # n=0 used to fit the prior alone, n=-1 failed in numpy, and sim2 at
     # n=2 divided its field by the zero reference sd of a two-node rw2
