@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, eigh
+from scipy.linalg import eigh
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtbtrs, dtrtrs
 from scipy.optimize import minimize
 from scipy.special import ndtr, ndtri
@@ -43,7 +43,8 @@ __all__ = [
 CURVATURE_MIN = 1e-12
 
 # fit-stage settings: Newton's gradient tolerance and iteration limit; the
-# mode search's gradient step, |grad lp| tolerance, budget in gradients
+# mode search's gradient step, the one-hyper search's |grad lp| tolerance,
+# the least lp gain of one multi-hyper iteration, the budget in gradients
 # (see ``_search_budget``) and Hessian stencil step; the exploration's
 # grid step in posterior sds, lp drop, steps per axis and CCD radius; the
 # marginal scans' step in posterior sds, lp drop and steps per direction;
@@ -52,6 +53,7 @@ NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 100
 GRAD_STEP = 1e-4
 GRAD_TOL = 1e-5
+SEARCH_GAIN = 1e-6
 SEARCH_GRADIENTS = 67
 HESSIAN_STEP = 0.05
 EXPLORE_STEP = 0.75
@@ -126,11 +128,9 @@ class _BandArrowFactor:
         return x
 
     def _s_solve(self, b):
-        """(C Q^{-1} C')^{-1} b: LAPACK's dpotrs on ``S_chol``, the call
-        ``cho_solve`` makes, without its finiteness checks of both
-        operands; ``_factor_spd`` validated the factor when it made it."""
-        c, lower = self.S_chol
-        return dpotrs(c, b, lower=lower)[0]
+        """(C Q^{-1} C')^{-1} b by LAPACK's dpotrs on ``S_chol``, the lower
+        Cholesky factor that ``_factor_spd`` validated."""
+        return dpotrs(self.S_chol, b, lower=1)[0]
 
     def correction(self, v):
         """The kriging correction Q^{-1} C' (C Q^{-1} C')^{-1} C v of a
@@ -207,14 +207,13 @@ def _factor_spd(structure, data, C=None):
     if not np.all(np.isfinite(QinvCt)):
         raise InferenceError("conditional precision is not positive definite")
     S = C @ QinvCt
-    try:
-        S_chol = cho_factor(0.5 * (S + S.T))
-    except (np.linalg.LinAlgError, ValueError):
-        raise InferenceError(
-            "conditional precision is not positive definite"
-        ) from None
+    S_chol, info = dpotrf(0.5 * (S + S.T), lower=1, overwrite_a=1)
+    logdet_S = (
+        np.nan if info else 2.0 * float(np.sum(np.log(np.diag(S_chol))))
+    )
+    if not np.isfinite(logdet_S):
+        raise InferenceError("conditional precision is not positive definite")
     factor.C, factor.QinvCt, factor.S_chol = C, QinvCt, S_chol
-    logdet_S = 2.0 * float(np.sum(np.log(np.diag(S_chol[0]))))
     factor.det_half = factor.half_logdet + 0.5 * (
         logdet_S - structure.constraint_cct_logdet
     )
@@ -661,10 +660,13 @@ def optimize_theta(hyper, init=None):
     the scaling costs none).  Its first step goes to the Cauchy point of a
     unit-Hessian model, so scaling bounds that step to one internal unit
     per coordinate instead of |grad lp(u0)|, which otherwise lands on the
-    +-30 box corner.  ``GRAD_TOL`` is divided by s, so the
-    projected-gradient test still reads |grad lp| <= GRAD_TOL.  A failed
-    evaluation, a gradient probe outside the box included, reads as a
-    -1e10 wall.
+    +-30 box corner.  The search stops at the first iteration that raises
+    lp by less than ``SEARCH_GAIN``.  Its central differences of step
+    ``GRAD_STEP`` cannot resolve |grad lp| <= ``GRAD_TOL``, which would
+    need lp to about 1e-9, so L-BFGS-B's own gradient and relative-decrease
+    tests are off; the one-hyper search keeps ``GRAD_TOL``, which its slope
+    reaches.  A failed evaluation, a gradient probe outside the box
+    included, reads as a -1e10 wall.
 
     Both searches raise ``InferenceError`` with the best point as ``best``
     once ``_search_budget(m)`` points are evaluated, m the number of free
@@ -676,12 +678,14 @@ def optimize_theta(hyper, init=None):
     ``InferenceError`` with the mode as ``best``, since it has no value to
     enter the Hessian with.  ``info["evaluations"]`` counts the search's
     points, the ones the budget counts.  With no free hyper the one point
-    is the mode, evaluated outside the count; its failure raises.
+    is the mode, evaluated outside the count, and the message reads "no
+    free hyper"; its failure raises.
     """
     m = hyper.dim
     if m == 0:
         mode = _checked_mode(hyper(np.zeros(0)))
-        return mode, np.zeros((0, 0)), {"evaluations": 0}
+        info = {"evaluations": 0, "optimizer_message": "no free hyper"}
+        return mode, np.zeros((0, 0)), info
 
     u0 = hyper.to_u(hyper.model.initial_internal() if init is None else init)
     u0 = np.clip(u0, -hyper.BOX, hyper.BOX)
@@ -789,15 +793,26 @@ def _lbfgsb_search(evaluate, u0, box):
             f, g = neg_and_grad(u)
         return f / scale, g / scale
 
+    previous, message = f_start / scale, None
+
+    def stop_on_small_gain(intermediate_result):
+        # fun is -lp / scale, so this is one iteration's rise in lp
+        nonlocal previous, message
+        if (previous - intermediate_result.fun) * scale < SEARCH_GAIN:
+            message = "lp gain below SEARCH_GAIN"
+            raise StopIteration
+        previous = intermediate_result.fun
+
     res = minimize(
         scaled,
         u0,
         jac=True,
         method="L-BFGS-B",
         bounds=[(-box, box)] * m,
-        options={"gtol": GRAD_TOL / scale, "maxiter": 1000, "ftol": 1e-12},
+        callback=stop_on_small_gain,
+        options={"gtol": 0.0, "ftol": 0.0},
     )
-    return str(res.message)
+    return message or str(res.message)
 
 
 def _spd_directions(H, step):
@@ -1127,6 +1142,7 @@ def fit_model(model):
     }
     diagnostics = {
         "evaluations": opt_info["evaluations"],
+        "optimizer_message": opt_info["optimizer_message"],
         "newton_iterations_max": max(pt.approx.iterations for pt in points),
         "points": len(points),
         "timings": timings,

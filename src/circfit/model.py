@@ -92,6 +92,13 @@ class ComponentSpec:
     correlation_hyper: Optional[str] = None
 
     def __post_init__(self):
+        for key in ("size", "period", "block_dim"):
+            value = getattr(self, key)
+            if value is not None and not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(
+                    f"component {self.name!r}: {key} must be an integer, "
+                    f"got {value!r}"
+                )
         if self.kind not in COMPONENT_KINDS:
             raise ConfigurationError(
                 f"component {self.name!r}: unknown kind {self.kind!r}"
@@ -186,9 +193,10 @@ class FixedEffectSpec:
     prior_sd: float = 1.0
 
     def __post_init__(self):
-        if self.prior_sd <= 0:
+        if not (np.isfinite(self.prior_sd) and self.prior_sd > 0):
             raise ConfigurationError(
-                f"fixed effect {self.name!r}: prior sd must be positive"
+                f"fixed effect {self.name!r}: prior_sd must be finite and "
+                f"positive, got {self.prior_sd!r}"
             )
 
 
@@ -235,6 +243,10 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
+        if not self.blocks:
+            raise ConfigurationError(
+                "blocks: a model needs an observation block"
+            )
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "fixed_effects", tuple(self.fixed_effects))
         object.__setattr__(

@@ -1250,10 +1250,12 @@ class TestOptimizeTheta:
             evaluated.append(np.asarray(theta_internal, dtype=float)[free])
             return real_lpt(model, theta_internal, *args, **kwargs)
 
-        def minimize(*args, **kwargs):
-            def callback(xk):
-                iterates.append(np.array(xk))
-            return real_minimize(*args, callback=callback, **kwargs)
+        def minimize(*args, callback, **kwargs):
+            # the engine's callback carries its stop rule: chain it
+            def recording_callback(intermediate_result):
+                iterates.append(np.array(intermediate_result.x))
+                callback(intermediate_result)
+            return real_minimize(*args, callback=recording_callback, **kwargs)
 
         monkeypatch.setattr(inference, "log_posterior_theta", recording)
         monkeypatch.setattr(inference, "minimize", minimize)
@@ -1912,3 +1914,12 @@ class TestFitModel:
             "hyper_marginals",
         }
         assert fit.theta_mode["tau"] > 0.0
+        # every fit says how its mode search ended
+        assert d["optimizer_message"] in ("gradient tolerance", "roundoff step")
+        fixed = fit_model(iid_fixed_model()).diagnostics
+        assert fixed["optimizer_message"] == "no free hyper"
+        sim2 = _study_model(generate_sim2, sim2_spec, SIM2_TRUTH, 100, seed=1000)
+        assert (
+            fit_model(sim2).diagnostics["optimizer_message"]
+            == "lp gain below SEARCH_GAIN"
+        )

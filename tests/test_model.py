@@ -1027,6 +1027,27 @@ class TestValidation:
         ):
             ComponentSpec("w", kind, size, **extra)
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda: ComponentSpec("w", "iid", 10.0), "'w': size"),
+        (lambda: ComponentSpec("w", "rw2", 9.5), "'w': size"),
+        (lambda: ComponentSpec("w", "cyclic_rw2", 10, period=5.5),
+         "'w': period"),
+        (lambda: ComponentSpec("w", "mv_iid", 5, block_dim=2.0,
+                               sigma_hypers=("s0", "s1"),
+                               correlation_hyper="r"),
+         "'w': block_dim"),
+        (lambda: ModelSpec(blocks=(), components=(ComponentSpec("w", "rw2", 5),)),
+         "blocks"),
+        (lambda: FixedEffectSpec("b", prior_sd=np.nan), "'b': prior_sd"),
+        (lambda: FixedEffectSpec("b", prior_sd=np.inf), "'b': prior_sd"),
+    ], ids=["size_float", "size_fraction", "period", "block_dim",
+            "no_blocks", "prior_sd_nan", "prior_sd_inf"])
+    def test_malformed_spec_field_rejected(self, make, field):
+        # before, build_model failed inside numpy (a float size, no block)
+        # or every lp was -inf (an infinite prior sd)
+        with pytest.raises(ConfigurationError, match=re.escape(field)):
+            make()
+
     def test_empty_model_rejected(self):
         spec = ModelSpec(
             blocks=(BlockSpec("y", "poisson", np.zeros(2), ()),),

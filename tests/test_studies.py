@@ -74,19 +74,18 @@ def test_sim2_study_records_parameters_and_predictive_pvalues():
     assert all(0.0 <= v <= 1.0 for v in record.pvalues.values())
 
 
-@pytest.mark.parametrize("seed", [8000, 36000])
-def test_default_fit_model_fits_the_sim2_data_run_study_fits(
-    monkeypatch, seed
-):
-    # of the 40 warm-ups (seeds 1000 to 40000) these take the most mode
-    # search evaluations, more than 200: a fit with no setting must fit
-    # every dataset run_study fits, and equal its fit
-    data = generate_sim2(100, SIM2_TRUTH, np.random.default_rng(seed))
-    alone = fit_model(build_model(sim2_spec(data)))
+@pytest.mark.parametrize("seed", [1000, 2000])
+def test_default_fit_model_fits_the_data_run_study_fits(monkeypatch, seed):
+    # sim3 n=30 searches over 12 free hypers and takes well over 200 mode
+    # search evaluations; seed 1000 fits within the search budget only
+    # under the SEARCH_GAIN stop: a fit with no setting must fit every
+    # dataset run_study fits, and equal its fit
+    data = generate_sim3(30, SIM3_TRUTH, np.random.default_rng(seed))
+    alone = fit_model(build_model(sim3_spec(data)))
     assert alone.diagnostics["evaluations"] > 200
     fits = []
     monkeypatch.setattr(studies, "fit_model", _capturing(fit_model, fits))
-    run_study("sim2", n=100, reps=1, seed=seed)
+    run_study("sim3", n=30, reps=1, seed=seed)
     (fit,) = fits
     np.testing.assert_array_equal(
         alone.theta_mode_internal, fit.theta_mode_internal
