@@ -7,8 +7,10 @@ the hyper posterior is the Laplace ratio evaluated at that mode.  The hyper
 space is explored with a grid in the Hessian eigenbasis when it is small and
 a spherical central-composite design otherwise; latent marginals are
 Gaussian mixtures over the exploration points.
-The hyper stages of a fit share one ``HyperEvaluator`` and hand on the
-mode as the evaluation that found it, so no stage solves it again.
+The Gaussian's factor at the mode holds the observed curvature.  The hyper
+mode is found by one quasi-Newton search for any number of free hypers, and
+the hyper stages of a fit share one ``HyperEvaluator`` and hand on the mode
+as the evaluation that found it, so no stage solves it again.
 """
 
 import time
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtbtrs, dtrtrs
-from scipy.optimize import minimize
 from scipy.special import ndtr, ndtri
 
 from .circular import _lavm_em_weight
@@ -43,12 +44,12 @@ __all__ = [
 CURVATURE_MIN = 1e-12
 
 # fit-stage settings: Newton's gradient tolerance and iteration limit; the
-# mode search's gradient step, the one-hyper search's |grad lp| tolerance,
-# the least lp gain of one multi-hyper iteration, the budget in gradients
-# (see ``_search_budget``) and Hessian stencil step; the exploration's
-# grid step in posterior sds, lp drop, steps per axis and CCD radius; the
-# marginal scans' step in posterior sds, lp drop and steps per direction;
-# the latent mixture quantiles' tolerance in probability
+# mode search's gradient step, |grad lp| tolerance, least lp gain of one
+# step, budget in gradients (see ``_search_budget``) and Hessian stencil
+# step; the exploration's grid step in posterior sds, lp drop, steps per
+# axis and CCD radius; the marginal scans' step in posterior sds, lp drop
+# and steps per direction; the latent mixture quantiles' tolerance in
+# probability
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 100
 GRAD_STEP = 1e-4
@@ -230,33 +231,34 @@ class InferenceError(RuntimeError):
 
 
 def _curvatures(blk, eta, hyper, response):
-    """Value, d1 and curvatures of the block log-likelihood at eta, from
-    the block's ``response_terms``: -d2 where it is at least
-    ``CURVATURE_MIN``, else ``CURVATURE_MIN``, or for LAvM the EM weight W
-    (``circular._lavm_em_weight``), the curvature of a quadratic below the
-    density, which keeps Q* positive definite and the Newton model a
-    minorizer on those entries at any distance from the mode.  The mode's
-    Q* takes W too, so lp still jumps where a curvature there changes sign.
-    """
+    """Value, d1 and observed curvature -d2 of the block log-likelihood at
+    eta, from the block's ``response_terms``."""
     value, d1, d2 = loglik(blk.family, blk.responses, eta, hyper,
                            response=response)
-    c = -d2
+    return value, d1, -d2
+
+
+def _fallback_curvatures(blk, eta, hyper, response, c):
+    """The Newton step's curvatures where the observed Q* does not factor:
+    the observed c where it is at least ``CURVATURE_MIN``, else
+    ``CURVATURE_MIN``, or for LAvM the EM weight W
+    (``circular._lavm_em_weight``), the curvature of a quadratic below the
+    density, which keeps Q* positive definite and the Newton model a
+    minorizer on those entries at any distance from the mode."""
     bad = c < CURVATURE_MIN
-    if bad.any():
-        if blk.family == "lavm":
-            c[bad] = _lavm_em_weight(response, eta, hyper)[bad]
-        else:
-            c[bad] = CURVATURE_MIN
-    return value, d1, c
+    if blk.family == "lavm":
+        return np.where(bad, _lavm_em_weight(response, eta, hyper), c)
+    return np.where(bad, CURVATURE_MIN, c)
 
 
 class GaussianApprox:
     """Gaussian approximation of p(w | theta, y) at the constrained mode.
 
-    ``factor`` is ``_factor_spd``'s constrained factor of Q* at the mode:
-    ``det_half`` is its constrained half log determinant, which the Laplace
-    ratio reads with ``loglik_sum``, ``prior_quad`` and ``prior_log_gdet``;
-    the marginal sds and the draws are its too.
+    ``factor`` is ``_factor_spd``'s constrained factor of the observed Q*
+    at the mode, with -d2 for every curvature: ``det_half`` is its
+    constrained half log determinant, which the Laplace ratio reads with
+    ``loglik_sum``, ``prior_quad`` and ``prior_log_gdet``; the marginal sds
+    and the draws are its too.
     """
 
     def __init__(self, mode, factor, loglik_sum, prior_quad, prior_log_gdet,
@@ -298,6 +300,13 @@ def gaussian_approx(model, theta, init_w=None):
     """Newton iteration for the conditional latent mode at natural hyper
     values theta, with step halving and kriging-corrected constraints.
 
+    Each pass factors the observed Q*, with -d2 for every curvature, and
+    only where that is not positive definite the fallback's
+    (``_fallback_curvatures``), a modified Newton step (Nocedal & Wright
+    2006, 3.4).  So the mode's factor is the observed one: a converged
+    iterate whose observed Q* does not factor is a saddle or an antimode,
+    and raises "conditional mode is not a maximum".
+
     Each step works on value arrays over the model's fixed patterns
     (``AssembledModel.structure``, through ``NewtonSystem``): predictors
     and gradients are bincount matrix-vector products, Q*'s values are
@@ -330,9 +339,9 @@ def gaussian_approx(model, theta, init_w=None):
       the objective, or roundoff beyond that threshold;
     - iteration limit: no convergence in ``NEWTON_MAX_ITER`` iterations.
 
-    ``_factor_spd`` raises it too when the conditional precision is not
-    positive definite, and so does an mv_iid correlation matrix that
-    saturated vine partials round to indefinite.
+    ``_factor_spd`` raises it too when neither the observed nor the
+    fallback Q* is positive definite, and so does an mv_iid correlation
+    matrix that saturated vine partials round to indefinite.
     """
     n = model.latent_dim
     C = model.constraints
@@ -357,16 +366,31 @@ def gaussian_approx(model, theta, init_w=None):
             value, d1, c = _curvatures(
                 blk, eta, hypers[name], structure.responses[name]
             )
-            parts[name] = (float(value.sum()), d1, c)
+            parts[name] = (float(value.sum()), d1, c, eta)
             f += parts[name][0]
         return f, (qw, parts)
 
     def assemble(at):
+        """The gradient and Q*'s factor at an iterate, and whether the
+        factor is the observed one rather than the fallback's."""
         qw, parts = at
         grad = -qw
-        for name, (_, d1, _) in parts.items():
-            grad = grad + system.transpose_times(name, d1)
-        return grad, system.values({name: p[2] for name, p in parts.items()})
+        for name, p in parts.items():
+            grad = grad + system.transpose_times(name, p[1])
+        c = {name: p[2] for name, p in parts.items()}
+        try:
+            return grad, _factor_spd(structure, system.values(c), C), True
+        except InferenceError:
+            if all(np.all(v >= CURVATURE_MIN) for v in c.values()):
+                raise
+        c = {
+            name: _fallback_curvatures(
+                model.blocks[name], p[3], hypers[name],
+                structure.responses[name], p[2],
+            )
+            for name, p in parts.items()
+        }
+        return grad, _factor_spd(structure, system.values(c), C), False
 
     def project(v):
         """v's Euclidean projection onto the constraint set C v = 0."""
@@ -377,13 +401,12 @@ def gaussian_approx(model, theta, init_w=None):
         w = project(w)
 
     f_w, at_w = evaluate(w)
-    iterations = 0
+    iterations, last = 0, False
     dec_hist, f_hist = [], []
     for iterations in range(1, NEWTON_MAX_ITER + 1):
-        grad, q_data = assemble(at_w)
-        factor = _factor_spd(structure, q_data, C)
+        grad, factor, observed = assemble(at_w)
         g_proj = project(grad) if k else grad
-        if np.abs(g_proj).max() < NEWTON_TOL:
+        if last or np.abs(g_proj).max() < NEWTON_TOL:
             iterations -= 1
             break
         # an accepted iterate, a convex combination of two projected
@@ -391,16 +414,18 @@ def gaussian_approx(model, theta, init_w=None):
         point = factor.constrain(w + factor.solve(grad))
         step = (project(point) if k else point) - w
 
-        # the decrement g'H^{-1}g has objective units, so this catches the
-        # point where |grad| is dominated by roundoff at large data scales
+        # the decrement g'H^{-1}g has objective units: below the
+        # objective's roundoff the line search cannot judge the step (at
+        # large data scales |grad| is roundoff there too), but w still
+        # converges quadratically, so the step is taken unchecked and the
+        # next pass, which factors Q* at the result, is the last
         decrement = float(g_proj @ step)
-        if decrement < 1e-14 * (1.0 + abs(f_w)):
-            iterations -= 1
-            break
+        last = decrement < 1e-14 * (1.0 + abs(f_w))
         dec_hist.append(decrement)
         f_hist.append(f_w)
         if (
-            iterations >= 24
+            not last
+            and iterations >= 24
             and dec_hist[-1] > 0.5 * dec_hist[-13]
             and f_w - f_hist[-13] < 1e-9 * (1.0 + abs(f_w))
         ):
@@ -416,21 +441,22 @@ def gaussian_approx(model, theta, init_w=None):
             )
 
         t, improved = 1.0, False
-        for _ in range(21):
+        for _ in range(0 if last else 21):
             f_new, at_new = evaluate(w + t * step)
             if np.isfinite(f_new) and f_new >= f_w - 1e-14:
                 improved = True
                 break
             t *= 0.5
         if not improved:
-            if decrement < 1e-7 * (1.0 + abs(f_w)):
-                # predicted gain is below the objective's roundoff; done
-                break
-            raise InferenceError(
-                "Newton iteration stalled before reaching tolerance",
-                best=w,
-                diagnostics={"iterations": iterations, "grad": g_proj},
-            )
+            if decrement >= 1e-7 * (1.0 + abs(f_w)):
+                raise InferenceError(
+                    "Newton iteration stalled before reaching tolerance",
+                    best=w,
+                    diagnostics={"iterations": iterations, "grad": g_proj},
+                )
+            # the predicted gain is below the objective's roundoff
+            t, last = 1.0, True
+            f_new, at_new = evaluate(w + step)
         w = w + t * step
         f_w, at_w = f_new, at_new
     else:
@@ -440,14 +466,17 @@ def gaussian_approx(model, theta, init_w=None):
             diagnostics={"iterations": NEWTON_MAX_ITER},
         )
 
+    if not observed:
+        raise InferenceError(
+            "conditional mode is not a maximum",
+            best=w,
+            diagnostics={"iterations": iterations},
+        )
     qw, parts = at_w
-    loglik_sum = 0.0
-    for block_sum, _, _ in parts.values():
-        loglik_sum += block_sum
     return GaussianApprox(
         mode=w,
         factor=factor,
-        loglik_sum=loglik_sum,
+        loglik_sum=sum(p[0] for p in parts.values()),
         prior_quad=-0.5 * float(w @ qw),
         prior_log_gdet=system.prior_log_gdet,
         iterations=iterations,
@@ -591,45 +620,79 @@ def _probe_slope_curvature(lp_minus, lp0, lp_plus, h):
 
 
 def _newton_search(evaluate, u, box):
-    """Safeguarded Newton ascent of lp over one free hyper from ``u``;
-    returns how it ended.
+    """Safeguarded quasi-Newton ascent of lp over the free hypers from the
+    array ``u``; returns how it ended.
 
     ``evaluate(u)`` is the budgeted evaluator's (theta, lp, approx), with
-    lp -inf and approx None for a failed evaluation.  The slope
-    and curvature come from the probe triple of the accepted point.  The
-    step is -slope/curvature when the curvature is negative and one unit
-    uphill otherwise, capped at one internal unit and clipped to the box.
-    A trial point costs its centre only; its step is halved while its lp
-    falls below the accepted point's (a failed evaluation does), and only
-    an accepted point is probed.  The search stops when |slope| <=
-    GRAD_TOL, or when the step to try is below roundoff: lp cannot tell
-    such a step from none, and a zero step would evaluate a point again.
+    lp -inf and approx None for a failed evaluation.  Each accepted point
+    is probed at u + h then u - h on every axis, which gives the gradient
+    g and the second differences d (``_probe_slope_curvature``).  B models
+    the Hessian of -lp.  Its diagonal is the probes': -d_i where d_i < 0
+    and |g_i| otherwise (one unit uphill; a failed probe's NaN takes this
+    branch).  Its correlations come from BFGS updates over the accepted
+    steps (Nocedal & Wright 2006, ch. 6), skipped when y's <= 0, so it
+    stays positive definite; where it does not (a zero on the diagonal),
+    or g is not finite, the diagonal alone is used.  The step B^{-1} g is
+    scaled so that no coordinate moves more than one internal unit and
+    clipped to the box.  A trial point costs its centre only; its step is
+    halved while its lp falls below the accepted point's (a failed
+    evaluation does), and only an accepted point is probed.  The search
+    stops when |g|_inf <= ``GRAD_TOL``, else when the step to the point
+    raised lp by less than ``SEARCH_GAIN``, or when the step to try is
+    below roundoff: lp cannot tell such a step from none, and a zero step
+    would evaluate a point again.  With one free hyper the step is
+    Newton's on the second difference, and one unit uphill where that is
+    not negative.
     """
-    h = GRAD_STEP
+    h, m = GRAD_STEP, u.size
     _, lp, _ = evaluate(u)
+    B, gain = None, np.inf
     while True:
-        lp_plus = evaluate(u + h)[1]
-        lp_minus = evaluate(u - h)[1]
-        slope, curv = _probe_slope_curvature(lp_minus, lp, lp_plus, h)
-        if abs(slope) <= GRAD_TOL:
+        g, d = np.empty(m), np.empty(m)
+        for i, e in enumerate(h * np.eye(m)):
+            lp_plus = evaluate(u + e)[1]
+            g[i], d[i] = _probe_slope_curvature(
+                evaluate(u - e)[1], lp, lp_plus, h
+            )
+        if np.max(np.abs(g)) <= GRAD_TOL:
             return "gradient tolerance"
-        step = -slope / curv if curv < 0.0 else np.sign(slope)
-        step = np.clip(u + np.clip(step, -1.0, 1.0), -box, box) - u
+        if gain < SEARCH_GAIN:
+            return "lp gain below SEARCH_GAIN"
+        curved = d < 0.0
+        diag = np.where(curved, -d, np.abs(g))
+        step, finite = None, np.all(np.isfinite(g))
+        if B is not None and finite:
+            y = g_prev - g
+            if y @ s > 0.0:
+                Bs = B @ s
+                B = B - np.outer(Bs, Bs) / (s @ Bs) + np.outer(y, y) / (y @ s)
+            # rescaled to the probes' diagonal, B keeps BFGS's correlations
+            r = np.sqrt(diag / np.diag(B))
+            B = B * np.outer(r, r)
+            L, info = dpotrf(B, lower=1)
+            if not info:
+                step = dpotrs(L, g, lower=1)[0]
+        if step is None:
+            B = np.diag(diag) if finite else None
+            step = np.where(curved, g, np.sign(g)) / np.where(curved, -d, 1.0)
+        step = step / max(1.0, float(np.max(np.abs(step))))
+        step = np.clip(u + step, -box, box) - u
         while True:
             # NaN, from a slope no probe gave, is no step either
-            if not abs(step) > 1e-8:
+            if not np.max(np.abs(step)) > 1e-8:
                 return "roundoff step"
             _, lp_trial, approx = evaluate(u + step)
             if approx is not None and lp_trial >= lp:
                 break
-            step *= 0.5
+            step = 0.5 * step
+        gain, g_prev, s = lp_trial - lp, g, step
         u, lp = u + step, lp_trial
 
 
 def _search_budget(m):
     """How many points the mode search over m free hypers may evaluate:
     ``SEARCH_GRADIENTS`` central-difference gradients of 2m + 1 points
-    each, the cost of one iteration of either search."""
+    each, the cost of one search iteration."""
     return SEARCH_GRADIENTS * (2 * m + 1)
 
 
@@ -648,38 +711,27 @@ def optimize_theta(hyper, init=None):
     gradients; returns (mode, hessian_u, info), where ``mode`` is the
     evaluation (theta_internal, lp, approx) of the best point evaluated.
 
-    One free hyper: ``_newton_search``, a safeguarded Newton ascent whose
-    curvature is the second difference of the three points its gradient
-    evaluates anyway.  At the box edge the probe past it is a failed
-    evaluation, never solved, and the one-sided difference leads the
-    search off the edge.
+    One search, ``_newton_search``, serves any number m >= 1 of free
+    hypers.  It stops on |grad lp|_inf <= ``GRAD_TOL``, on a step that
+    raised lp by less than ``SEARCH_GAIN``, or on a step below roundoff.
+    A failed evaluation is never read as a value: a failed trial step is
+    halved, and a failed gradient probe, such as the one past the box
+    edge, leaves the one-sided difference to the other probe.  It raises
+    ``InferenceError`` with the best point as ``best`` once
+    ``_search_budget(m)`` points are evaluated; ``info["optimizer_message"]``
+    says how a search that returns ended.
 
-    Two or more: L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) minimizes -lp/s
-    with s = max(1, |grad lp(u0)|_inf), the start point's gradient that
-    the search needs anyway (it is handed back as the first evaluation, so
-    the scaling costs none).  Its first step goes to the Cauchy point of a
-    unit-Hessian model, so scaling bounds that step to one internal unit
-    per coordinate instead of |grad lp(u0)|, which otherwise lands on the
-    +-30 box corner.  The search stops at the first iteration that raises
-    lp by less than ``SEARCH_GAIN``.  Its central differences of step
-    ``GRAD_STEP`` cannot resolve |grad lp| <= ``GRAD_TOL``, which would
-    need lp to about 1e-9, so L-BFGS-B's own gradient and relative-decrease
-    tests are off; the one-hyper search keeps ``GRAD_TOL``, which its slope
-    reaches.  A failed evaluation, a gradient probe outside the box
-    included, reads as a -1e10 wall.
-
-    Both searches raise ``InferenceError`` with the best point as ``best``
-    once ``_search_budget(m)`` points are evaluated, m the number of free
-    hypers; ``info["optimizer_message"]`` says how a search that returns
-    ended.  The Hessian, in the free-coordinate basis, is a
-    central-difference stencil around the mode: its centre value is the
-    mode's lp and its first point warm-starts from the mode's latent mode,
-    so the mode is not solved again.  A failed stencil evaluation raises
-    ``InferenceError`` with the mode as ``best``, since it has no value to
-    enter the Hessian with.  ``info["evaluations"]`` counts the search's
-    points, the ones the budget counts.  With no free hyper the one point
-    is the mode, evaluated outside the count, and the message reads "no
-    free hyper"; its failure raises.
+    The Hessian, in the free-coordinate basis, is a central-difference
+    stencil around the mode: its centre value is the mode's lp and its
+    first point warm-starts from the mode's latent mode, so the mode is not
+    solved again.  A failed stencil evaluation raises ``InferenceError``
+    with the mode as ``best``, since it has no value to enter the Hessian
+    with, and so does a Hessian that is not positive definite: the mode is
+    then a saddle of lp, whose marginals would have no width.
+    ``info["evaluations"]`` counts the search's points, the ones the budget
+    counts.  With no free hyper the one point is the mode, evaluated
+    outside the count, and the message reads "no free hyper"; its failure
+    raises.
     """
     m = hyper.dim
     if m == 0:
@@ -705,12 +757,7 @@ def optimize_theta(hyper, init=None):
             mode = point
         return point
 
-    if m == 1:
-        message = _newton_search(
-            lambda u: evaluate(np.array([u])), float(u0[0]), hyper.BOX
-        )
-    else:
-        message = _lbfgsb_search(evaluate, u0, hyper.BOX)
+    message = _newton_search(evaluate, u0, hyper.BOX)
     theta_mode, lp_mode, approx_mode = mode
     evaluations = hyper.count - start
     if approx_mode is None:
@@ -720,14 +767,12 @@ def optimize_theta(hyper, init=None):
             "no successful Laplace evaluation during hyper optimization",
             diagnostics={"evaluations": evaluations},
         )
-    # the best point actually evaluated; the optimizer's final iterate
-    # can sit on a failed-evaluation wall after an aggressive line search
+    # the best point evaluated, which may be a gradient probe
     u_mode = hyper.to_u(theta_mode)
     hyper.w = approx_mode.mode
 
     def stencil_neg(u):
-        # a stencil point has no wall to fall back on: a failed evaluation
-        # would enter the Hessian as a real value
+        # a failed stencil point has no value to enter the Hessian with
         th, lp, approx = hyper(u)
         if approx is None:
             raise InferenceError(
@@ -759,60 +804,13 @@ def optimize_theta(hyper, init=None):
             H[i, j] = H[j, i] = (
                 fpp + fmm + 2.0 * f0 - fp[i] - fm[i] - fp[j] - fm[j]
             ) / (2.0 * h**2)
-
+    if dpotrf(H, lower=1)[1]:
+        raise InferenceError(
+            "the Hessian at the hyper mode is not positive definite",
+            best=theta_mode,
+            diagnostics={"hessian": H},
+        )
     return mode, H, {"evaluations": evaluations, "optimizer_message": message}
-
-
-def _lbfgsb_search(evaluate, u0, box):
-    """L-BFGS-B on -lp/s from ``u0`` (see ``optimize_theta``); returns its
-    message.  ``evaluate(u)`` is the budgeted evaluator."""
-    m = u0.size
-
-    def neg(u):
-        _, lp, approx = evaluate(u)
-        # usually a wild line search excursion: a steep wall, not an abort
-        return 1e10 if approx is None else -lp
-
-    def neg_and_grad(u):
-        f = neg(u)
-        g = np.zeros(m)
-        for i in range(m):
-            e = np.zeros(m)
-            e[i] = GRAD_STEP
-            g[i] = (neg(u + e) - neg(u - e)) / (2.0 * GRAD_STEP)
-        return f, g
-
-    f_start, g_start = neg_and_grad(u0)
-    scale = max(1.0, float(np.max(np.abs(g_start))))
-
-    def scaled(u):
-        # L-BFGS-B evaluates the start point first: already paid for
-        if np.array_equal(u, u0):
-            f, g = f_start, g_start
-        else:
-            f, g = neg_and_grad(u)
-        return f / scale, g / scale
-
-    previous, message = f_start / scale, None
-
-    def stop_on_small_gain(intermediate_result):
-        # fun is -lp / scale, so this is one iteration's rise in lp
-        nonlocal previous, message
-        if (previous - intermediate_result.fun) * scale < SEARCH_GAIN:
-            message = "lp gain below SEARCH_GAIN"
-            raise StopIteration
-        previous = intermediate_result.fun
-
-    res = minimize(
-        scaled,
-        u0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(-box, box)] * m,
-        callback=stop_on_small_gain,
-        options={"gtol": 0.0, "ftol": 0.0},
-    )
-    return message or str(res.message)
 
 
 def _spd_directions(H, step):

@@ -15,8 +15,10 @@ value kernel (``_gaussian_value``, ``circular._lavm_value``) from which
 ``loglik`` builds its derivatives, so each density has one formula, and
 ``circular.lavm_logpdf`` reads the LAvM kernel too.
 
-The derivatives are the observed ones; where the LAvM curvature fails, far
-from the mode, the Newton step takes ``circular._lavm_em_weight`` instead.
+The derivatives are the observed ones, and the Laplace factor at the
+conditional mode holds -d2.  Only a Newton step whose observed Q* does not
+factor, away from the mode, takes ``circular._lavm_em_weight`` on the
+LAvM entries whose curvature fails.
 """
 
 import numpy as np

@@ -19,7 +19,6 @@ import numpy as np
 from scipy.linalg import block_diag, null_space
 from scipy.stats import multivariate_normal
 
-from circfit.inference import CURVATURE_MIN
 from circfit.latent import (
     build_ar2,
     build_cyclic_rw2,
@@ -102,22 +101,13 @@ def design(model, name, theta):
 
 
 def curvatures(model, theta, w):
-    """Per block the Newton curvatures at latent w, from the public
-    ``loglik``: -d2 where it is at least ``CURVATURE_MIN``, elsewhere the
-    EM weight 4 kappa/(1 + u^2)^2 + 2/(1 + u^2), u = tan(y/2) - eta, for
-    lavm and ``CURVATURE_MIN`` for the other families."""
+    """Per block the observed curvatures -d2 at latent w, from the public
+    ``loglik``: the ones the factor at the conditional mode holds."""
     out = {}
     for name, blk in model.blocks.items():
         eta = design(model, name, theta) @ w
         hyper = theta[blk.hyper] if blk.hyper else None
-        _, _, d2 = loglik(blk.family, blk.responses, eta, hyper)
-        c = -d2
-        if blk.family == "lavm":
-            s = 1.0 + (np.tan(blk.responses / 2) - eta) ** 2
-            floor = 4.0 * hyper / s**2 + 2.0 / s
-        else:
-            floor = np.full_like(c, CURVATURE_MIN)
-        out[name] = np.where(c < CURVATURE_MIN, floor, c)
+        out[name] = -loglik(blk.family, blk.responses, eta, hyper)[2]
     return out
 
 

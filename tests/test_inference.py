@@ -31,6 +31,7 @@ from circfit.inference import (
     InferenceError,
     _curvatures,
     _factor_spd,
+    _fallback_curvatures,
     _mixture_quantiles,
     _natural_grid_summary,
     _spd_directions,
@@ -412,6 +413,20 @@ class TestScalarModes:
         assert err.value.best is not None
         assert err.value.diagnostics["iterations"] == 24
 
+    def test_antimode_start_is_not_a_mode(self):
+        # 1e-6 above the antimode the gradient is below Newton's tolerance,
+        # so the loop ends where it starts; its observed Q* does not
+        # factor, so the point is refused rather than returned as the mode
+        m = lavm_scalar_model(LAVM_BIMODAL_X, n=2, prior_sd=0.4)
+        with pytest.raises(
+            InferenceError, match="conditional mode is not a maximum"
+        ) as err:
+            gaussian_approx(
+                m, m.theta_natural(m.initial_internal()),
+                init_w=np.array([LAVM_ANTIMODE + 1e-6]),
+            )
+        assert err.value.best[0] == pytest.approx(LAVM_ANTIMODE, abs=1e-5)
+
     def test_newton_step_without_ascent_raises_with_the_last_iterate(
         self, monkeypatch
     ):
@@ -563,7 +578,8 @@ class TestResponseTerms:
         # the floor as well
         eta[..., :2] = [-40.0, 40.0]
         blk = AssembledBlock("b", family, y, None, ())
-        value, d1, c = _curvatures(blk, eta, hyper, response_terms(family, y))
+        response = response_terms(family, y)
+        value, d1, c = _curvatures(blk, eta, hyper, response)
         ref_value, ref_d1, ref_d2 = loglik(family, y, eta, hyper)
         ref_c = -ref_d2
         if family == "lavm":
@@ -575,7 +591,13 @@ class TestResponseTerms:
         assert np.any(floored) == (family != "gaussian")
         np.testing.assert_array_equal(value, ref_value)
         np.testing.assert_array_equal(d1, ref_d1)
-        np.testing.assert_array_equal(c, np.where(floored, floor, ref_c))
+        # the observed curvature, and the Newton step's fallback in place
+        # of the entries below CURVATURE_MIN
+        np.testing.assert_array_equal(c, ref_c)
+        np.testing.assert_array_equal(
+            _fallback_curvatures(blk, eta, hyper, response, c),
+            np.where(floored, floor, ref_c),
+        )
 
     def test_lavm_response_in_the_boundary_band_fails_the_fit(self):
         m = kappa_free_model(n=20)
@@ -618,19 +640,35 @@ class TestLavmNewton:
         assert cold.iterations > 0 and warm.iterations > 0
         np.testing.assert_allclose(warm.mode, cold.mode, rtol=0, atol=1e-8)
 
+    def test_warm_start_reaches_the_cold_start_lp(self):
+        # from a neighbour's mode Newton reached a point whose step the
+        # objective no longer resolves with w still 1e-6 off the mode, and
+        # lp 1e-6 off the cold start's: a second difference at GRAD_STEP
+        # reads that as a curvature error of order 100.  The last step is
+        # taken unchecked, so lp agrees to roundoff
+        m = _study_model(generate_sim3, sim3_spec, SIM3_TRUTH, 100)
+        theta = m.initial_internal()
+        _, near = log_posterior_theta(m, theta + 0.01)
+        warm, _ = log_posterior_theta(m, theta, init_w=near.mode)
+        cold, _ = log_posterior_theta(m, theta)
+        assert warm == pytest.approx(cold, rel=0, abs=1e-9)
+
     def test_constrained_mode_is_factored_once_per_newton_pass(
         self, monkeypatch
     ):
         # every Newton point is projected onto C w = 0, so the converged
         # iterate is the mode as it stands: Q* is factored once per pass,
-        # the last pass included, and never again after the loop
+        # the last pass included, and never again after the loop.  A pass
+        # whose observed Q* does not factor pays for its fallback's too, so
+        # the factorizations that succeed are counted
         m = _study_model(generate_sim2, sim2_spec, SIM2_TRUTH, 300, seed=1000)
         theta = {k: SIM2_TRUTH[k] for k in ("kappa", "tau", "a1", "b1")}
         calls = []
 
         def counting(*args):
+            factor = _factor_spd(*args)
             calls.append(args)
-            return _factor_spd(*args)
+            return factor
 
         monkeypatch.setattr(inference, "_factor_spd", counting)
         approx = gaussian_approx(m, theta)
@@ -646,6 +684,42 @@ class TestLavmNewton:
             curvatures[name] = _curvatures(blk, eta, hyper, S.responses[name])[2]
         fresh = _factor_spd(S, system.values(curvatures), m.constraints)
         assert approx.det_half == fresh.det_half
+
+
+class TestObservedFactor:
+    """The factor at the conditional mode holds the observed curvature
+    -d2, also where some entries of it are negative, so lp is the Laplace
+    ratio of the observed Hessian and continuous in theta."""
+
+    @staticmethod
+    def sim1_2059():
+        # a LAvM curvature at the conditional mode of these data changes
+        # sign near kappa's internal value 2.28167
+        return _study_model(
+            generate_sim1, sim1_spec, SIM1_TRUTH, 1000, seed=2059
+        )
+
+    def test_lp_is_continuous_where_a_curvature_changes_sign(self):
+        # with the EM weight in the mode's factor lp jumped there: a second
+        # difference of 1.6e-3 on this grid, against a median of 1.3e-8
+        m = self.sim1_2059()
+        lps, w = [], None
+        for t in np.linspace(2.2810, 2.2825, 301):
+            lp, approx = log_posterior_theta(m, np.array([t]), init_w=w)
+            lps.append(lp)
+            w = approx.mode
+        assert np.max(np.abs(np.diff(lps, 2))) < 1e-6
+
+    def test_det_half_is_the_observed_log_determinant(self):
+        m = self.sim1_2059()
+        theta = m.theta_natural(np.array([2.28167]))
+        approx = gaussian_approx(m, theta)
+        curvature = dref.curvatures(m, theta, approx.mode)
+        assert np.sum(curvature["y"] < 0.0) == 2
+        Q = dref.newton_matrix(m, theta, curvature)
+        sign, logdet = np.linalg.slogdet(Q)
+        assert sign == 1.0
+        assert approx.det_half == pytest.approx(0.5 * logdet, rel=1e-12)
 
 
 def iid_only_model(n=15, seed=29):
@@ -1123,7 +1197,7 @@ class TestOptimizeTheta:
         assert len(calls) == 3
 
     def test_no_successful_evaluation_is_an_error(self, monkeypatch):
-        # every evaluation hitting the -1e10 wall must not hand the prior
+        # a search whose every evaluation failed must not hand the prior
         # medians and a flat Hessian on to the exploration
         def fail(*args, **kwargs):
             raise InferenceError("forced failure")
@@ -1136,17 +1210,19 @@ class TestOptimizeTheta:
             fit_model(tau_free_model())
 
     def test_failed_stencil_evaluation_is_an_error(self, monkeypatch):
-        # a failed stencil point must not enter the Hessian as the -1e10
-        # wall: that gave entries of order 1e12 and eigenvalues of both signs
+        # a failed stencil point must not enter the Hessian as a value: the
+        # old -1e10 failure wall gave entries of order 1e12 and eigenvalues
+        # of both signs
         m = two_hyper_model()
         (theta_mode, _, _), _, _ = optimize_theta(HyperEvaluator(m))
-        real_lpt, real_minimize = inference.log_posterior_theta, inference.minimize
+        real_lpt = inference.log_posterior_theta
+        real_search = inference._newton_search
         state = {"searched": False, "failing": None}
 
-        def minimize(*args, **kwargs):
-            res = real_minimize(*args, **kwargs)
+        def search(*args, **kwargs):
+            message = real_search(*args, **kwargs)
             state["searched"] = True
-            return res
+            return message
 
         def failing(model, theta_internal, *args, **kwargs):
             # the first point after the search fails, cold retry included
@@ -1159,7 +1235,7 @@ class TestOptimizeTheta:
             return real_lpt(model, theta_internal, *args, **kwargs)
 
         monkeypatch.setattr(inference, "log_posterior_theta", failing)
-        monkeypatch.setattr(inference, "minimize", minimize)
+        monkeypatch.setattr(inference, "_newton_search", search)
         with pytest.raises(InferenceError, match="Hessian stencil") as err:
             optimize_theta(HyperEvaluator(m))
         np.testing.assert_array_equal(
@@ -1173,7 +1249,8 @@ class TestOptimizeTheta:
         # from a start on either box edge the probe past it is a failed
         # evaluation, never solved: the one-sided difference to the other
         # probe leads the search off the edge to the mode.  lp(30) lies far
-        # below the -1e10 wall here, which held L-BFGS-B on the edge
+        # below -1e10 here: a failure read as that value would hold a
+        # search on the edge
         m = tau_free_model()
         ref = minimize_scalar(
             lambda t: -log_posterior_theta(m, np.array([t]))[0],
@@ -1230,6 +1307,36 @@ class TestOptimizeTheta:
             optimize_theta(HyperEvaluator(m))
         assert err.value.diagnostics["evaluations"] == 7 == len(calls)
 
+    def test_saddle_of_lp_is_not_a_mode(self, monkeypatch):
+        # past the search lp gains a bowl around the mode, so the stencil
+        # reads a minimum there: the mode is refused, not handed on to the
+        # marginals with no width
+        m = two_hyper_model()
+        (theta_mode, _, _), _, _ = optimize_theta(HyperEvaluator(m))
+        real_lpt = inference.log_posterior_theta
+        real_search = inference._newton_search
+        searched = []
+
+        def search(*args, **kwargs):
+            message = real_search(*args, **kwargs)
+            searched.append(True)
+            return message
+
+        def bowl(model, theta_internal, *args, **kwargs):
+            lp, approx = real_lpt(model, theta_internal, *args, **kwargs)
+            if searched:
+                lp += 1e3 * float(np.sum((theta_internal - theta_mode) ** 2))
+            return lp, approx
+
+        monkeypatch.setattr(inference, "log_posterior_theta", bowl)
+        monkeypatch.setattr(inference, "_newton_search", search)
+        with pytest.raises(
+            InferenceError, match="not positive definite"
+        ) as err:
+            optimize_theta(HyperEvaluator(m))
+        np.testing.assert_array_equal(err.value.best, theta_mode)
+        assert np.linalg.eigvalsh(err.value.diagnostics["hessian"]).min() < 0.0
+
     def test_hessian_is_symmetric_positive_definite(self):
         m = two_hyper_model()
         _, hessian, _ = optimize_theta(HyperEvaluator(m))
@@ -1237,41 +1344,52 @@ class TestOptimizeTheta:
         assert np.all(np.linalg.eigvalsh(hessian) > 0.0)
 
     def test_first_step_moves_at_most_one_unit(self, monkeypatch):
-        # |grad lp(u0)| is in the hundreds here; an unscaled first L-BFGS-B
-        # step went to the +-30 box corner, where evaluations fail or sit
-        # below the failure wall
+        # |grad lp(u0)| is in the hundreds here; an unscaled first step
+        # went to the +-30 box corner, where evaluations fail.  Every step
+        # the search accepts, the first included, moves at most one
+        # internal unit per coordinate
         m = _study_model(generate_sim2, sim2_spec, SIM2_TRUTH, 100, seed=1000)
-        free = [i for i, c in enumerate(m.hyper_coords) if not c.is_fixed]
-        u0 = m.initial_internal()[free]
-        evaluated, iterates = [], []
-        real_lpt, real_minimize = inference.log_posterior_theta, inference.minimize
+        h = inference.GRAD_STEP
+        evaluated, real_search = [], inference._newton_search
 
-        def recording(model, theta_internal, *args, **kwargs):
-            evaluated.append(np.asarray(theta_internal, dtype=float)[free])
-            return real_lpt(model, theta_internal, *args, **kwargs)
+        def search(evaluate, u, box):
+            def recording(v):
+                point = evaluate(v)
+                evaluated.append((np.array(v), point[1]))
+                return point
+            return real_search(recording, u, box)
 
-        def minimize(*args, callback, **kwargs):
-            # the engine's callback carries its stop rule: chain it
-            def recording_callback(intermediate_result):
-                iterates.append(np.array(intermediate_result.x))
-                callback(intermediate_result)
-            return real_minimize(*args, callback=recording_callback, **kwargs)
-
-        monkeypatch.setattr(inference, "log_posterior_theta", recording)
-        monkeypatch.setattr(inference, "minimize", minimize)
+        monkeypatch.setattr(inference, "_newton_search", search)
         optimize_theta(HyperEvaluator(m))
-        u = np.array(evaluated)
+        u = np.array([v for v, _ in evaluated])
+        lp = np.array([v for _, v in evaluated])
+        m_free = u.shape[1]
         assert np.max(np.abs(u)) < 30.0
-        first = next(
-            k for k, uk in enumerate(u) if np.array_equal(uk, iterates[0])
-        )
-        # the first iterate and its gradient stencil included
-        head = u[: first + 1 + 2 * len(free)]
-        assert np.max(np.abs(head - u0)) <= 1.0 + inference.GRAD_STEP
+        first_axis = h * np.eye(m_free)[0]
+        # an accepted point is the one whose probes follow it
+        accepted = [
+            k for k in range(len(u) - 1)
+            if np.array_equal(u[k + 1], u[k] + first_axis)
+        ]
+        assert accepted[0] == 0 and len(accepted) > 2
+        # the start's probes: u0 + h e_i, then u0 - h e_i, for each axis i
+        probes = lp[1 : 1 + 2 * m_free].reshape(m_free, 2)
+        slopes = (probes[:, 0] - probes[:, 1]) / (2 * h)
+        assert np.max(np.abs(slopes)) > 100.0
+        moves = np.abs(np.diff(u[accepted], axis=0))
+        assert np.max(moves) <= 1.0 + 1e-12
 
-
-    def test_one_hyper_search_evaluates_no_point_twice(self, monkeypatch):
-        m = _study_model(generate_sim1, sim1_spec, SIM1_TRUTH, 1000, seed=1000)
+    @pytest.mark.parametrize("factory", [
+        lambda: _study_model(
+            generate_sim1, sim1_spec, SIM1_TRUTH, 1000, seed=1000
+        ),
+        two_hyper_model,
+        lambda: _study_model(
+            generate_sim2, sim2_spec, SIM2_TRUTH, 100, seed=1000
+        ),
+    ], ids=["sim1_n1000", "two_hyper", "sim2_n100"])
+    def test_search_evaluates_no_point_twice(self, monkeypatch, factory):
+        m = factory()
         evaluated = []
         real = inference.log_posterior_theta
 
@@ -1284,7 +1402,7 @@ class TestOptimizeTheta:
         search = evaluated[: info["evaluations"]]
         assert len(set(search)) == len(search)
         assert info["optimizer_message"] in (
-            "gradient tolerance", "roundoff step"
+            "gradient tolerance", "lp gain below SEARCH_GAIN", "roundoff step"
         )
 
     def test_one_hyper_search_stops_on_a_sub_roundoff_step(self, monkeypatch):
