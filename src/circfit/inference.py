@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtbtrs, dtrtrs
+from scipy.linalg.lapack import dpbtrf, dpotrf, dpotrs, dtbtrs, dtrtrs
 from scipy.special import ndtr, ndtri
 
 from .circular import _lavm_em_weight
@@ -73,10 +73,10 @@ class _BandArrowFactor:
     kriging (Rue & Held 2005, 2.3.3).
 
     In factor order (``perm``) Q* = [[A, B], [B', D]] with A the band, B
-    the cross block and D the fixed-effect arrow.  Holds the band factor
-    L_A of A, X = A^{-1} B and the Cholesky factor L_S of the Schur
-    complement D - B'X, so the factored matrix is L L' with
-    L = [[L_A, 0], [X' L_A, L_S]] and ``half_logdet`` = log det L.  When C
+    the cross block and D the fixed-effect arrow.  Holds the plain Cholesky
+    factor L = [[L_A, 0], [X', L_S]] of Q* by its pieces: the band factor
+    L_A of A, X = L_A^{-1} B and the Cholesky factor L_S of the Schur
+    complement D - X'X, so ``half_logdet`` = log det L.  When C
     has rows ``_factor_spd`` sets ``QinvCt`` = Q^{-1} C', ``S_chol`` =
     chol(C Q^{-1} C') and the constrained half log determinant
     ``det_half`` = half_logdet + (log det(C Q^{-1} C') - log det(C C'))/2."""
@@ -97,16 +97,15 @@ class _BandArrowFactor:
         b = np.asarray(b, dtype=float)
         # allocated before b is permuted, so a column-major C' gives a
         # column-major QinvCt, whose products round as that layout does
-        x = np.empty_like(b)
+        y = np.empty_like(b)  # L^{-1} b, in factor order
         head = b[perm[:n_body]]
-        y = dpbtrs(self.band, head, lower=1)[0] if n_body else head
+        if n_body:
+            head = dtbtrs(self.band, head, uplo="L")[0]
+        y[:n_body] = head
         if self.schur.shape[0]:
             rhs = b[perm[n_body:]] - self.X.T @ head
-            tail = dpotrs(self.schur, rhs, lower=1)[0]
-            y = y - self.X @ tail
-            x[perm[n_body:]] = tail
-        x[perm[:n_body]] = y
-        return x
+            y[n_body:] = dtrtrs(self.schur, rhs, lower=1)[0]
+        return self.solve_lt(y)
 
     def solve_lt(self, z):
         """L^{-T} z for the columns of z, returned in latent order.
@@ -114,17 +113,17 @@ class _BandArrowFactor:
         U = solve_lt(I) satisfies U U' = the factored matrix's inverse, so
         its row norms are the marginal variances and standard normal
         columns map to draws with that covariance (Rue & Held 2005, ch. 2).
-        The tail solves L_S' t = z_tail; the head is L_A^{-T} z_head - X t.
+        The tail solves L_S' t = z_tail; the head is L_A^{-T}(z_head - X t).
         """
         perm, n_body = self.structure.perm, self.structure.n_body
         x = np.empty_like(z, dtype=float)
         head = z[:n_body]
-        if n_body:
-            head = dtbtrs(self.band, head, uplo="L", trans="T")[0]
         if self.schur.shape[0]:
             tail = dtrtrs(self.schur, z[n_body:], lower=1, trans=1)[0]
-            head -= self.X @ tail
+            head = head - self.X @ tail
             x[perm[n_body:]] = tail
+        if n_body:
+            head = dtbtrs(self.band, head, uplo="L", trans="T")[0]
         x[perm[:n_body]] = head
         return x
 
@@ -165,10 +164,10 @@ def _factor_spd(structure, data, C=None):
 
     The component block is a band in the structure's reverse Cuthill-McKee
     order, factored by LAPACK's band Cholesky (dpbtrf); the fixed-effect
-    arrow is eliminated by a dense Cholesky (dpotrf) of its Schur
-    complement (Rue & Held 2005, ch. 2).  Both read only the lower
-    triangle.  A non-positive pivot reported by LAPACK or a non-finite log
-    determinant means not positive definite.
+    arrow is eliminated by X = L_A^{-1} B (dtbtrs) and a dense Cholesky
+    (dpotrf) of its Schur complement D - X'X (Rue & Held 2005, ch. 2).
+    Both read only the lower triangle.  A non-positive pivot reported by
+    LAPACK or a non-finite log determinant means not positive definite.
 
     With constraints the kriging pieces Q^{-1}C' and chol(C Q^{-1} C') are
     validated as part of the positive definiteness test.  C must be the
@@ -191,8 +190,8 @@ def _factor_spd(structure, data, C=None):
     if n_body:
         band, info = dpbtrf(band, lower=1, overwrite_ab=1)
         if n_arrow and not info:
-            X = dpbtrs(band, cross, lower=1)[0]
-            arrow = arrow - cross.T @ X
+            X = dtbtrs(band, cross, uplo="L")[0]
+            arrow = arrow - X.T @ X
     if n_arrow and not info:
         arrow, info = dpotrf(arrow, lower=1, overwrite_a=1)
     if not info:
@@ -307,15 +306,16 @@ def gaussian_approx(model, theta, init_w=None):
     iterate whose observed Q* does not factor is a saddle or an antimode,
     and raises "conditional mode is not a maximum".
 
-    Each step works on value arrays over the model's fixed patterns
+    Each step works on value arrays over the model's fixed structure
     (``AssembledModel.structure``, through ``NewtonSystem``): predictors
-    and gradients are bincount matrix-vector products, Q*'s values are
-    summed straight into the flat band + arrow storage, and ``_factor_spd``
-    factorizes views of it.  No sparse matrix is built, for any component
-    kind.  Every Newton point is projected onto C w = 0 after its kriging
-    correction, so every iterate is feasible and the mode needs no final
-    projection: the converged iterate's values, factor and log-likelihood
-    sum are the ones returned, never recomputed.
+    sum each block's term values at the gathered nodes, gradients and Q*'s
+    band + arrow values are bincounts over those nodes and the term pairs'
+    slots, and ``_factor_spd`` factors views of the values.  No sparse
+    matrix is built, for any component kind.  Every Newton point is
+    projected onto C w = 0 after its kriging correction, so every iterate
+    is feasible and the mode needs no final projection: the converged
+    iterate's values, factor and log-likelihood sum are the ones returned,
+    never recomputed.
 
     Once per model the structure holds the patterns and each block's
     checked response terms; once per call (per theta) ``NewtonSystem``
@@ -924,10 +924,12 @@ def _mixture_quantiles(mus, sds, weights, probs):
     moment-matched Gaussian and takes Newton steps on the mixture CDF, whose
     derivative is the mixture density.  The bracket [min(mu - 10 sd),
     max(mu + 10 sd)] shrinks around the root at every evaluation, and a
-    Newton step that leaves it is replaced by bisection.  An entry is frozen
-    once |F(q) - p| < QUANTILE_TOL, or once its bracket leaves no float
-    between its ends; each iteration evaluates the CDF and the density of
-    the entries still open, for all probabilities at once.
+    Newton step that leaves it, or that follows an evaluation which did not
+    halve it (as steps bouncing between its ends do), is replaced by
+    bisection.  An entry is frozen once |F(q) - p| < QUANTILE_TOL, or once
+    its bracket leaves no float between its ends; each iteration evaluates
+    the CDF and the density of the entries still open, for all
+    probabilities at once.  An entry still open after 200 raises.
     """
     k, n = len(probs), mus.shape[1]
     sds = np.maximum(sds, 1e-12)
@@ -938,6 +940,7 @@ def _mixture_quantiles(mus, sds, weights, probs):
     mean = weights @ mus
     sd = np.sqrt(np.maximum(weights @ (sds**2 + mus**2) - mean**2, 0.0))
     x = np.clip(mean[node] + sd[node] * ndtri(p), lo, hi)
+    width = np.full(k * n, np.inf)
     open_ = np.arange(k * n)
     for _ in range(200):
         xa, ca = x[open_], node[open_]
@@ -950,13 +953,17 @@ def _mixture_quantiles(mus, sds, weights, probs):
         hi[open_] = hi_a = np.where(under, hi[open_], xa)
         # a zero density makes a huge step, which the bracket refuses
         step = xa - r / np.maximum(dens, np.finfo(float).tiny)
-        inside = (step > lo_a) & (step < hi_a)
-        nxt = np.where(inside, step, 0.5 * (lo_a + hi_a))
+        newton = (step > lo_a) & (step < hi_a)
+        newton &= hi_a - lo_a <= 0.5 * width[open_]
+        width[open_] = hi_a - lo_a
+        nxt = np.where(newton, step, 0.5 * (lo_a + hi_a))
         moving = (np.abs(r) >= QUANTILE_TOL) & (nxt != xa)
         open_ = open_[moving]
         if open_.size == 0:
             break
         x[open_] = nxt[moving]
+    else:
+        raise InferenceError("mixture quantiles did not converge")
     return x.reshape(k, n)
 
 

@@ -13,11 +13,11 @@ once, as a ``PredictorTerm`` holding ``term_design``'s latent node and
 coefficient per observation; ``terms_predictor`` sums such records, fitted
 or copied with the nodes and coefficients of new inputs.
 
-``ModelStructure`` fixes each sparsity pattern once per model as index
-arrays, the (rows, cols) of its stored entries in column-major or row-major
-order, and a fit works on value arrays over them and builds no matrix: the
-prior's values are read from each component kind's closed form, and Q*'s
-go straight into the storage its factor reads.
+``ModelStructure`` fixes the prior's sparsity pattern once per model as
+index arrays, the (rows, cols) of its stored entries in column-major order,
+and stacks each block's term records, and a fit works on value arrays over
+them and builds no matrix: the prior's values are read from each component
+kind's closed form, and Q*'s go straight into the storage its factor reads.
 ``AssembledModel.prior_precision`` and ``block_matrix`` are sparse views
 of value arrays that no fit reads.
 """
@@ -353,57 +353,41 @@ class AssembledModel:
 
     def block_matrix(self, block_name: str, theta: dict) -> sparse.csr_array:
         """A_b(theta): observation-by-latent matrix with all scale hypers
-        multiplied in, so eta_b = A_b w.  The matrix keeps the union pattern
-        of the block's terms whatever theta is."""
+        multiplied in, so eta_b = A_b w.  The matrix keeps the pattern of
+        the block's term records whatever theta is."""
         pat = self.structure.blocks[block_name]
-        values = pat._combine([term.factor(theta) for term in pat.terms])
+        values, _ = pat.design(theta)
+        obs = np.broadcast_to(np.arange(pat.size), pat.nodes.shape)
         return sparse.csr_array(
-            (values, pat.cols, pat.indptr),
-            shape=(pat.size, self.latent_dim), copy=True,
+            (values.ravel(), (obs.ravel(), pat.nodes.ravel())),
+            shape=(pat.size, self.latent_dim),
         )
 
 
-class _BlockPattern:
-    """A block's union pattern, the (rows, cols) of each stored entry of
-    A_b in row-major order with ``indptr`` the start of each of its
-    ``size`` rows, and a (terms, nnz) coefficient array, so A_b(theta) =
-    sum_t coef[t] * (product of chain t's scales).  ``nz_a``, ``nz_b``
-    hold every pair of stored entries a, b in one row with cols[a] >=
-    cols[b]: the products A[i, a] A[i, b] of these pairs make up the lower
-    triangle of the symmetric A_b' diag(c) A_b."""
+class _BlockDesign:
+    """A block's ``PredictorTerm`` records stacked term-major: ``nodes``
+    and ``coef`` (terms, size), so A_b(theta) w = sum_t factor_t(theta)
+    coef[t] w[nodes[t]].  In the term pairs t >= s (``pair_t``, ``pair_s``)
+    observation i adds c_i A[i, t] A[i, s] to A_b' diag(c) A_b at the node
+    pair (nodes[t, i], nodes[s, i]), times ``weight`` 2 where two terms
+    meet one node, the cross term of (v_t + v_s)^2, and 1 elsewhere."""
 
-    def __init__(self, block, latent_dim):
-        # each term stores one entry per observation, keyed row-major
-        obs = np.arange(block.size)
-        keys = np.array([obs * latent_dim + t.nodes for t in block.terms])
-        union, where = np.unique(keys, return_inverse=True)
-        where = where.reshape(keys.shape)
-        self.coef = np.zeros((len(block.terms), union.size))
-        for t, term in enumerate(block.terms):
-            self.coef[t, where[t]] = term.coef
+    def __init__(self, block):
         self.terms = block.terms
         self.size = block.size
-        self.rows = union // latent_dim
-        self.cols = union % latent_dim
-        self.indptr = np.searchsorted(self.rows, np.arange(self.size + 1))
-        partners = np.diff(self.indptr)[self.rows]
-        nz_a = np.repeat(np.arange(union.size), partners)
-        first = np.cumsum(partners) - partners
-        nz_b = np.repeat(self.indptr[self.rows], partners) + (
-            np.arange(nz_a.size) - np.repeat(first, partners)
+        self.nodes = np.array([t.nodes for t in block.terms])
+        self.coef = np.array([t.coef for t in block.terms])
+        self.pair_t, self.pair_s = np.tril_indices(len(block.terms))
+        self.weight = np.where(
+            (self.pair_t != self.pair_s)[:, None]
+            & (self.nodes[self.pair_t] == self.nodes[self.pair_s]),
+            2.0, 1.0,
         )
-        lower = self.cols[nz_a] >= self.cols[nz_b]
-        self.nz_a, self.nz_b = nz_a[lower], nz_b[lower]
         self._design = None
 
-    def _combine(self, factors):
-        data = None
-        for coef, factor in zip(self.coef, factors):
-            data = coef * factor if data is None else data + coef * factor
-        return data
-
     def design(self, theta):
-        """A_b(theta)'s stored values and pair products, both read-only.
+        """The (terms, size) values coef * factor of A_b(theta)'s terms and
+        the (size, pairs) weighted pair products, both read-only.
 
         They depend on theta only through the terms' chain factors, so
         they are kept for the last tuple of factors and recomputed when it
@@ -415,10 +399,13 @@ class _BlockPattern:
         # thread never pairs this key with that thread's arrays
         memo = self._design
         if memo is None or memo[0] != key:
-            data = self._combine(key)
-            products = data[self.nz_a] * data[self.nz_b]
-            data.flags.writeable = products.flags.writeable = False
-            memo = self._design = (key, data, products)
+            vals = self.coef * np.array(key)[:, None]
+            products = self.weight * vals[self.pair_t] * vals[self.pair_s]
+            # observation-major, so that a bincount over their slots adds
+            # to several slots in turn, not to one slot many times in a row
+            products = products.T.copy()
+            vals.flags.writeable = products.flags.writeable = False
+            memo = self._design = (key, vals, products)
         return memo[1], memo[2]
 
 
@@ -489,11 +476,11 @@ class ModelStructure:
     """What a fit computes once per model: the sparsity patterns, fixed
     once the model is built, and each block's checked response terms.
 
-    Holds each block's union pattern (``_BlockPattern``, which also keeps
-    its last design values and pair products) and the prior precision's
-    pattern, block diagonal over the components in latent order and then
-    the fixed effects' diagonal: ``prior_rows`` and ``prior_cols`` give
-    each stored entry's (row, col) in column-major order.
+    Holds each block's stacked term records (``_BlockDesign``, which also
+    keeps its last design values and pair products) and the prior
+    precision's pattern, block diagonal over the components in latent order
+    and then the fixed effects' diagonal: ``prior_rows`` and ``prior_cols``
+    give each stored entry's (row, col) in column-major order.
     ``responses`` holds each block's ``response_terms``, so a response
     outside its family's domain raises ``ObservationError`` when the
     structure is built, at the start of the first fit.  ``prior_parts``
@@ -512,11 +499,10 @@ class ModelStructure:
     ``size`` values: the band in LAPACK lower band storage, the
     (n_body, n_arrow) cross block and the arrow block, each column-major.
     ``prior_slots`` holds (entries, slots) for the prior entries at or
-    below the diagonal in factor order, and ``pairs`` per block
-    (obs, slots): observation i adds c_i A[i, a] A[i, b] at the slot of
-    the nodes of a and b for every pair (nz_a, nz_b) of stored entries of
-    row i.  ``constraint_cct`` and ``constraint_cct_logdet`` hold C C' and
-    its log determinant, C the model's constraints."""
+    below the diagonal in factor order, and ``pairs`` per block the slot
+    of each term pair's node pair, observation-major as ``design``'s
+    products.  ``constraint_cct`` and ``constraint_cct_logdet`` hold C C'
+    and its log determinant, C the model's constraints."""
 
     def __init__(self, model):
         n = model.latent_dim
@@ -526,7 +512,7 @@ class ModelStructure:
             for name, blk in model.blocks.items()
         }
         self.blocks = {
-            name: _BlockPattern(blk, n) for name, blk in model.blocks.items()
+            name: _BlockDesign(blk) for name, blk in model.blocks.items()
         }
 
         # prior: components in latent order, each one's columns after the
@@ -551,9 +537,9 @@ class ModelStructure:
         self.prior_cols = np.concatenate(cols + [effects])
 
         # the node pairs Q* stores: the prior's entries, then each block's
-        # A'A pairs; reverse Cuthill-McKee orders their component block
+        # term pairs; reverse Cuthill-McKee orders their component block
         pair_nodes = [(self.prior_rows, self.prior_cols)] + [
-            (pat.cols[pat.nz_a], pat.cols[pat.nz_b])
+            (pat.nodes[pat.pair_t].T.ravel(), pat.nodes[pat.pair_s].T.ravel())
             for pat in self.blocks.values()
         ]
         rows, cols = (
@@ -596,8 +582,7 @@ class ModelStructure:
         entries = np.flatnonzero(rank[rows] >= rank[cols])
         self.prior_slots = (entries, slots(rows[entries], cols[entries]))
         self.pairs = {
-            name: (pat.rows[pat.nz_a], slots(a, b))
-            for (name, pat), (a, b) in zip(self.blocks.items(), pair_nodes[1:])
+            name: slots(a, b) for name, (a, b) in zip(self.blocks, pair_nodes[1:])
         }
         C = model.constraints
         self.constraint_cct = C @ C.T
@@ -649,19 +634,21 @@ class ModelStructure:
 
 
 class NewtonSystem:
-    """The Newton problem at one theta on value arrays: the prior's and
-    each block's stored values on their fixed patterns.  Matrix-vector
-    products are bincounts over those patterns, and ``values`` weighs each
-    block's pair products A[i, a] A[i, b] by the curvatures of one Newton
-    step.  No sparse matrix is built, and the per-step gathers use
-    ``np.take``, which is quicker than fancy indexing at these sizes.
+    """The Newton problem at one theta on value arrays: the prior's stored
+    values on its fixed pattern and each block's term values on its
+    stacked term records.  A_b w sums each term's values times the gathered
+    w[nodes], A_b' v and Q*'s values are bincounts over the nodes and the
+    term pairs' slots, and ``values`` weighs each block's pair products
+    A[i, t] A[i, s] by the curvatures of one Newton step.  No sparse
+    matrix is built, and the per-step gathers use ``np.take``, which is
+    quicker than fancy indexing at these sizes.
 
     Per model ``ModelStructure`` holds the patterns, the slots of Q*'s
     storage and the response terms.  Per theta this object holds Q_p's
     values from ``ModelStructure.prior_values``, also placed in their
     slots (``base``), its log generalized
     determinant and each block's design values and pair products, which
-    ``_BlockPattern.design`` recomputes only when the block's chain
+    ``_BlockDesign.design`` recomputes only when the block's chain
     factors move.  Per step only the predictors, the gradient and
     ``values`` are computed."""
 
@@ -685,17 +672,14 @@ class NewtonSystem:
 
     def predictor(self, name, w):
         """A_b w."""
-        P = self.structure.blocks[name]
-        return np.bincount(
-            P.rows, weights=self.designs[name] * np.take(w, P.cols),
-            minlength=P.size,
-        )
+        nodes = self.structure.blocks[name].nodes
+        return (self.designs[name] * np.take(w, nodes)).sum(0)
 
     def transpose_times(self, name, v):
         """A_b' v."""
-        P = self.structure.blocks[name]
+        nodes = self.structure.blocks[name].nodes
         return np.bincount(
-            P.cols, weights=self.designs[name] * np.take(v, P.rows),
+            nodes.ravel(), weights=(self.designs[name] * v).ravel(),
             minlength=self.structure.model.latent_dim,
         )
 
@@ -703,10 +687,10 @@ class NewtonSystem:
         """Q*'s values in the structure's flat band + arrow storage, for
         per-block curvature vectors c_b."""
         data = self.base.copy()
-        for name, (obs, slots) in self.structure.pairs.items():
+        for name, slots in self.structure.pairs.items():
             data += np.bincount(
                 slots,
-                weights=np.take(curvatures[name], obs) * self.products[name],
+                weights=(self.products[name] * curvatures[name][:, None]).ravel(),
                 minlength=data.size,
             )
         return data

@@ -48,6 +48,16 @@ def all_predictors(m, w, theta):
     return {name: block_predictor(m, name, w, theta) for name in m.blocks}
 
 
+def engine_design(pat, values, latent_dim):
+    """A block's observation-by-latent matrix from the engine's (terms,
+    size) values on its term records: each term's values placed at its
+    nodes, the terms summed in order."""
+    A = np.zeros((pat.size, latent_dim))
+    for nodes, term_values in zip(pat.nodes, values):
+        A[np.arange(pat.size), nodes] += term_values
+    return A
+
+
 def engine_prior(m, theta):
     """The engine's prior values placed on its prior pattern, dense, and
     its log generalized determinant."""
@@ -543,10 +553,11 @@ class TestFixedStructure:
         S = m.structure
         for theta in (GENERIC_THETA, SPECIAL_THETA):
             assert S.prior_values(theta)[0].shape == S.prior_rows.shape
-            for pat in S.blocks.values():
+            for name, pat in S.blocks.items():
                 values, products = pat.design(theta)
-                assert values.shape == pat.rows.shape
-                assert products.shape == pat.nz_a.shape
+                assert values.shape == pat.nodes.shape
+                assert products.shape == (pat.size, pat.pair_t.size)
+                assert products.size == S.pairs[name].size
 
     def test_special_theta_keeps_vanishing_entries_stored(self):
         # a value-based pattern would shrink at these hyper values
@@ -554,9 +565,11 @@ class TestFixedStructure:
         S = m.structure
         assert np.count_nonzero(prior(m, SPECIAL_THETA)[0]) < S.prior_rows.size
         pat = S.blocks["c"]
-        assert np.count_nonzero(design(m, "c", SPECIAL_THETA)) < pat.rows.size
+        assert np.count_nonzero(design(m, "c", SPECIAL_THETA)) < pat.nodes.size
         # observation 2 has a zero covariate and still stores all 5 terms
-        assert np.sum(S.blocks["y"].rows == 2) == 5
+        pat = S.blocks["y"]
+        assert np.count_nonzero(design(m, "y", GENERIC_THETA)[2]) == 4
+        assert pat.nodes.shape == pat.design(GENERIC_THETA)[0].shape == (5, 12)
 
     @pytest.mark.parametrize("theta", [GENERIC_THETA, SPECIAL_THETA])
     def test_values_equal_the_reference_loops(self, theta):
@@ -569,7 +582,7 @@ class TestFixedStructure:
         for name, pat in S.blocks.items():
             values, _ = pat.design(theta)
             np.testing.assert_array_equal(
-                dense(pat.rows, pat.cols, values, (pat.size, m.latent_dim)),
+                engine_design(pat, values, m.latent_dim),
                 design(m, name, theta),
             )
         # the matrix views the benchmark tracer wraps show the same values
@@ -639,10 +652,15 @@ class TestFixedStructure:
             (dict(GENERIC_THETA, g=0.3), True),
         ):
             values, products = pat.design(theta)
-            fresh = design(m, "c", theta)[pat.rows, pat.cols]
-            np.testing.assert_array_equal(values, fresh)
             np.testing.assert_array_equal(
-                products, fresh[pat.nz_a] * fresh[pat.nz_b]
+                engine_design(pat, values, m.latent_dim), design(m, "c", theta)
+            )
+            # the pairs t >= s of the block's terms; two different terms at
+            # one node of a row count twice
+            t, s = np.tril_indices(len(pat.terms))
+            twice = (t != s)[:, None] & (pat.nodes[t] == pat.nodes[s])
+            np.testing.assert_array_equal(
+                products, (np.where(twice, 2.0, 1.0) * values[t] * values[s]).T
             )
             assert (values is last[0]) is not chain_moved
             assert (products is last[1]) is not chain_moved
