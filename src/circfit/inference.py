@@ -76,7 +76,8 @@ class _BandArrowFactor:
     the cross block and D the fixed-effect arrow.  Holds the plain Cholesky
     factor L = [[L_A, 0], [X', L_S]] of Q* by its pieces: the band factor
     L_A of A, X = L_A^{-1} B and the Cholesky factor L_S of the Schur
-    complement D - X'X, so ``half_logdet`` = log det L.  When C
+    complement D - X'X, so ``half_logdet`` = log det L; with no component
+    body (``n_body`` = 0) ``band`` and ``X`` are None and L = L_S.  When C
     has rows ``_factor_spd`` sets ``QinvCt`` = Q^{-1} C', ``S_chol`` =
     chol(C Q^{-1} C') and the constrained half log determinant
     ``det_half`` = half_logdet + (log det(C Q^{-1} C') - log det(C C'))/2."""
@@ -92,15 +93,19 @@ class _BandArrowFactor:
 
     def solve(self, b):
         """The factored matrix's inverse applied to a vector or to the
-        columns of a matrix, returned in the memory order of b."""
+        columns of a matrix, returned in the memory order of b.
+
+        A forward solve with L, then ``solve_lt``; with no component body
+        L is L_S and ``perm`` the identity, so one LAPACK dpotrs solves."""
         perm, n_body = self.structure.perm, self.structure.n_body
         b = np.asarray(b, dtype=float)
         # allocated before b is permuted, so a column-major C' gives a
         # column-major QinvCt, whose products round as that layout does
         y = np.empty_like(b)  # L^{-1} b, in factor order
-        head = b[perm[:n_body]]
-        if n_body:
-            head = dtbtrs(self.band, head, uplo="L")[0]
+        if not n_body:
+            y[...] = dpotrs(self.schur, b, lower=1)[0]
+            return y
+        head = dtbtrs(self.band, b[perm[:n_body]], uplo="L")[0]
         y[:n_body] = head
         if self.schur.shape[0]:
             rhs = b[perm[n_body:]] - self.X.T @ head
@@ -113,18 +118,19 @@ class _BandArrowFactor:
         U = solve_lt(I) satisfies U U' = the factored matrix's inverse, so
         its row norms are the marginal variances and standard normal
         columns map to draws with that covariance (Rue & Held 2005, ch. 2).
-        The tail solves L_S' t = z_tail; the head is L_A^{-T}(z_head - X t).
+        The tail solves L_S' t = z_tail; the head, when there is a
+        component body, is L_A^{-T}(z_head - X t).
         """
         perm, n_body = self.structure.perm, self.structure.n_body
         x = np.empty_like(z, dtype=float)
         head = z[:n_body]
         if self.schur.shape[0]:
             tail = dtrtrs(self.schur, z[n_body:], lower=1, trans=1)[0]
-            head = head - self.X @ tail
             x[perm[n_body:]] = tail
-        if n_body:
-            head = dtbtrs(self.band, head, uplo="L", trans="T")[0]
-        x[perm[:n_body]] = head
+            if not n_body:
+                return x
+            head = head - self.X @ tail
+        x[perm[:n_body]] = dtbtrs(self.band, head, uplo="L", trans="T")[0]
         return x
 
     def _s_solve(self, b):
@@ -166,8 +172,10 @@ def _factor_spd(structure, data, C=None):
     order, factored by LAPACK's band Cholesky (dpbtrf); the fixed-effect
     arrow is eliminated by X = L_A^{-1} B (dtbtrs) and a dense Cholesky
     (dpotrf) of its Schur complement D - X'X (Rue & Held 2005, ch. 2).
-    Both read only the lower triangle.  A non-positive pivot reported by
-    LAPACK or a non-finite log determinant means not positive definite.
+    Both read only the lower triangle, and with no component body only
+    the arrow is factored.  The half log determinant is one log-sum of
+    the pivots.  A non-positive pivot reported by LAPACK or a non-finite
+    log determinant means not positive definite.
 
     With constraints the kriging pieces Q^{-1}C' and chol(C Q^{-1} C') are
     validated as part of the positive definiteness test.  C must be the
@@ -182,22 +190,24 @@ def _factor_spd(structure, data, C=None):
     n_arrow = structure.perm.size - n_body
     # the three column-major pieces of one copy
     data = np.array(data, dtype=float)
-    band = data[:width * n_body].reshape(n_body, width).T
-    cross = data[width * n_body:(width + n_arrow) * n_body]
-    cross = cross.reshape(n_arrow, n_body).T
     arrow = data[(width + n_arrow) * n_body:].reshape(n_arrow, n_arrow).T
-    X, info, half_logdet = cross, 0, np.nan
+    band = X = None
+    info, half_logdet = 0, np.nan
     if n_body:
+        band = data[:width * n_body].reshape(n_body, width).T
         band, info = dpbtrf(band, lower=1, overwrite_ab=1)
         if n_arrow and not info:
-            X = dtbtrs(band, cross, uplo="L")[0]
+            cross = data[width * n_body:(width + n_arrow) * n_body]
+            X = dtbtrs(band, cross.reshape(n_arrow, n_body).T, uplo="L")[0]
             arrow = arrow - X.T @ X
     if n_arrow and not info:
         arrow, info = dpotrf(arrow, lower=1, overwrite_a=1)
     if not info:
         # the pivots: band storage holds the diagonal in its first row
-        half_logdet = float(np.sum(np.log(band[0])))
-        half_logdet += float(np.sum(np.log(np.diag(arrow))))
+        pivots = arrow.diagonal()
+        if n_body:
+            pivots = np.concatenate((band[0], pivots))
+        half_logdet = float(np.log(pivots).sum())
     if not np.isfinite(half_logdet):
         raise InferenceError("conditional precision is not positive definite")
     factor = _BandArrowFactor(structure, band, X, arrow, half_logdet)
@@ -308,14 +318,15 @@ def gaussian_approx(model, theta, init_w=None):
 
     Each step works on value arrays over the model's fixed structure
     (``AssembledModel.structure``, through ``NewtonSystem``): predictors
-    sum each block's term values at the gathered nodes, gradients and Q*'s
-    band + arrow values are bincounts over those nodes and the term pairs'
-    slots, and ``_factor_spd`` factors views of the values.  No sparse
-    matrix is built, for any component kind.  Every Newton point is
-    projected onto C w = 0 after its kriging correction, so every iterate
-    is feasible and the mode needs no final projection: the converged
-    iterate's values, factor and log-likelihood sum are the ones returned,
-    never recomputed.
+    and gradients take each block's fixed-effect terms as dense columns
+    and its component terms at their gathered nodes, Q*'s band + arrow
+    values sum each fixed pair into its arrow slot and bincount the
+    component pairs into theirs, and ``_factor_spd`` factors views of the
+    values.  No sparse matrix is built, for any component kind.  Every
+    Newton point is projected onto C w = 0 after its kriging correction,
+    so every iterate is feasible and the mode needs no final projection:
+    the converged iterate's values, factor and log-likelihood sum are the
+    ones returned, never recomputed.
 
     Once per model the structure holds the patterns and each block's
     checked response terms; once per call (per theta) ``NewtonSystem``
@@ -1120,6 +1131,10 @@ def fit_model(model):
     A fit is a function of the model alone: every stage setting is a
     module constant, and the mode search's budget follows the number of
     free hypers (``_search_budget``).
+
+    ``diagnostics["evaluations"]`` counts the mode search's points and
+    ``diagnostics["laplace_calls"]`` the points the fit's one
+    ``HyperEvaluator`` evaluated over all four stages, failures included.
     """
     hyper = HyperEvaluator(model)
     timings = {}
@@ -1147,6 +1162,7 @@ def fit_model(model):
     }
     diagnostics = {
         "evaluations": opt_info["evaluations"],
+        "laplace_calls": hyper.count,
         "optimizer_message": opt_info["optimizer_message"],
         "newton_iterations_max": max(pt.approx.iterations for pt in points),
         "points": len(points),

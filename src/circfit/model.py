@@ -365,19 +365,32 @@ class AssembledModel:
 
 
 class _BlockDesign:
-    """A block's ``PredictorTerm`` records stacked term-major: ``nodes``
-    and ``coef`` (terms, size), so A_b(theta) w = sum_t factor_t(theta)
-    coef[t] w[nodes[t]].  In the term pairs t >= s (``pair_t``, ``pair_s``)
-    observation i adds c_i A[i, t] A[i, s] to A_b' diag(c) A_b at the node
-    pair (nodes[t, i], nodes[s, i]), times ``weight`` 2 where two terms
-    meet one node, the cross term of (v_t + v_s)^2, and 1 elsewhere."""
+    """A block's ``PredictorTerm`` records stacked term-major, the
+    fixed-effect terms first: ``nodes`` and ``coef`` (terms, size), so
+    A_b(theta) w = sum_t factor_t(theta) coef[t] w[nodes[t]].  Each of the
+    first ``n_fixed`` terms (intercept and fixed) holds one arrow node in
+    every row, ``fixed_nodes``, so its values are a dense column of A_b;
+    the component terms after them hold a node per observation.  In the
+    term pairs t >= s (``pair_t``, ``pair_s``) observation i adds
+    c_i A[i, t] A[i, s] to A_b' diag(c) A_b at the node pair (nodes[t, i],
+    nodes[s, i]), times ``weight`` 2 where two terms meet one node, the
+    cross term of (v_t + v_s)^2, and 1 elsewhere.  The first
+    ``n_fixed_pairs`` pairs join two fixed-effect terms, so each of them
+    meets one arrow node pair in every row."""
 
     def __init__(self, block):
-        self.terms = block.terms
+        # a stable sort: the fixed-effect terms, then the component terms,
+        # each in the block's order
+        self.terms = tuple(
+            sorted(block.terms, key=lambda t: t.spec.kind == "component")
+        )
         self.size = block.size
-        self.nodes = np.array([t.nodes for t in block.terms])
-        self.coef = np.array([t.coef for t in block.terms])
-        self.pair_t, self.pair_s = np.tril_indices(len(block.terms))
+        self.nodes = np.array([t.nodes for t in self.terms])
+        self.coef = np.array([t.coef for t in self.terms])
+        self.n_fixed = sum(t.spec.kind != "component" for t in self.terms)
+        self.n_fixed_pairs = self.n_fixed * (self.n_fixed + 1) // 2
+        self.fixed_nodes = self.nodes[:self.n_fixed, 0]
+        self.pair_t, self.pair_s = np.tril_indices(len(self.terms))
         self.weight = np.where(
             (self.pair_t != self.pair_s)[:, None]
             & (self.nodes[self.pair_t] == self.nodes[self.pair_s]),
@@ -401,8 +414,8 @@ class _BlockDesign:
         if memo is None or memo[0] != key:
             vals = self.coef * np.array(key)[:, None]
             products = self.weight * vals[self.pair_t] * vals[self.pair_s]
-            # observation-major, so that a bincount over their slots adds
-            # to several slots in turn, not to one slot many times in a row
+            # observation-major, so that a fixed pair's sum over the
+            # observations adds them in their order
             products = products.T.copy()
             vals.flags.writeable = products.flags.writeable = False
             memo = self._design = (key, vals, products)
@@ -500,9 +513,13 @@ class ModelStructure:
     (n_body, n_arrow) cross block and the arrow block, each column-major.
     ``prior_slots`` holds (entries, slots) for the prior entries at or
     below the diagonal in factor order, and ``pairs`` per block the slot
-    of each term pair's node pair, observation-major as ``design``'s
-    products.  ``constraint_cct`` and ``constraint_cct_logdet`` hold C C'
-    and its log determinant, C the model's constraints."""
+    of each term pair's node pair at each observation, (pairs, size) in
+    the block design's pair order: the row of each of the first
+    ``n_fixed_pairs``, the fixed pairs, repeats its one arrow slot, and
+    the rows after them are the component pairs' slots, pair-major as
+    their bincount reads them.  ``constraint_cct`` and
+    ``constraint_cct_logdet`` hold C C' and its log determinant, C the
+    model's constraints."""
 
     def __init__(self, model):
         n = model.latent_dim
@@ -537,13 +554,15 @@ class ModelStructure:
         self.prior_cols = np.concatenate(cols + [effects])
 
         # the node pairs Q* stores: the prior's entries, then each block's
-        # term pairs; reverse Cuthill-McKee orders their component block
+        # term pairs, (pairs, size) each; reverse Cuthill-McKee orders their
+        # component block
         pair_nodes = [(self.prior_rows, self.prior_cols)] + [
-            (pat.nodes[pat.pair_t].T.ravel(), pat.nodes[pat.pair_s].T.ravel())
+            (pat.nodes[pat.pair_t], pat.nodes[pat.pair_s])
             for pat in self.blocks.values()
         ]
         rows, cols = (
-            np.concatenate(x).astype(np.int64) for x in zip(*pair_nodes)
+            np.concatenate([np.ravel(a) for a in x]).astype(np.int64)
+            for x in zip(*pair_nodes)
         )
         n_arrow = self.effect_prec.size
         self.n_body = n_body = n - n_arrow
@@ -636,12 +655,15 @@ class ModelStructure:
 class NewtonSystem:
     """The Newton problem at one theta on value arrays: the prior's stored
     values on its fixed pattern and each block's term values on its
-    stacked term records.  A_b w sums each term's values times the gathered
-    w[nodes], A_b' v and Q*'s values are bincounts over the nodes and the
-    term pairs' slots, and ``values`` weighs each block's pair products
-    A[i, t] A[i, s] by the curvatures of one Newton step.  No sparse
-    matrix is built, and the per-step gathers use ``np.take``, which is
-    quicker than fancy indexing at these sizes.
+    stacked term records.  A block's fixed-effect terms are dense columns
+    X_b of A_b at their arrow nodes: A_b w adds X_b w[fixed_nodes] to the
+    component terms' values times the gathered w[nodes], and A_b' v adds
+    X_b' v at the fixed nodes to a bincount over the component nodes.
+    ``values`` weighs each block's pair products A[i, t] A[i, s] by the
+    curvatures of one Newton step: a fixed pair's products are summed over
+    the observations, in their order, into its one arrow slot, and only
+    the pairs that touch a component are bincounts over per-observation
+    slots.  No sparse matrix is built.
 
     Per model ``ModelStructure`` holds the patterns, the slots of Q*'s
     storage and the response terms.  Per theta this object holds Q_p's
@@ -672,27 +694,47 @@ class NewtonSystem:
 
     def predictor(self, name, w):
         """A_b w."""
-        nodes = self.structure.blocks[name].nodes
-        return (self.designs[name] * np.take(w, nodes)).sum(0)
+        pat, vals = self.structure.blocks[name], self.designs[name]
+        f = pat.n_fixed
+        eta = np.dot(w[pat.fixed_nodes], vals[:f])
+        if f < len(vals):
+            eta += (vals[f:] * w[pat.nodes[f:]]).sum(0)
+        return eta
 
     def transpose_times(self, name, v):
         """A_b' v."""
-        nodes = self.structure.blocks[name].nodes
-        return np.bincount(
-            nodes.ravel(), weights=(self.designs[name] * v).ravel(),
-            minlength=self.structure.model.latent_dim,
-        )
+        pat, vals = self.structure.blocks[name], self.designs[name]
+        f, n = pat.n_fixed, self.structure.model.latent_dim
+        if f < len(vals):
+            out = np.bincount(
+                pat.nodes[f:].ravel(), weights=(vals[f:] * v).ravel(),
+                minlength=n,
+            )
+        else:
+            out = np.zeros(n)
+        # two fixed-effect terms may share a node
+        np.add.at(out, pat.fixed_nodes, np.dot(vals[:f], v))
+        return out
 
     def values(self, curvatures):
         """Q*'s values in the structure's flat band + arrow storage, for
         per-block curvature vectors c_b."""
         data = self.base.copy()
         for name, slots in self.structure.pairs.items():
-            data += np.bincount(
-                slots,
-                weights=(self.products[name] * curvatures[name][:, None]).ravel(),
-                minlength=data.size,
+            f = self.structure.blocks[name].n_fixed_pairs
+            c, products = curvatures[name], self.products[name]
+            # each fixed pair's sum runs over the observations in order
+            # (BLAS would sum in another); two pairs may share a slot
+            np.add.at(
+                data, slots[:f, 0], np.einsum("i,ij->j", c, products[:, :f])
             )
+            if f < len(slots):
+                # the component pairs' weights, pair-major as their slots
+                weights = np.multiply(products[:, f:].T, c, order="C")
+                data += np.bincount(
+                    slots[f:].ravel(), weights=weights.ravel(),
+                    minlength=data.size,
+                )
         return data
 
 

@@ -516,8 +516,17 @@ def eval_logprior(spec: PriorSpec, value_internal: float) -> float:
 
 
 def prior_median_internal(spec: PriorSpec) -> float:
-    """Median of the prior on the internal scale, used to seed optimization."""
-    fam, par = spec.family, spec.parameters
+    """Median of the prior on the internal scale, used to seed
+    optimization.  A pure function of the spec, memoized on its family,
+    parameters (as a tuple, so a list works too) and vine: for pc_kappa
+    it is a root search."""
+    return _prior_median_internal(
+        spec.family, tuple(spec.parameters), spec.vine
+    )
+
+
+@lru_cache(maxsize=128)
+def _prior_median_internal(fam, par, vine):
     if fam == "fixed":
         return float(par[0])
     if fam == "gaussian":

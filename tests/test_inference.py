@@ -1105,6 +1105,145 @@ class TestBandArrowFactor:
             assert "splu" not in path.read_text(), path.name
 
 
+def shared_intercept_model(n=30, seed=37):
+    """Two Gaussian blocks of fixed-effect terms only, so Q* is all arrow:
+    block y holds its own intercept b0 and, through the shared predictor
+    of x with scale s, x's b0 again, two terms at one node in every row."""
+    rng = np.random.default_rng(seed)
+    spec = ModelSpec(
+        blocks=(
+            BlockSpec(
+                "x",
+                "gaussian",
+                rng.normal(0.5, 1.0, n),
+                (
+                    TermSpec("intercept", "b0"),
+                    TermSpec("fixed", "b1", covariate="z"),
+                ),
+                hyper="tau_x",
+            ),
+            BlockSpec(
+                "y",
+                "gaussian",
+                rng.normal(1.0, 1.0, n),
+                (
+                    TermSpec("intercept", "b0"),
+                    TermSpec("shared", "x", scale="s"),
+                ),
+                hyper="tau_y",
+            ),
+        ),
+        fixed_effects=(FixedEffectSpec("b0", 1.0), FixedEffectSpec("b1", 1.0)),
+        hypers={
+            "tau_x": PriorSpec("pc_precision", (1.0, 0.5)),
+            "tau_y": PriorSpec("pc_precision", (1.0, 0.5)),
+            "s": PriorSpec("gaussian", (0.0, 1.0)),
+        },
+        covariates={"z": rng.normal(size=n)},
+    )
+    return build_model(spec)
+
+
+ARROW_ONLY = {
+    "sim1": lambda: _study_model(
+        generate_sim1, sim1_spec, SIM1_TRUTH, 200, seed=1000
+    ),
+    "shared_intercept": shared_intercept_model,
+}
+
+
+class TestFixedEffectColumns:
+    """Blocks of fixed-effect terms only: A_b is dense columns at the
+    arrow nodes, and Q* is all arrow (n_body = 0)."""
+
+    @staticmethod
+    def system(layout, seed=5):
+        m = ARROW_ONLY[layout]()
+        assert m.structure.n_body == 0
+        theta = dict(m.theta_natural(m.initial_internal()))
+        if "s" in theta:
+            theta["s"] = 0.7
+        rng = np.random.default_rng(seed)
+        curvatures = {
+            name: rng.uniform(0.1, 5.0, blk.size)
+            for name, blk in m.blocks.items()
+        }
+        return m, theta, NewtonSystem(m.structure, theta), curvatures
+
+    def test_values_equal_the_ordered_pair_sums(self):
+        # each arrow slot sums its pair's products over the observations
+        # in their order, as this loop does, bit for bit
+        m, theta, system, curvatures = self.system("sim1")
+        Q_ref, _ = dref.prior(m, theta)
+        A = dref.design(m, "y", theta)
+        c = curvatures["y"]
+        acc = np.zeros_like(Q_ref)
+        for i, row in enumerate(A):
+            nodes = np.flatnonzero(row)
+            for a in nodes:
+                for b in nodes:
+                    acc[a, b] += c[i] * (row[a] * row[b])
+        Q_ref += acc
+        data = system.values(curvatures)
+        np.testing.assert_array_equal(qstar_dense(m.structure, data), Q_ref)
+
+    @pytest.mark.parametrize("layout", sorted(ARROW_ONLY))
+    def test_predictor_and_transpose_are_the_dense_products(self, layout):
+        m, theta, system, _ = self.system(layout)
+        rng = np.random.default_rng(11)
+        w = rng.normal(size=m.latent_dim)
+        for name, blk in m.blocks.items():
+            A = dref.design(m, name, theta)
+            v = rng.normal(size=blk.size)
+            np.testing.assert_allclose(
+                system.predictor(name, w), A @ w, rtol=1e-13, atol=1e-13
+            )
+            np.testing.assert_allclose(
+                system.transpose_times(name, v), A.T @ v, rtol=1e-13, atol=1e-13
+            )
+
+    def test_two_fixed_terms_on_one_node(self):
+        # y's b0 and the shared b0 meet in every row: A_y holds 1 + s
+        # there, Q* the square of that sum, through the weight-2 pair
+        m, theta, system, curvatures = self.system("shared_intercept")
+        pat = m.structure.blocks["y"]
+        assert pat.n_fixed == 3 and np.all(pat.weight[1] == 2.0)
+        A = dref.design(m, "y", theta)
+        assert np.all(A[:, m.effect_nodes["b0"]] == 1.7)
+        Q_ref = dref.newton_matrix(m, theta, curvatures)
+        data = system.values(curvatures)
+        np.testing.assert_allclose(
+            qstar_dense(m.structure, data), Q_ref,
+            rtol=1e-12, atol=1e-12 * np.abs(Q_ref).max(),
+        )
+        fit = fit_model(m)
+        assert np.all(np.isfinite(fit.latent_summary["sd"]))
+
+    @pytest.mark.parametrize("layout", sorted(ARROW_ONLY))
+    def test_arrow_only_factor_matches_dense_cholesky(self, layout):
+        m, theta, system, curvatures = self.system(layout)
+        data = system.values(curvatures)
+        Q = qstar_dense(m.structure, data)
+        L = np.linalg.cholesky(Q)
+        factor = _factor_spd(m.structure, data)
+        assert factor.half_logdet == pytest.approx(
+            np.sum(np.log(np.diag(L))), rel=1e-12
+        )
+        rng = np.random.default_rng(13)
+        n = m.latent_dim
+        b = rng.normal(size=n)
+        _assert_close(factor.solve(b), np.linalg.solve(Q, b), rtol=1e-12)
+        B = rng.normal(size=(n, 4))
+        for B in (B, np.asfortranarray(B)):
+            X = factor.solve(B)
+            _assert_close(X, np.linalg.solve(Q, B), rtol=1e-12)
+            assert X.flags.c_contiguous == B.flags.c_contiguous
+        Z = rng.normal(size=(n, 4))
+        _assert_close(factor.solve_lt(Z), np.linalg.solve(L.T, Z), rtol=1e-12)
+        sd = np.sqrt(np.diag(np.linalg.inv(Q)))
+        _assert_close(factor.marginal_sd(), sd, rtol=1e-12)
+
+
 class TestGaussianExactness:
     @pytest.mark.parametrize(
         "factory", [iid_fixed_model, rw2_fixed_model, ar2_fixed_model]
@@ -2092,6 +2231,25 @@ class TestFitModel:
         monkeypatch.setattr(inference, "log_posterior_theta", counting)
         fit_model(m)
         assert len(calls) < 45
+
+    @pytest.mark.parametrize("model", [
+        lambda: _study_model(generate_sim1, sim1_spec, SIM1_TRUTH, 1000, 1000),
+        tau_free_model,
+    ], ids=["sim1", "tau_free"])
+    def test_laplace_calls_count_every_stage(self, model, monkeypatch):
+        m = model()
+        calls = []
+        real = inference.log_posterior_theta
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "log_posterior_theta", counting)
+        d = fit_model(m).diagnostics
+        assert d["laplace_calls"] == len(calls)
+        # the search's points are some of them
+        assert d["laplace_calls"] > d["evaluations"]
 
     def test_diagnostics_report_work_done(self):
         fit = fit_model(tau_free_model())

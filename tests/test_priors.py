@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import chisquare, gamma as gamma_dist
 
+from circfit import priors
 from circfit.circular import bessel_ratio
 from circfit.priors import (
     KAPPA_MAX,
@@ -517,3 +518,21 @@ class TestPriorMedians:
 
     def test_fixed_median_is_value(self):
         assert prior_median_internal(PriorSpec("fixed", (15.0,))) == 15.0
+
+    def test_median_is_memoized_and_takes_list_parameters(self, monkeypatch):
+        # a pure function of the spec: a second spec with equal parameters,
+        # a tuple where the first had a list, makes no root search
+        calls = []
+        real = priors.brentq
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(priors, "brentq", counting)
+        first = prior_median_internal(PriorSpec("pc_kappa", [0.6173, 0.5]))
+        searched = len(calls)
+        assert searched >= 1
+        again = prior_median_internal(PriorSpec("pc_kappa", (0.6173, 0.5)))
+        assert again == first and len(calls) == searched
+        assert bessel_ratio(np.exp(first)) == pytest.approx(0.6173, abs=1e-9)
