@@ -8,8 +8,8 @@ eigenvalues).  Intrinsic components keep their exact singular precision; the
 inference engine enforces the constraints by conditioning, never by jitter.
 A fit builds none of these matrices: it reads every kind's values from the
 closed forms ``rw2_diagonals``, ``cyclic_rw2_stencil``, ``ar2_diagonals``
-and ``mv_iid_block`` (an iid precision is the identity) at the index
-pattern of each component.  The ``build_*`` functions and
+and ``mv_iid_block``'s unchecked core (an iid precision is the identity)
+at the index pattern of each component.  The ``build_*`` functions and
 ``scale_precision`` are public references: they place the same precisions
 in scipy.sparse by other computations (rw2 as the product D2' D2, the
 cyclic rw2 from coordinates), and the tests compare the two.
@@ -242,6 +242,13 @@ def mv_iid_block(sigmas: np.ndarray, R: np.ndarray) -> tuple:
     sign, logdet_R = np.linalg.slogdet(R)
     if sign <= 0:
         raise ConfigurationError("R must be positive definite")
+    return _mv_iid_values(sigmas, R, logdet_R)
+
+
+def _mv_iid_values(sigmas, R, logdet_R):
+    """``mv_iid_block`` without its checks, from R's log determinant: for
+    callers whose R is already known symmetric, unit-diagonal and positive
+    definite."""
     cov = R * np.outer(sigmas, sigmas)
     block = np.linalg.inv(cov)
     block = 0.5 * (block + block.T)

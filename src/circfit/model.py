@@ -31,10 +31,10 @@ from scipy import sparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .latent import (
+    _mv_iid_values,
     ar2_diagonals,
     cyclic_rw2_reference_sd,
     cyclic_rw2_stencil,
-    mv_iid_block,
     rw2_diagonals,
     rw2_reference_sd,
     scaled_log_gdet,
@@ -633,11 +633,12 @@ class ModelStructure:
                     theta[f"{comp.correlation_hyper}[{k}]"]
                     for k in range(d * (d - 1) // 2)
                 ], d)
-                if np.linalg.slogdet(R)[0] <= 0:
+                sign, logdet_R = np.linalg.slogdet(R)
+                if sign <= 0:
                     raise np.linalg.LinAlgError(
                         f"R of {comp.name!r} is not numerically positive definite"
                     )
-                block, log_det_cov = mv_iid_block(sigmas, R)
+                block, log_det_cov = _mv_iid_values(sigmas, R, logdet_R)
                 data = block[rows % d, cols % d]
                 comp_log_gdet = -comp.size * log_det_cov
             if comp.precision_hyper is not None:

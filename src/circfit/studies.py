@@ -14,7 +14,6 @@ use.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -753,14 +752,13 @@ def _run_replicate(study, n, rep, base_seed):
     )
 
 
-def run_study(study, n=None, reps=100, seed=1, threads=1):
+def run_study(study, n=None, reps=100, seed=1):
     """Run one simulation study: reps independent datasets, one fit each.
 
     Each dataset is drawn from the study's truth and fitted by
     ``fit_model`` with no setting, so a replicate is a function of the
     study, n and its seed alone.  Replicate r uses seed + r, so any single
-    replicate can be reproduced in isolation; with threads > 1 replicates
-    run concurrently and the result is identical to the sequential order.
+    replicate can be reproduced in isolation.
     """
     if study not in _STUDIES:
         raise ConfigurationError(
@@ -769,8 +767,7 @@ def run_study(study, n=None, reps=100, seed=1, threads=1):
     design = _STUDIES[study]
     if n is None:
         n = design["default_n"]
-    for name, value in (("n", n), ("reps", reps), ("seed", seed),
-                        ("threads", threads)):
+    for name, value in (("n", n), ("reps", reps), ("seed", seed)):
         if not isinstance(value, (int, np.integer)):
             raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     if n < 1:
@@ -779,19 +776,8 @@ def run_study(study, n=None, reps=100, seed=1, threads=1):
         raise ConfigurationError(f"need at least one replicate, got {reps}")
     if seed < 0:
         raise ConfigurationError(f"need a non-negative seed, got {seed}")
-    if threads < 1:
-        raise ConfigurationError(f"need at least one thread, got {threads}")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(
-                pool.map(
-                    lambda r: _run_replicate(study, n, r, seed),
-                    range(reps),
-                )
-            )
-    else:
-        records = [_run_replicate(study, n, r, seed) for r in range(reps)]
+    records = [_run_replicate(study, n, r, seed) for r in range(reps)]
     return StudyResult(
         study=study, n=n, reps=reps, seed=seed, records=tuple(records)
     )

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from circfit.inference import fit_model, log_posterior_theta
 from circfit.likelihoods import ObservationError
-from circfit.latent import build_mv_iid, build_rw2, rw2_reference_sd
+from circfit.latent import build_mv_iid, build_rw2, mv_iid_block, rw2_reference_sd
 from circfit.model import (
     AssembledModel,
     BlockSpec,
@@ -459,6 +459,46 @@ def mv_spec(n, d):
         ),
         hypers=hypers,
     )
+
+
+MV_SIGMA_THETA = {"tau": 1.0, "t1": 4.0, "t2": 1.0, "t3": 0.25}
+
+
+@pytest.mark.parametrize("partials", [
+    (-0.7, 0.2, 0.6),
+    (0.999999, -0.999999, 0.999999),
+    (-0.9999999, 0.9, -0.5),
+    (0.3, 0.99999999, -0.99999999),
+])
+def test_mv_prior_values_equal_mv_iid_block_bit_for_bit(partials):
+    # prior_values skips mv_iid_block's checks on its vine-built R and reuses
+    # its own sign check's log determinant; the block and log determinant
+    # must still be mv_iid_block's exactly, near-saturated partials included
+    n, d = 4, 3
+    m = build_model(mv_spec(n, d))
+    theta = dict(MV_SIGMA_THETA, **{f"R[{k}]": g for k, g in enumerate(partials)})
+    [(_, rows, cols, _)] = m.structure.prior_parts
+    data, log_gdet = m.structure.prior_values(theta)
+    block, log_det_cov = mv_iid_block(
+        np.array([0.5, 1.0, 2.0]), partials_to_correlation(np.array(partials), d)
+    )
+    np.testing.assert_array_equal(data, block[rows % d, cols % d])
+    assert log_gdet == -n * log_det_cov
+
+
+def test_mv_saturated_partials_raise_linalg_error():
+    # partials of +-tanh(15) compose to an R whose determinant rounds to 0:
+    # prior_values raises LinAlgError, which gaussian_approx turns into a
+    # failed evaluation, while mv_iid_block keeps its ConfigurationError
+    g = np.tanh(15.0)
+    partials = (g, -g, g)
+    m = build_model(mv_spec(4, 3))
+    theta = dict(MV_SIGMA_THETA, **{f"R[{k}]": p for k, p in enumerate(partials)})
+    with pytest.raises(np.linalg.LinAlgError, match="not numerically positive"):
+        m.structure.prior_values(theta)
+    R = partials_to_correlation(np.array(partials), 3)
+    with pytest.raises(ConfigurationError, match="positive definite"):
+        mv_iid_block(np.ones(3), R)
 
 
 def structure_spec(n=12, seed=19):

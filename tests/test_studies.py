@@ -1,8 +1,8 @@
 """Seeded smoke tests for the simulation studies.
 
-Each study is run or built at a small size: replicate records must not
-depend on the thread count, and the coupled studies must build the latent
-dimensions their specifications imply.
+Each study is run or built at a small size: replicate r must be the fit of
+seed + r alone, and the coupled studies must build the latent dimensions
+their specifications imply.
 """
 
 import dataclasses
@@ -48,14 +48,14 @@ def _without_timing(record):
     return dataclasses.replace(record, seconds=0.0)
 
 
-def test_threads_reproduce_sequential_replicates():
-    sequential = run_study("sim1", n=300, reps=2, seed=7, threads=1)
-    threaded = run_study("sim1", n=300, reps=2, seed=7, threads=2)
-    assert [_without_timing(r) for r in sequential.records] == [
-        _without_timing(r) for r in threaded.records
+def test_replicates_reproduce_in_isolation():
+    result = run_study("sim1", n=300, reps=2, seed=7)
+    assert [_without_timing(r) for r in result.records] == [
+        _without_timing(studies._run_replicate("sim1", 300, r, 7))
+        for r in range(2)
     ]
-    assert [r.seed for r in sequential.records] == [7, 8]
-    coverage = sequential.coverage()
+    assert [r.seed for r in result.records] == [7, 8]
+    coverage = result.coverage()
     assert set(coverage) == {"beta0", "beta1", "beta2", "kappa"}
     assert all(reps == 2 for _, reps in coverage.values())
 
@@ -246,13 +246,11 @@ def test_unknown_study_and_empty_run_are_rejected():
         ({"n": 50.5}, "^n must be an integer"),
         ({"reps": 1.5}, "^reps must be an integer"),
         ({"seed": 1.5}, "^seed must be an integer"),
-        ({"threads": 2.5}, "^threads must be an integer"),
-        ({"threads": 0}, "at least one thread"),
     ],
 )
 def test_non_integer_run_arguments_are_rejected(options, name):
     # the float sizes and seed used to end in a TypeError from numpy or
-    # range, and threads=0 or 2.5 used to run as one thread
+    # range
     with pytest.raises(ConfigurationError, match=name):
         run_study("sim1", **{"n": 50, "reps": 1, **options})
 
